@@ -1,8 +1,11 @@
 """LOS probability: circle sampling, curves, the analytic model and its fit."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from mmwpl import demo
 from mmwpl.geometry import Box3, BuildingDB, Point3, PointInsideBuildingError
 from mmwpl.los_probability import (
     NYC_SITE_LOS_PARAMS,
@@ -162,6 +165,33 @@ class TestCurve:
             LosProbabilityCurve(np.array([10.0, 20.0]), np.array([1.0, 1.5]), np.ones(2, bool))
         # out-of-range value behind an invalid mask is tolerated
         LosProbabilityCurve(np.array([10.0, 20.0]), np.array([1.0, np.nan]), np.array([True, False]))
+
+
+# sha256 of p_los bytes + valid bytes for each bundled scene's default curve
+# (10-200 m step 1, 100 points, demo transmitter), per interior mode.  Any
+# change to the tracing path must leave these bit-identical.
+GOLDEN_CURVES = {
+    ("avenue", False): "e8ae4ba658f7ed31ab348bab625bd66861c1483af8e383f3c0544f96f1687d72",
+    ("avenue", True): "068655c394223add24dae45163d662d323bd62c6138cbb9b877ef8079060130c",
+    ("crosstown", False): "f24e56494babc853107dd42097e6022721282b6d30d68ae066a4a942d1391c81",
+    ("crosstown", True): "f0027217addec93d164203ca52d7d7713a80d22b8a2a1b6aee5176905d3ed3a5",
+    ("plaza", False): "a5a0d5d89c56aee0e934e915db35aa8e10689208eeff748ab9de8f6d5071f627",
+    ("plaza", True): "13c5a4f44a74bca5a27a3717b3bc0dc315721f971d9817c36c1c5e6793cf84d7",
+    ("slab", False): "8424d31176b5b70a27700120ac133ca273a379773fd3bcedf863e791b8d10046",
+    ("slab", True): "cd76c2fd982c4fa4939d13a31c98a8286675dd1777828dcd29b2cba6c29b975f",
+    ("tower", False): "527304e262da66480ab6329b93737ee20f1fbb14bfba595b6128ab326eee4bcc",
+    ("tower", True): "6a46aad61c72a264c397d175ad2bcc49406627c7756369d5d6e1079b97355450",
+}
+
+
+@pytest.mark.parametrize("scene,interior_nlos", sorted(GOLDEN_CURVES))
+def test_golden_scene_curves(scene, interior_nlos):
+    curve = los_probability_curve(
+        demo.load_scene(scene), demo.tx_site(scene).position,
+        interior_counts_as_nlos=interior_nlos,
+    )
+    digest = hashlib.sha256(curve.p_los.tobytes() + curve.valid.tobytes()).hexdigest()
+    assert digest == GOLDEN_CURVES[(scene, interior_nlos)]
 
 
 class TestMeanCurve:
