@@ -7,8 +7,7 @@ analysis (outage).
 
 Exit codes: 0 on success, 1 on numerical failure, 2 on input or parse errors.
 Output files are written atomically and identical invocations (including the
-seed) produce byte-identical output.  The MMWPL_THREADS environment variable
-caps the worker count used for curve generation.
+seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -51,16 +50,6 @@ def _emit(out: str | None, text: str) -> None:
         _write_atomic(Path(out), text)
 
 
-def _worker_count() -> int | None:
-    raw = os.environ.get("MMWPL_THREADS")
-    if raw is None:
-        return None
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"MMWPL_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
 def _parse_xyz(text: str) -> Point3:
     parts = text.split(",")
     if len(parts) != 3:
@@ -72,6 +61,13 @@ def _grid_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rmin", type=float, default=10.0, help="first distance, m")
     parser.add_argument("--rmax", type=float, default=200.0, help="last distance, m")
     parser.add_argument("--step", type=float, default=1.0, help="grid step, m")
+
+
+def _distance_grid(args) -> np.ndarray:
+    """Path loss distance grid; the models start at the close-in reference distance."""
+    if not args.rmin >= pathloss.REFERENCE_DISTANCE_M:
+        raise ValueError(f"--rmin must be >= {pathloss.REFERENCE_DISTANCE_M:g} m, got {args.rmin:g}")
+    return los_probability.radius_grid(args.rmin, args.rmax, args.step)
 
 
 def _model_args(parser: argparse.ArgumentParser) -> None:
@@ -115,7 +111,6 @@ def _build_hybrid(args) -> pathloss.HybridModel:
 
 def cmd_los_prob(args) -> int:
     try:
-        workers = _worker_count()
         db = load_building_db(args.db)
         tx = _parse_xyz(args.tx)
     except (OSError, BuildingDBError, ValueError) as exc:
@@ -124,7 +119,7 @@ def cmd_los_prob(args) -> int:
         curve = los_probability.los_probability_curve(
             db, tx, r_min=args.rmin, r_max=args.rmax, step=args.step,
             n_points=args.n_points, rx_height_m=args.rx_height,
-            interior_counts_as_nlos=args.interior_nlos, max_workers=workers,
+            interior_counts_as_nlos=args.interior_nlos,
         )
     except PointInsideBuildingError as exc:
         return _fail(EXIT_INPUT, f"tx position invalid: {exc}")
@@ -160,7 +155,7 @@ def cmd_fit_plos(args) -> int:
 def cmd_pathloss(args) -> int:
     try:
         model = _build_hybrid(args)
-        distances = los_probability.radius_grid(args.rmin, args.rmax, args.step)
+        distances = _distance_grid(args)
     except ValueError as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:
@@ -212,7 +207,7 @@ def cmd_outage(args) -> int:
     try:
         model = _build_hybrid(args)
         spec = link_analysis.OutageSpec(args.threshold)
-        distances = los_probability.radius_grid(args.rmin, args.rmax, args.step)
+        distances = _distance_grid(args)
         if args.monte_carlo is not None:
             if args.monte_carlo < 1:
                 raise ValueError("--monte-carlo draw count must be positive")

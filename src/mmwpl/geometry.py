@@ -110,16 +110,12 @@ class BuildingDB:
     @cached_property
     def min_array(self) -> np.ndarray:
         """Stacked min corners, shape (n_buildings, 3)."""
-        if not self.buildings:
-            return np.empty((0, 3))
-        return np.array([b.min_corner.to_array() for b in self.buildings])
+        return np.array([b.min_corner.to_array() for b in self.buildings]).reshape(-1, 3)
 
     @cached_property
     def max_array(self) -> np.ndarray:
         """Stacked max corners, shape (n_buildings, 3)."""
-        if not self.buildings:
-            return np.empty((0, 3))
-        return np.array([b.max_corner.to_array() for b in self.buildings])
+        return np.array([b.max_corner.to_array() for b in self.buildings]).reshape(-1, 3)
 
 
 def latlon_to_local(
@@ -278,27 +274,26 @@ def segment_intersects_box(a: Point3, b: Point3, box: Box3) -> bool:
     """
     if (a.x, a.y, a.z) == (b.x, b.y, b.z):
         raise ValueError("segment endpoints coincide")
-    starts, ends = _canonical_order(a.to_array()[None, :], b.to_array()[None, :])
-    return bool(_segments_hit_box(starts, ends - starts, box.min_corner.to_array(), box.max_corner.to_array())[0])
+    rows = (v.to_array()[None, :] for v in (a, b, box.min_corner, box.max_corner))
+    return bool(_segments_blocked(*rows)[0])
+
+
+def _strictly_inside(points: np.ndarray, box_min: np.ndarray, box_max: np.ndarray) -> np.ndarray:
+    """Strict containment with an EPSILON margin, reduced over the last axis."""
+    return ((points > box_min + EPSILON) & (points < box_max - EPSILON)).all(axis=-1)
 
 
 def points_strictly_inside(db: BuildingDB, points: np.ndarray) -> np.ndarray:
     """Boolean mask over points (n, 3) that lie strictly inside some building."""
-    if len(db) == 0:
-        return np.zeros(points.shape[0], dtype=bool)
-    above = (points[:, None, :] > db.min_array[None, :, :] + EPSILON).all(axis=2)
-    below = (points[:, None, :] < db.max_array[None, :, :] - EPSILON).all(axis=2)
-    return (above & below).any(axis=1)
+    inside = np.zeros(points.shape[0], dtype=bool)
+    for box_min, box_max in zip(db.min_array, db.max_array):
+        inside |= _strictly_inside(points, box_min, box_max)
+    return inside
 
 
 def find_containing_building(db: BuildingDB, p: Point3) -> int | None:
     """Index of the first building strictly containing p, or None."""
-    if len(db) == 0:
-        return None
-    q = p.to_array()
-    above = (q[None, :] > db.min_array + EPSILON).all(axis=1)
-    below = (q[None, :] < db.max_array - EPSILON).all(axis=1)
-    hits = np.nonzero(above & below)[0]
+    hits = np.nonzero(_strictly_inside(p.to_array(), db.min_array, db.max_array))[0]
     return int(hits[0]) if hits.size else None
 
 
@@ -321,8 +316,6 @@ def is_los(db: BuildingDB, tx: Point3, rx: Point3) -> bool:
             raise PointInsideBuildingError(endpoint, idx)
     if (tx.x, tx.y, tx.z) == (rx.x, rx.y, rx.z):
         raise ValueError("tx and rx positions coincide")
-    if len(db) == 0:
-        return True
     blocked = _segments_blocked(
         tx.to_array()[None, :], rx.to_array()[None, :], db.min_array, db.max_array
     )

@@ -8,7 +8,6 @@ curves by exhaustive mean-squared-error search.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,14 @@ DEFAULT_N_POINTS = 100
 DEFAULT_RX_HEIGHT_M = 1.5
 
 CURVE_CSV_HEADER = "radius_m,p_los,valid"
+
+# Largest radius grid and largest circle point count accepted, checked before
+# anything is allocated.
+MAX_GRID_POINTS = 1_000_000
+
+# Rays traced together per block; bounds a curve's working memory whatever
+# the grid size.  The default 191-radius, 100-point curve is one block.
+_RAYS_PER_BLOCK = 32768
 
 # Integer search grid for the MMSE fit, meters.
 _COARSE_GRID = np.arange(1.0, 201.0)
@@ -89,15 +96,56 @@ class LosProbabilityCurve:
 
 
 def radius_grid(r_min: float, r_max: float, step: float) -> np.ndarray:
-    """Radii r_min, r_min+step, ... up to and including r_max when it lands on the grid."""
-    if r_min <= 0:
+    """Radii r_min, r_min+step, ... up to and including r_max when it lands on the grid.
+
+    Raises ValueError on bad bounds or a grid of more than MAX_GRID_POINTS radii.
+    """
+    if not r_min > 0:
         raise ValueError(f"r_min must be positive, got {r_min:g}")
-    if r_max < r_min:
+    if not r_max >= r_min:
         raise ValueError(f"r_max must be >= r_min, got r_min={r_min:g} r_max={r_max:g}")
-    if step <= 0:
+    if not step > 0:
         raise ValueError(f"step must be positive, got {step:g}")
-    count = int(np.floor((r_max - r_min) / step + 1e-9)) + 1
-    return r_min + step * np.arange(count)
+    count = np.floor((r_max - r_min) / step + 1e-9) + 1
+    if not count <= MAX_GRID_POINTS:
+        raise ValueError(f"grid of {r_min:g} to {r_max:g} m in {step:g} m steps "
+                         f"has more than {MAX_GRID_POINTS} points")
+    return r_min + step * np.arange(int(count))
+
+
+def _circle_los(db: BuildingDB, tx: Point3, radii: np.ndarray, n_points: int,
+                rx_height_m: float, interior_counts_as_nlos: bool) -> np.ndarray:
+    """LOS fraction on the circle of each radius; NaN where every position is interior.
+
+    The radius-major sequence of all receiver positions is traced in blocks
+    of _RAYS_PER_BLOCK rays, and counts are gathered per radius.
+    """
+    if not 4 <= n_points <= MAX_GRID_POINTS:
+        raise ValueError(f"n_points must be between 4 and {MAX_GRID_POINTS}, got {n_points}")
+    idx = find_containing_building(db, tx)
+    if idx is not None:
+        raise PointInsideBuildingError(tx, idx)
+
+    angles = 2.0 * np.pi * np.arange(n_points) / n_points
+    cos, sin = np.cos(angles), np.sin(angles)
+    n_exterior = np.zeros(radii.size, dtype=np.int64)
+    n_los = np.zeros(radii.size, dtype=np.int64)
+    n_rays = radii.size * n_points
+    for start in range(0, n_rays, _RAYS_PER_BLOCK):
+        which, k = np.divmod(np.arange(start, min(start + _RAYS_PER_BLOCK, n_rays)), n_points)
+        r = radii[which]
+        rx = np.column_stack(
+            (tx.x + r * cos[k], tx.y + r * sin[k], np.full(which.size, float(rx_height_m)))
+        )
+        exterior = ~points_strictly_inside(db, rx)
+        rx, which = rx[exterior], which[exterior]
+        starts = np.broadcast_to(tx.to_array(), rx.shape)
+        los = ~_segments_blocked(starts, rx, db.min_array, db.max_array)
+        n_exterior += np.bincount(which, minlength=radii.size)
+        n_los += np.bincount(which[los], minlength=radii.size)
+    denominator = n_points if interior_counts_as_nlos else n_exterior
+    with np.errstate(invalid="ignore"):
+        return np.where(n_exterior > 0, n_los / denominator, np.nan)
 
 
 def los_probability_at_radius(
@@ -122,37 +170,14 @@ def los_probability_at_radius(
 
     Raises:
         PointInsideBuildingError: when the transmitter is inside a building.
-        ValueError: on a non-positive radius or fewer than 4 points.
+        ValueError: on a non-positive radius, or fewer than 4 or more than
+            MAX_GRID_POINTS points.
     """
-    if radius_m <= 0:
+    if not radius_m > 0:
         raise ValueError(f"radius must be positive, got {radius_m:g}")
-    if n_points < 4:
-        raise ValueError(f"n_points must be at least 4, got {n_points}")
-    idx = find_containing_building(db, tx)
-    if idx is not None:
-        raise PointInsideBuildingError(tx, idx)
-
-    angles = 2.0 * np.pi * np.arange(n_points) / n_points
-    rx = np.column_stack(
-        (
-            tx.x + radius_m * np.cos(angles),
-            tx.y + radius_m * np.sin(angles),
-            np.full(n_points, float(rx_height_m)),
-        )
-    )
-    interior = points_strictly_inside(db, rx)
-    exterior = ~interior
-    n_exterior = int(exterior.sum())
-    if n_exterior == 0:
-        return None
-    if len(db) == 0:
-        n_los = n_exterior
-    else:
-        starts = np.tile(tx.to_array(), (n_exterior, 1))
-        blocked = _segments_blocked(starts, rx[exterior], db.min_array, db.max_array)
-        n_los = int((~blocked).sum())
-    denominator = n_points if interior_counts_as_nlos else n_exterior
-    return n_los / denominator
+    radii = np.array([float(radius_m)])
+    p = _circle_los(db, tx, radii, n_points, rx_height_m, interior_counts_as_nlos)[0]
+    return None if np.isnan(p) else float(p)
 
 
 def los_probability_curve(
@@ -164,34 +189,15 @@ def los_probability_curve(
     n_points: int = DEFAULT_N_POINTS,
     rx_height_m: float = DEFAULT_RX_HEIGHT_M,
     interior_counts_as_nlos: bool = False,
-    max_workers: int | None = None,
 ) -> LosProbabilityCurve:
     """Sweep circle radii and collect the LOS probability at each.
 
-    Radii where the probability is undefined are masked invalid.  Work is
-    split across ``max_workers`` threads when given; results are assembled in
-    radius order either way, so the output is identical.
+    Each radius is sampled as in los_probability_at_radius; radii where the
+    probability is undefined are masked invalid.
     """
     radii = radius_grid(r_min, r_max, step)
-    idx = find_containing_building(db, tx)
-    if idx is not None:
-        raise PointInsideBuildingError(tx, idx)
-
-    def one(r: float) -> float | None:
-        return los_probability_at_radius(
-            db, tx, r, n_points=n_points, rx_height_m=rx_height_m,
-            interior_counts_as_nlos=interior_counts_as_nlos,
-        )
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            values = list(pool.map(one, radii))
-    else:
-        values = [one(r) for r in radii]
-
-    p = np.array([np.nan if v is None else v for v in values])
-    valid = ~np.isnan(p)
-    return LosProbabilityCurve(radii, p, valid)
+    p = _circle_los(db, tx, radii, n_points, rx_height_m, interior_counts_as_nlos)
+    return LosProbabilityCurve(radii, p, ~np.isnan(p))
 
 
 def mean_curve(curves: "list[LosProbabilityCurve]") -> LosProbabilityCurve:

@@ -70,18 +70,12 @@ class TestLosProb:
         db = write_empty_db(tmp_path / "empty.json")
         assert main(["los-prob", "--db", db, "--tx", "1,2"]) == 2
 
-    def test_thread_env_validated(self, tmp_path, monkeypatch):
+    def test_oversized_inputs_are_input_errors(self, tmp_path, capsys):
         db = write_empty_db(tmp_path / "empty.json")
-        monkeypatch.setenv("MMWPL_THREADS", "0")
-        assert main(["los-prob", "--db", db, "--tx", "0,0,10"]) == 2
-
-    def test_thread_env_used(self, tmp_path, monkeypatch, capsys):
-        db = write_empty_db(tmp_path / "empty.json")
-        assert main(["los-prob", "--db", db, "--tx", "0,0,10"]) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("MMWPL_THREADS", "3")
-        assert main(["los-prob", "--db", db, "--tx", "0,0,10"]) == 0
-        assert capsys.readouterr().out == serial
+        assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--step", "1e-9"]) == 2
+        assert "more than 1000000 points" in capsys.readouterr().err
+        assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--n-points", "2000000"]) == 2
+        assert "n_points" in capsys.readouterr().err
 
 
 class TestFitPlos:
@@ -155,6 +149,14 @@ class TestPathloss:
         ]
         assert main(argv) == 2
         assert "--nlos-intercept" in capsys.readouterr().err
+
+    def test_distance_below_reference_is_input_error(self, capsys):
+        assert main(["pathloss", "--preset", "28GHz-NYC", "--rmin", "0.5"]) == 2
+        assert "--rmin must be >= 1 m" in capsys.readouterr().err
+
+    def test_oversized_grid_is_input_error(self, capsys):
+        assert main(["pathloss", "--preset", "28GHz-NYC", "--step", "1e-9"]) == 2
+        assert "more than 1000000 points" in capsys.readouterr().err
 
 
 class TestFit:
@@ -266,6 +268,10 @@ class TestOutage:
 
     def test_nonpositive_draw_count(self, capsys):
         assert main(self.BASE + ["--monte-carlo", "0", "--seed", "1"]) == 2
+
+    def test_distance_below_reference_is_input_error(self, capsys):
+        assert main(["outage", "--preset", "28GHz-NYC", "--threshold", "130", "--rmin", "0.5"]) == 2
+        assert "--rmin must be >= 1 m" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 """LOS probability: circle sampling, curves, the analytic model and its fit."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mmwpl import demo
 from mmwpl.geometry import Box3, BuildingDB, Point3, PointInsideBuildingError
 from mmwpl.los_probability import (
+    MAX_GRID_POINTS,
     NYC_SITE_LOS_PARAMS,
     LosProbParams,
     LosProbabilityCurve,
@@ -57,6 +59,12 @@ class TestRadiusGrid:
     def test_rejects_bad_arguments(self):
         for args in ((0.0, 10.0, 1.0), (10.0, 5.0, 1.0), (10.0, 20.0, 0.0)):
             with pytest.raises(ValueError):
+                radius_grid(*args)
+
+    def test_point_count_capped(self):
+        assert radius_grid(1.0, float(MAX_GRID_POINTS), 1.0).size == MAX_GRID_POINTS
+        for args in ((1.0, MAX_GRID_POINTS + 1.0, 1.0), (10.0, 200.0, 1e-9), (10.0, np.inf, 1.0)):
+            with pytest.raises(ValueError, match="more than 1000000 points"):
                 radius_grid(*args)
 
 
@@ -111,6 +119,12 @@ class TestCircleSampling:
         with pytest.raises(ValueError):
             los_probability_at_radius(SLAB_DB, SLAB_TX, 50.0, n_points=3)
 
+    def test_point_count_capped(self):
+        with pytest.raises(ValueError, match="n_points"):
+            los_probability_at_radius(SLAB_DB, SLAB_TX, 50.0, n_points=MAX_GRID_POINTS + 1)
+        with pytest.raises(ValueError, match="n_points"):
+            los_probability_curve(SLAB_DB, SLAB_TX, n_points=MAX_GRID_POINTS + 1)
+
     def test_quarter_turn_rotation_invariance(self):
         # 100 points step 3.6 degrees; a 90 degree turn maps the sample set
         # onto itself, and rotated boxes stay axis aligned
@@ -147,11 +161,41 @@ class TestCurve:
         assert len(curve) == 1
         assert curve.p_los[0] == 53 / 96
 
-    def test_parallel_matches_serial(self):
-        serial = los_probability_curve(SLAB_DB, SLAB_TX, r_max=60)
-        threaded = los_probability_curve(SLAB_DB, SLAB_TX, r_max=60, max_workers=4)
-        assert np.array_equal(serial.p_los, threaded.p_los)
-        assert np.array_equal(serial.valid, threaded.valid)
+    def test_any_block_size_gives_identical_curves(self, monkeypatch):
+        # on the roof of one big box every position out to 99 m is interior,
+        # so NaN and valid=False runs cross block edges
+        roof = BuildingDB("roof", (Box3(Point3(-100, -100, 0), Point3(100, 100, 40)),))
+        cases = (
+            (demo.load_scene("tower"), demo.tx_site("tower").position,
+             dict(r_min=10, r_max=40, step=3, n_points=12)),
+            (roof, Point3(0, 0, 50), dict(r_min=90, r_max=150, step=5, n_points=16)),
+        )
+        for db, tx, grid in cases:
+            for interior_nlos in (False, True):
+                whole = los_probability_curve(db, tx, interior_counts_as_nlos=interior_nlos, **grid)
+                for block in (1, 7, 1000):
+                    monkeypatch.setattr("mmwpl.los_probability._RAYS_PER_BLOCK", block)
+                    split = los_probability_curve(db, tx, interior_counts_as_nlos=interior_nlos, **grid)
+                    monkeypatch.undo()
+                    assert split.p_los.tobytes() == whole.p_los.tobytes()
+                    assert np.array_equal(split.valid, whole.valid)
+        # the last case traced is the roof: its first two radii are undefined
+        assert not whole.valid[:2].any() and whole.valid[2:].all()
+
+    def test_memory_does_not_grow_with_grid(self, monkeypatch):
+        monkeypatch.setattr("mmwpl.los_probability._RAYS_PER_BLOCK", 2000)
+        SLAB_DB.min_array, SLAB_DB.max_array  # cache outside the measurement
+
+        def peak(step):
+            tracemalloc.start()
+            try:
+                los_probability_curve(SLAB_DB, SLAB_TX, step=step)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # ten times the rays, about the same working set
+        assert peak(0.1) < 1.5 * peak(1.0)
 
     def test_tx_inside_raises_before_sweeping(self):
         db = BuildingDB("b", (Box3(Point3(-5, -5, 0), Point3(5, 5, 30)),))
