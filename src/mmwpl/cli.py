@@ -37,17 +37,21 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _emit(out: str | None, text: str) -> None:
+def _emit(out: str | None, text: str) -> int:
+    """Print ``text``, or write it atomically to ``out``; failing to write is an input error."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        _write_atomic(Path(out), text)
+        return EXIT_OK
+    path = Path(out)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"  # unique per writer
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        return _fail(EXIT_INPUT, f"cannot write {out}: {exc.strerror or exc}")
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone after a successful replace
+    return EXIT_OK
 
 
 def _parse_xyz(text: str) -> Point3:
@@ -125,8 +129,7 @@ def cmd_los_prob(args) -> int:
         return _fail(EXIT_INPUT, f"tx position invalid: {exc}")
     except ValueError as exc:
         return _fail(EXIT_INPUT, str(exc))
-    _emit(args.out, los_probability.curve_to_csv(curve))
-    return EXIT_OK
+    return _emit(args.out, los_probability.curve_to_csv(curve))
 
 
 def cmd_fit_plos(args) -> int:
@@ -148,8 +151,7 @@ def cmd_fit_plos(args) -> int:
         for params, mse in fits
     ]
     payload = docs[0] if len(docs) == 1 else docs
-    _emit(args.out, json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
+    return _emit(args.out, json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_pathloss(args) -> int:
@@ -159,16 +161,12 @@ def cmd_pathloss(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:
-        p = los_probability.p_los_model(distances, model.p_los)
-        mean = pathloss.mean_pl_hybrid(model, distances)
-        sigma = pathloss.shadow_sigma_hybrid(model, distances)
+        p, mean, sigma = pathloss._hybrid(model, distances)
     except ValueError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
-    lines = ["d_m,p_los,mean_pl_db,sigma_db"]
-    for row in zip(distances, p, mean, sigma):
-        lines.append(",".join(_fmt(v) for v in row))
-    _emit(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    rows = zip(distances, p, mean, sigma)
+    lines = ["d_m,p_los,mean_pl_db,sigma_db"] + [",".join(_fmt(v) for v in row) for row in rows]
+    return _emit(args.out, "\n".join(lines) + "\n")
 
 
 def cmd_fit(args) -> int:
@@ -199,8 +197,7 @@ def cmd_fit(args) -> int:
             }
     except ValueError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
-    _emit(args.out, json.dumps(doc, indent=2) + "\n")
-    return EXIT_OK
+    return _emit(args.out, json.dumps(doc, indent=2) + "\n")
 
 
 def cmd_outage(args) -> int:
@@ -216,21 +213,19 @@ def cmd_outage(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:
-        rows = []
-        rng = np.random.default_rng(args.seed) if args.monte_carlo is not None else None
-        for d in distances:
-            outage = link_analysis.outage_probability(model, float(d), spec)
-            row = [d, 1.0 - outage, outage]
-            if rng is not None:
-                draws = pathloss.sample_pl(model, float(d), rng, size=args.monte_carlo)
-                row.append(float(np.mean(draws > spec.max_path_loss_db)))
-            rows.append(row)
+        outage = link_analysis.outage_probability(model, distances, spec)
+        columns = [distances, 1.0 - outage, outage]
+        if args.monte_carlo is not None:
+            # one draw per distance, in grid order, on one generator: the whole grid
+            # at once would hold 2 x 8 B per draw and distance
+            rng = np.random.default_rng(args.seed)
+            draws = (pathloss.sample_pl(model, float(d), rng, size=args.monte_carlo) for d in distances)
+            columns.append([np.mean(x > spec.max_path_loss_db) for x in draws])
     except ValueError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
     header = "d_m,coverage,outage" + (",outage_mc" if args.monte_carlo is not None else "")
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    _emit(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    return _emit(args.out, "\n".join(lines) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

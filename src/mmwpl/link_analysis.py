@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .los_probability import radius_grid
-from .pathloss import HybridModel, mean_pl_hybrid, shadow_sigma_hybrid
+from .pathloss import HybridModel, _hybrid, _scalar_or_array
 
 
 @dataclass(frozen=True)
@@ -23,22 +25,21 @@ class OutageSpec:
             raise ValueError("max_path_loss_db must not be NaN")
 
 
-def outage_probability(model: HybridModel, d_m: float, spec: OutageSpec) -> float:
-    """Probability that shadowed path loss exceeds the budget at distance d.
+def outage_probability(model: HybridModel, d_m, spec: OutageSpec):
+    """Probability that shadowed path loss exceeds the budget at distance(s) d_m.
 
     Path loss in dB is normal with the hybrid mean and spread, so this is the
     Gaussian upper tail.  A zero spread degenerates to a deterministic
-    comparison of the mean against the budget.
+    comparison of the mean against the budget.  Scalar in, float out; array
+    in, array out.
     """
-    mean = mean_pl_hybrid(model, d_m)
-    sigma = shadow_sigma_hybrid(model, d_m)
+    _, mean, sigma = _hybrid(model, d_m)
     threshold = spec.max_path_loss_db
-    if sigma == 0.0:
-        return 1.0 if mean > threshold else 0.0
-    if math.isinf(threshold):
-        return 0.0 if threshold > 0 else 1.0
-    z = (threshold - mean) / sigma
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (threshold - mean) / sigma
+    # numpy has no erfc; erfc(+inf) = 0 and erfc(-inf) = 2 cover infinite budgets
+    tail = 0.5 * np.vectorize(math.erfc, otypes=[float])(z / math.sqrt(2.0))
+    return _scalar_or_array(np.where(sigma == 0.0, mean > threshold, tail), d_m)
 
 
 def coverage_curve(
@@ -53,7 +54,5 @@ def coverage_curve(
     Returns (distance, coverage) pairs in grid order.  A single-point grid is
     allowed.
     """
-    return [
-        (float(d), 1.0 - outage_probability(model, float(d), spec))
-        for d in radius_grid(r_min, r_max, step)
-    ]
+    d = radius_grid(r_min, r_max, step)
+    return list(zip(d.tolist(), (1.0 - outage_probability(model, d, spec)).tolist()))

@@ -139,8 +139,15 @@ def fspl_at_reference(frequency_hz: float) -> float:
     )
 
 
-def _scalar_or_array(values: np.ndarray, scalar: bool):
-    return float(values) if scalar else values
+def _scalar_or_array(values, d_m):
+    return float(values) if np.ndim(d_m) == 0 else values
+
+
+def _log_distance_mean(model: CloseInModel | FloatingInterceptModel, d: np.ndarray):
+    """Mean path loss of either model family at distances already checked, dB."""
+    if isinstance(model, CloseInModel):
+        return fspl_at_reference(model.frequency_hz) + 10.0 * model.exponent * np.log10(d)
+    return model.intercept_db + 10.0 * model.slope * np.log10(d)
 
 
 def mean_pl_close_in(model: CloseInModel, d_m):
@@ -152,8 +159,7 @@ def mean_pl_close_in(model: CloseInModel, d_m):
     d = np.asarray(d_m, dtype=float)
     if np.any(d < REFERENCE_DISTANCE_M):
         raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
-    out = fspl_at_reference(model.frequency_hz) + 10.0 * model.exponent * np.log10(d)
-    return _scalar_or_array(out, d.ndim == 0)
+    return _scalar_or_array(_log_distance_mean(model, d), d_m)
 
 
 def mean_pl_floating(model: FloatingInterceptModel, d_m):
@@ -166,31 +172,32 @@ def mean_pl_floating(model: FloatingInterceptModel, d_m):
     if np.any(d <= 0):
         raise ValueError("distances must be positive")
     lo, hi = model.valid_range_m
-    out = model.intercept_db + 10.0 * model.slope * np.log10(d)
+    out = _log_distance_mean(model, d)
     extrapolated = (d < lo) | (d > hi)
     if d.ndim == 0:
         return float(out), bool(extrapolated)
     return out, extrapolated
 
 
-def _mean_pl_nlos(model: HybridModel, d):
-    if isinstance(model.nlos, CloseInModel):
-        return mean_pl_close_in(model.nlos, d)
-    return mean_pl_floating(model.nlos, d)[0]
+def _hybrid(model: HybridModel, d_m):
+    """(P_LOS, mean, spread) of the hybrid model: one distance check, one p_los_model."""
+    d = np.asarray(d_m, dtype=float)
+    if np.any(d < REFERENCE_DISTANCE_M):
+        raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
+    p = np.asarray(p_los_model(d, model.p_los))
+    mean = p * _log_distance_mean(model.los, d) + (1.0 - p) * _log_distance_mean(model.nlos, d)
+    # np.square, not ** 2: libm pow on a Python float can differ in the last bit
+    var = np.square(p * model.los.shadow_std_db) + np.square((1.0 - p) * model.nlos.shadow_std_db)
+    return p, mean, np.sqrt(var)
 
 
 def mean_pl_hybrid(model: HybridModel, d_m):
-    """Probability-weighted mean path loss, dB.
+    """Probability-weighted mean path loss, dB.  Accepts scalars or arrays.
 
     The LOS and NLOS means are combined with weights P and 1-P from the LOS
     probability model, so the result always lies between the two branches.
     """
-    d = np.asarray(d_m, dtype=float)
-    if np.any(d < REFERENCE_DISTANCE_M):
-        raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
-    p = p_los_model(d, model.p_los)
-    out = p * mean_pl_close_in(model.los, d) + (1.0 - p) * _mean_pl_nlos(model, d)
-    return _scalar_or_array(np.asarray(out), d.ndim == 0)
+    return _scalar_or_array(_hybrid(model, d_m)[1], d_m)
 
 
 def shadow_sigma_hybrid(model: HybridModel, d_m):
@@ -198,14 +205,9 @@ def shadow_sigma_hybrid(model: HybridModel, d_m):
 
     The shadowing term is a probability-weighted sum of two independent
     zero-mean normal components, so the variances combine with squared
-    weights.
+    weights.  Accepts scalars or arrays.
     """
-    d = np.asarray(d_m, dtype=float)
-    if np.any(d < REFERENCE_DISTANCE_M):
-        raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
-    p = np.asarray(p_los_model(d, model.p_los))
-    var = (p * model.los.shadow_std_db) ** 2 + ((1.0 - p) * model.nlos.shadow_std_db) ** 2
-    return _scalar_or_array(np.sqrt(var), d.ndim == 0)
+    return _scalar_or_array(_hybrid(model, d_m)[2], d_m)
 
 
 def sample_pl(model: HybridModel, d_m, rng: np.random.Generator, size: int | None = None):
@@ -216,11 +218,11 @@ def sample_pl(model: HybridModel, d_m, rng: np.random.Generator, size: int | Non
     an integer returns that many samples.  Identical generators give identical
     output.
     """
-    d = float(d_m)
-    mean = mean_pl_hybrid(model, d)
-    p = p_los_model(d, model.p_los)
+    p, mean, _ = _hybrid(model, float(d_m))
     shape = () if size is None else (int(size),)
     z_los = rng.normal(0.0, model.los.shadow_std_db, shape)
     z_nlos = rng.normal(0.0, model.nlos.shadow_std_db, shape)
-    out = mean + p * z_los + (1.0 - p) * z_nlos
+    # summed in place: one more large temporary per call makes the heap shrink and re-fault
+    out = z_los * p + mean
+    out += z_nlos * (1.0 - p)
     return float(out) if size is None else out

@@ -6,13 +6,14 @@ module entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mmwpl import demo, fitting, los_probability, pathloss
+from mmwpl import demo, fitting, link_analysis, los_probability, pathloss
 from mmwpl.cli import main
 from mmwpl.geometry import Point3
 
@@ -48,7 +49,28 @@ class TestLosProb:
         assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--out", str(out)]) == 0
         curve = los_probability.los_probability_curve(demo.load_scene("slab"), Point3(0.0, 0.0, 10.0))
         assert out.read_text() == los_probability.curve_to_csv(curve)
-        assert not (tmp_path / "curve.csv.tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_missing_output_directory_is_input_error(self, tmp_path, capsys):
+        db = write_empty_db(tmp_path / "empty.json")
+        out = str(tmp_path / "missing" / "curve.csv")
+        assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        db = write_empty_db(tmp_path / "empty.json")
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        out = str(tmp_path / "curve.csv")
+        assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--out", out]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.json"]
 
     def test_tx_inside_building_is_input_error(self, capsys):
         db = str(demo.scene_path("slab"))
@@ -265,6 +287,19 @@ class TestOutage:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().startswith(b"d_m,coverage,outage,outage_mc\n")
+
+    def test_monte_carlo_draw_order(self, capsys):
+        # one sample_pl call per distance, in grid order, on one generator
+        assert main(self.BASE + ["--monte-carlo", "1000", "--seed", "3"]) == 0
+        model = pathloss.hybrid_from_preset("28GHz-NYC")
+        spec = link_analysis.OutageSpec(130.0)
+        rng = np.random.default_rng(3)
+        lines = ["d_m,coverage,outage,outage_mc"]
+        for d in (50.0, 100.0, 150.0):
+            outage = link_analysis.outage_probability(model, d, spec)
+            mc = np.mean(pathloss.sample_pl(model, d, rng, size=1000) > 130.0)
+            lines.append(",".join(format(v, ".6g") for v in (d, 1.0 - outage, outage, mc)))
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_nonpositive_draw_count(self, capsys):
         assert main(self.BASE + ["--monte-carlo", "0", "--seed", "1"]) == 2

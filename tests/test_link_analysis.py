@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmwpl.link_analysis import OutageSpec, coverage_curve, outage_probability
 from mmwpl.pathloss import (
@@ -12,6 +14,7 @@ from mmwpl.pathloss import (
     hybrid_from_preset,
     mean_pl_hybrid,
     sample_pl,
+    shadow_sigma_hybrid,
 )
 
 M28 = hybrid_from_preset("28GHz-NYC")
@@ -99,3 +102,27 @@ class TestCoverage:
         cov = [c for _, c in coverage_curve(ZERO_SIGMA, spec)]
         assert set(cov) == {0.0, 1.0}
         assert cov == sorted(cov, reverse=True)
+
+
+class TestScalarArrayAgreement:
+    """An array of distances gives exactly what one scalar call per distance gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([M28, M28F, M73, M73F, ZERO_SIGMA]),
+        st.lists(st.floats(1.0, 5000.0), min_size=1, max_size=30),
+        st.one_of(st.floats(60.0, 200.0), st.sampled_from([math.inf, -math.inf])),
+    )
+    # distances where squaring a Python float (libm pow) and squaring in
+    # numpy once rounded differently in the last bit
+    @example(M73F, [121.25000000000003, 160.47000000000006], 130.0)
+    @example(M28, [2398.2300000000005], -math.inf)
+    def test_elementwise_equal(self, model, distances, threshold):
+        d = np.array(distances)
+        spec = OutageSpec(threshold)
+        for fn, args in ((mean_pl_hybrid, ()), (shadow_sigma_hybrid, ()), (outage_probability, (spec,))):
+            array_out = fn(model, d, *args)
+            assert isinstance(array_out, np.ndarray) and array_out.shape == d.shape
+            scalar_out = [fn(model, x, *args) for x in distances]
+            assert all(type(v) is float for v in scalar_out)
+            assert array_out.tolist() == scalar_out, fn.__name__

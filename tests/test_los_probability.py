@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwpl import demo
 from mmwpl.geometry import Box3, BuildingDB, Point3, PointInsideBuildingError
@@ -394,6 +396,22 @@ class TestCsv:
         assert back.p_los[0] == 1.0 and back.p_los[2] == 0.25
         assert np.isnan(back.p_los[1])
         assert back.valid.tolist() == [True, False, True]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(100, 999_999), st.integers(0, 1000), st.booleans()),
+        min_size=1, max_size=40, unique_by=lambda row: row[0],
+    ))
+    def test_round_trip_exact_at_six_digits(self, rows):
+        # radii n/100 and probabilities k/1000 print exactly in 6 significant digits
+        rows = sorted(rows)
+        radii = np.array([n / 100 for n, _, _ in rows])
+        valid = np.array([ok for _, _, ok in rows])
+        p = np.array([k / 1000 if ok else np.nan for _, k, ok in rows])
+        back = curve_from_csv(curve_to_csv(LosProbabilityCurve(radii, p, valid)))
+        assert np.array_equal(back.radii_m, radii)
+        assert np.array_equal(back.p_los, p, equal_nan=True)
+        assert np.array_equal(back.valid, valid)
 
     def test_header_and_format(self):
         text = curve_to_csv(flat_curve([10.0], 1 / 3))
