@@ -240,6 +240,33 @@ def test_golden_scene_curves(scene, interior_nlos):
     assert digest == GOLDEN_CURVES[(scene, interior_nlos)]
 
 
+# float.hex of (d_bp_m, alpha_m, mse) fitted to each default curve above.  Any
+# change to the fitter must leave these bit-identical.  The slab fits end on
+# the 16-round refinement cap at alpha_m = 216.0.
+GOLDEN_FITS = {
+    ("avenue", False): ("0x1.c4ccccccccccdp+5", "0x1.3333333333333p+3", "0x1.57c384b136e91p-7"),
+    ("avenue", True): ("0x1.a666666666666p+1", "0x1.e333333333333p+5", "0x1.bf0a6c78503f0p-9"),
+    ("crosstown", False): ("0x1.06ccccccccccdp+6", "0x1.0666666666666p+3", "0x1.2c1168051654ap-7"),
+    ("crosstown", True): ("0x1.6666666666666p+3", "0x1.62ccccccccccdp+6", "0x1.1c92f3b37ce77p-8"),
+    ("plaza", False): ("0x1.8e66666666666p+6", "0x1.c000000000000p+4", "0x1.a185db9aebcf3p-6"),
+    ("plaza", True): ("0x1.2666666666666p+6", "0x1.c000000000000p+4", "0x1.bf2e2e28ebb66p-7"),
+    ("slab", False): ("0x1.6333333333333p+4", "0x1.b000000000000p+7", "0x1.07a3e68063e70p-5"),
+    ("slab", True): ("0x1.7333333333333p+3", "0x1.b000000000000p+7", "0x1.4692f45c54468p-5"),
+    ("tower", False): ("0x1.9733333333333p+5", "0x1.c666666666666p+2", "0x1.ac665ee72edc8p-7"),
+    ("tower", True): ("0x1.d333333333333p+2", "0x1.0a66666666666p+6", "0x1.0ae6040e6cff5p-8"),
+}
+
+
+@pytest.mark.parametrize("scene,interior_nlos", sorted(GOLDEN_FITS))
+def test_golden_scene_fits(scene, interior_nlos):
+    curve = los_probability_curve(
+        demo.load_scene(scene), demo.tx_site(scene).position,
+        interior_counts_as_nlos=interior_nlos,
+    )
+    params, mse = fit_p_los(curve)
+    assert (params.d_bp_m.hex(), params.alpha_m.hex(), mse.hex()) == GOLDEN_FITS[(scene, interior_nlos)]
+
+
 class TestMeanCurve:
     def test_identity_for_single_curve(self):
         c = flat_curve([10.0, 20.0, 30.0], 0.5)
