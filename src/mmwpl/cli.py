@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -146,10 +147,7 @@ def cmd_fit_plos(args) -> int:
             fits = [los_probability.fit_p_los(c) for c in curves]
     except ValueError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
-    docs = [
-        {"d_bp_m": params.d_bp_m, "alpha_m": params.alpha_m, "squared": params.squared, "mse": mse}
-        for params, mse in fits
-    ]
+    docs = [{**asdict(params), "mse": mse} for params, mse in fits]
     payload = docs[0] if len(docs) == 1 else docs
     return _emit(args.out, json.dumps(payload, indent=2) + "\n")
 
@@ -179,24 +177,12 @@ def cmd_fit(args) -> int:
         if args.model == "close-in":
             if args.frequency is None:
                 return _fail(EXIT_INPUT, "--model close-in needs --frequency")
-            fitted = fitting.fit_close_in(subset, args.frequency)
-            doc = {
-                "model": "close-in",
-                "frequency_hz": fitted.frequency_hz,
-                "exponent": fitted.exponent,
-                "shadow_std_db": fitted.shadow_std_db,
-            }
+            name, fitted = "close-in", fitting.fit_close_in(subset, args.frequency)
         else:
-            fitted = fitting.fit_floating(subset)
-            doc = {
-                "model": "floating-intercept",
-                "intercept_db": fitted.intercept_db,
-                "slope": fitted.slope,
-                "shadow_std_db": fitted.shadow_std_db,
-                "valid_range_m": list(fitted.valid_range_m),
-            }
+            name, fitted = "floating-intercept", fitting.fit_floating(subset)
     except ValueError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
+    doc = {"model": name, **asdict(fitted)}
     return _emit(args.out, json.dumps(doc, indent=2) + "\n")
 
 

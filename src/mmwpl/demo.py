@@ -14,9 +14,6 @@ from pathlib import Path
 
 from .geometry import BuildingDB, Point3, TxSite, load_building_db
 
-# The four street-grid scenes; "slab" is the hand-checkable extra.
-URBAN_SCENES = ("avenue", "crosstown", "plaza", "tower")
-
 _TX_SITES = {
     "slab": TxSite("slab-tx", Point3(0.0, 0.0, 7.0)),
     "avenue": TxSite("avenue-tx", Point3(0.0, 0.0, 7.0)),
@@ -33,8 +30,7 @@ def scene_names() -> "list[str]":
 
 def scene_path(name: str) -> Path:
     """Filesystem path of a bundled scene's building DB document."""
-    if name not in _TX_SITES:
-        raise ValueError(f"unknown demo scene {name!r}; available: {', '.join(scene_names())}")
+    tx_site(name)  # rejects an unknown name
     return Path(str(files("mmwpl").joinpath(f"data/{name}.json")))
 
 

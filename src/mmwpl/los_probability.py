@@ -36,9 +36,8 @@ _RAYS_PER_BLOCK = 32768
 
 # Integer search grid for the MMSE fit, meters.
 _COARSE_GRID = np.arange(1.0, 201.0)
-# Half-width and resolution of the local refinement pass.
-_REFINE_SPAN_M = 1.0
-_REFINE_STEP_M = 0.1
+# Offsets of the local refinement window: -1 to 1 m in 0.1 m steps.
+_WINDOW_M = np.round(np.arange(-1.0, 1.05, 0.1), 6)
 
 
 @dataclass(frozen=True)
@@ -223,6 +222,15 @@ def mean_curve(curves: "list[LosProbabilityCurve]") -> LosProbabilityCurve:
     return LosProbabilityCurve(base.copy(), total / counts, np.ones_like(base, dtype=bool))
 
 
+def _bracket(ratio, decay):
+    """The model's inner term: 1 where ratio = d_bp / d >= 1, else ratio * (1 - decay) + decay.
+
+    Explicit saturation keeps the value exactly 1.0 below the breakpoint
+    instead of trusting (1 - decay) + decay to round back to 1.
+    """
+    return np.where(ratio >= 1.0, 1.0, ratio * (1.0 - decay) + decay)
+
+
 def p_los_model(d_m, params: LosProbParams):
     """Evaluate the analytic LOS probability model at distance(s) d_m.
 
@@ -233,11 +241,7 @@ def p_los_model(d_m, params: LosProbParams):
     d = np.asarray(d_m, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distances must be positive")
-    ratio = params.d_bp_m / d
-    decay = np.exp(-d / params.alpha_m)
-    # Explicit saturation keeps p exactly 1.0 below the breakpoint instead of
-    # trusting (1 - decay) + decay to round back to 1.
-    bracket = np.where(ratio >= 1.0, 1.0, ratio * (1.0 - decay) + decay)
+    bracket = _bracket(params.d_bp_m / d, np.exp(-d / params.alpha_m))
     out = bracket * bracket if params.squared else bracket
     if out.ndim == 0:
         return float(out)
@@ -250,29 +254,17 @@ def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alph
     Ties resolve to the smallest d_bp, then the smallest alpha; candidates
     must be sorted ascending for that to hold.
     """
-    decay = np.exp(-radii[None, :] / alpha_values[:, None])
-    rise = 1.0 - decay
-    best_mse = np.inf
-    best_bp = bp_values[0]
-    best_alpha = alpha_values[0]
-    chunk = 32
-    for start in range(0, bp_values.size, chunk):
-        bp = bp_values[start : start + chunk]
-        ratio = np.minimum(bp[:, None] / radii[None, :], 1.0)
-        bracket = np.where(
-            ratio[:, None, :] >= 1.0,
-            1.0,
-            ratio[:, None, :] * rise[None, :, :] + decay[None, :, :],
-        )
-        err = bracket * bracket - target[None, None, :]
-        mse = np.mean(err * err, axis=2)
-        flat = int(np.argmin(mse))
-        i, j = divmod(flat, alpha_values.size)
-        if mse[i, j] < best_mse:
-            best_mse = float(mse[i, j])
-            best_bp = float(bp[i])
-            best_alpha = float(alpha_values[j])
-    return best_bp, best_alpha, best_mse
+    ratio = bp_values[:, None] / radii
+    best_mse, best_bp, best_alpha = np.inf, bp_values[0], alpha_values[0]
+    for alpha in alpha_values:
+        bracket = _bracket(ratio, np.exp(-radii / alpha))
+        err = bracket * bracket - target
+        mse = np.mean(err * err, axis=1)
+        i = int(np.argmin(mse))
+        # on equal mse a smaller d_bp wins; an equal d_bp keeps the earlier, smaller alpha
+        if (mse[i], bp_values[i]) < (best_mse, best_bp):
+            best_mse, best_bp, best_alpha = mse[i], bp_values[i], alpha
+    return float(best_bp), float(best_alpha), float(best_mse)
 
 
 def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
@@ -280,10 +272,14 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
 
     Exhaustive search over integer (d_bp, alpha) pairs from 1 to 200 m,
     followed by a 0.1 m local refinement around the winning cell.  The
-    refinement window recenters while its winner lands on a window edge, so
-    optima up to a few meters off the coarse winner are still resolved.  The
-    refinement is skipped when the coarse fit is already exact.  Returns the
-    parameters and the mean squared error they achieve.
+    refinement window, 1 m either side, recenters while its winner lands on
+    a window edge, so optima up to a few meters off the coarse winner are
+    still resolved.  It evaluates at most 16 windows, and a winner still on
+    an edge of the 16th is returned without saying so: a curve whose best
+    alpha lies past 200 m comes back with alpha_m = 216.0, which is 200 m
+    plus 16 steps of 1 m.  The refinement is skipped when the coarse
+    fit is already exact.  Returns the parameters and the mean squared
+    error they achieve.
 
     Raises:
         ValueError: with fewer than 2 valid curve points.
@@ -294,14 +290,11 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
         raise ValueError("fit requires at least 2 valid curve points")
 
     bp, alpha, mse = _mse_grid(radii, target, _COARSE_GRID, _COARSE_GRID)
-    offsets = np.round(
-        np.arange(-_REFINE_SPAN_M, _REFINE_SPAN_M + _REFINE_STEP_M / 2, _REFINE_STEP_M), 6
-    )
     for _ in range(16):
         if mse == 0.0:
             break
-        fine_bp = np.round(bp + offsets, 6)
-        fine_alpha = np.round(alpha + offsets, 6)
+        fine_bp = np.round(bp + _WINDOW_M, 6)
+        fine_alpha = np.round(alpha + _WINDOW_M, 6)
         fine_bp = fine_bp[fine_bp > 0]
         fine_alpha = fine_alpha[fine_alpha > 0]
         # the window contains its own center, so the mse never degrades here

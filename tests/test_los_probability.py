@@ -264,7 +264,14 @@ def test_golden_scene_fits(scene, interior_nlos):
         interior_counts_as_nlos=interior_nlos,
     )
     params, mse = fit_p_los(curve)
-    assert (params.d_bp_m.hex(), params.alpha_m.hex(), mse.hex()) == GOLDEN_FITS[(scene, interior_nlos)]
+    got = (params.d_bp_m.hex(), params.alpha_m.hex(), mse.hex())
+    assert got == GOLDEN_FITS[(scene, interior_nlos)]
+
+
+def test_unknown_demo_scene_rejected():
+    for lookup in (demo.scene_path, demo.tx_site, demo.load_scene):
+        with pytest.raises(ValueError, match="unknown demo scene"):
+            lookup("nowhere")
 
 
 class TestMeanCurve:
@@ -402,6 +409,19 @@ class TestFit:
         assert abs(params.d_bp_m - 27.4) < 1e-9
         assert abs(params.alpha_m - 70.8) < 1e-9
         assert mse < 1e-12
+
+    def test_working_set_is_small(self):
+        # a 191-radius curve off the integer grid, so the refinement runs too
+        radii = np.arange(10.0, 201.0)
+        p = np.round(p_los_model(radii, LosProbParams(27.4, 70.8)), 2)
+        curve = LosProbabilityCurve(radii, p, np.ones(radii.size, bool))
+        tracemalloc.start()
+        try:
+            fit_p_los(curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_too_few_valid_points(self):
         radii = np.array([10.0, 20.0, 30.0])

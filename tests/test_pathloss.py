@@ -1,9 +1,12 @@
 """Path loss models: close-in, floating intercept, hybrid mean and sampling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwpl.los_probability import LosProbParams, p_los_model
 from mmwpl.pathloss import (
@@ -182,12 +185,21 @@ class TestShadowSigma:
 
 
 class TestSampling:
-    def test_zero_sigma_is_deterministic(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([M28, M28F, M73, M73F]),
+        st.floats(1.0, 5000.0),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 1, 1000]),
+    )
+    def test_zero_sigma_is_deterministic(self, base, d, seed, size):
         model = HybridModel(
-            CloseInModel(28e9, 2.1, 0.0), CloseInModel(28e9, 3.4, 0.0), M28.p_los
+            replace(base.los, shadow_std_db=0.0), replace(base.nlos, shadow_std_db=0.0), base.p_los
         )
-        rng = np.random.default_rng(0)
-        assert sample_pl(model, 100.0, rng) == mean_pl_hybrid(model, 100.0)
+        mean = mean_pl_hybrid(model, d)
+        for rng_seed in (seed, seed + 1):
+            draws = sample_pl(model, d, np.random.default_rng(rng_seed), size=size)
+            assert np.all(np.asarray(draws) == mean)
 
     def test_same_seed_identical_streams(self):
         a = sample_pl(M28, 100.0, np.random.default_rng(9), size=1000)
