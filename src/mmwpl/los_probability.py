@@ -81,6 +81,8 @@ class LosProbabilityCurve:
             raise ValueError("radii_m, p_los and valid must be 1-D arrays of equal length")
         if radii.size == 0:
             raise ValueError("curve must contain at least one radius")
+        if not np.all((radii > 0) & np.isfinite(radii)):
+            raise ValueError("radii must be positive and finite")
         if not np.all(np.diff(radii) > 0):
             raise ValueError("radii must be strictly increasing")
         good = p[valid]

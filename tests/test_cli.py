@@ -130,6 +130,13 @@ class TestFitPlos:
         assert main(["fit-plos", str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", ["0", "-5"])
+    def test_non_positive_radius_is_input_error(self, tmp_path, capsys, radius):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"radius_m,p_los,valid\n{radius},1,1\n10,0.5,1\n20,0.25,1\n")
+        assert main(["fit-plos", str(bad)]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+
 
 class TestPathloss:
     def test_preset_single_row(self, capsys):

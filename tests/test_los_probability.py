@@ -212,6 +212,12 @@ class TestCurve:
         # out-of-range value behind an invalid mask is tolerated
         LosProbabilityCurve(np.array([10.0, 20.0]), np.array([1.0, np.nan]), np.array([True, False]))
 
+    @pytest.mark.parametrize("bad", [0.0, -5.0, np.inf, np.nan])
+    def test_constructor_rejects_non_positive_or_non_finite_radii(self, bad):
+        radii = np.sort(np.array([bad, 10.0, 20.0]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            LosProbabilityCurve(radii, np.ones(3), np.ones(3, bool))
+
 
 # sha256 of p_los bytes + valid bytes for each bundled scene's default curve
 # (10-200 m step 1, 100 points, demo transmitter), per interior mode.  Any
