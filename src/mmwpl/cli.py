@@ -140,11 +140,13 @@ def cmd_fit_plos(args) -> int:
             curves.append(los_probability.curve_from_csv(Path(path).read_text()))
         except (OSError, ValueError) as exc:
             return _fail(EXIT_INPUT, f"{path}: {exc}")
+    if args.mean:
+        try:
+            curves = [los_probability.mean_curve(curves)]
+        except ValueError as exc:
+            return _fail(EXIT_INPUT, str(exc))
     try:
-        if args.mean:
-            fits = [los_probability.fit_p_los(los_probability.mean_curve(curves))]
-        else:
-            fits = [los_probability.fit_p_los(c) for c in curves]
+        fits = [los_probability.fit_p_los(c) for c in curves]
     except ValueError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
     docs = [{**asdict(params), "mse": mse} for params, mse in fits]

@@ -130,6 +130,19 @@ class TestFitPlos:
         assert main(["fit-plos", str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
 
+    def test_mean_of_mismatched_grids_is_input_error(self, tmp_path, capsys):
+        a = synth_curve_csv(tmp_path / "a.csv")
+        b = tmp_path / "b.csv"
+        b.write_text("radius_m,p_los,valid\n10,1,1\n20,0.5,1\n")
+        assert main(["fit-plos", a, str(b), "--mean"]) == 2
+        assert "mismatched radius grid" in capsys.readouterr().err
+
+    def test_too_few_valid_points_is_numerical_error(self, tmp_path, capsys):
+        sparse = tmp_path / "sparse.csv"
+        sparse.write_text("radius_m,p_los,valid\n10,1,1\n20,nan,0\n")
+        assert main(["fit-plos", str(sparse)]) == 1
+        assert "at least 2 valid" in capsys.readouterr().err
+
     @pytest.mark.parametrize("radius", ["0", "-5"])
     def test_non_positive_radius_is_input_error(self, tmp_path, capsys, radius):
         bad = tmp_path / "bad.csv"
