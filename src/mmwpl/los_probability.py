@@ -250,23 +250,76 @@ def p_los_model(d_m, params: LosProbParams):
     return out
 
 
+# Screened cells within this MSE of the screen's minimum are re-evaluated
+# exactly.  Beyond the breakpoint every monomial (bp*u)^i * e^j of the quartic
+# is at most 1 and t is in [0, 1], so a cell's per-radius terms sum to at most
+# 1+4+6+4+1 in magnitude, plus 2+4+2+1 for the t terms: 25.  Cumulative
+# sums of n_r such terms and Horner's rule then put the screened MSE within
+# about n_r * eps * 25 of the true one (2e-12 for the 191-radius default
+# curve); the exact MSE, pairwise-summed, is closer still.  With both errors
+# below TOL / 2, the exact winner and every cell tied with it are candidates.
+# Past about 90,000 radii the bound reaches TOL / 2 and the tolerance grows
+# with it.
+_SCREEN_TOL = 1e-9
+
+
+def _screened_mse(radii, target, bp_values, alpha_values, split):
+    """MSE of every (alpha, d_bp) cell in closed form, shape (n_alpha, n_bp).
+
+    For a fixed alpha, with e = exp(-r / alpha) and u = (1 - e) / r, the
+    bracket beyond the breakpoint is bp * u + e, so the squared error summed
+    over the radii beyond bp is a quartic in bp whose coefficients are
+    suffix sums over the radii.  ``split[j]`` counts the radii at or below
+    ``bp_values[j]``, which add the prefix sum of (1 - t)^2.  The suffix
+    sums are built one coefficient at a time and folded in by Horner's rule.
+    """
+    n_r = radii.size
+    beyond = n_r - split
+    decay = np.exp(-radii / alpha_values[:, None])
+    u = (1.0 - decay) / radii
+    q = decay * decay - target
+
+    def suffix_sums(term):
+        # sums[:, m] is the sum of the last m radii's terms
+        sums = np.zeros((term.shape[0], n_r + 1))
+        np.cumsum(term[:, ::-1], axis=1, out=sums[:, 1:])
+        return sums[:, beyond]
+
+    table = suffix_sums(u**4)
+    table = table * bp_values + suffix_sums(4.0 * u**3 * decay)
+    table = table * bp_values + suffix_sums(u * u * (4.0 * decay * decay + 2.0 * q))
+    table = table * bp_values + suffix_sums(4.0 * u * decay * q)
+    table = table * bp_values + suffix_sums(q * q)
+    below = np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))
+    return (table + below[split]) / n_r
+
+
 def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alpha_values: np.ndarray):
     """Best (d_bp, alpha, mse) over the cross product of candidate values.
 
-    Ties resolve to the smallest d_bp, then the smallest alpha; candidates
-    must be sorted ascending for that to hold.
+    ``radii`` must be positive and strictly increasing, and both candidate
+    arrays sorted ascending.  Every cell is first screened in closed form
+    (_screened_mse); the cells whose screened MSE lies within _SCREEN_TOL of
+    the smallest are then evaluated exactly, one alpha at a time, with the
+    arithmetic of p_los_model.  The winner is the least (mse, d_bp, alpha):
+    ties resolve to the smallest d_bp, then the smallest alpha.
     """
     ratio = bp_values[:, None] / radii
-    best_mse, best_bp, best_alpha = np.inf, bp_values[0], alpha_values[0]
-    for alpha in alpha_values:
-        bracket = _bracket(ratio, np.exp(-radii / alpha))
+    # the radii at or below each breakpoint; a prefix, as the radii increase
+    split = np.count_nonzero(ratio >= 1.0, axis=1)
+    screened = _screened_mse(radii, target, bp_values, alpha_values, split)
+    tol = max(_SCREEN_TOL, 50 * radii.size * np.finfo(float).eps)
+    cand_alpha, cand_bp = np.nonzero(screened <= screened.min() + tol)
+    best = (np.inf, bp_values[0], alpha_values[0])
+    for ia in np.unique(cand_alpha):
+        rows = cand_bp[cand_alpha == ia]
+        alpha = alpha_values[ia]
+        bracket = _bracket(ratio[rows], np.exp(-radii / alpha))
         err = bracket * bracket - target
         mse = np.mean(err * err, axis=1)
-        i = int(np.argmin(mse))
-        # on equal mse a smaller d_bp wins; an equal d_bp keeps the earlier, smaller alpha
-        if (mse[i], bp_values[i]) < (best_mse, best_bp):
-            best_mse, best_bp, best_alpha = mse[i], bp_values[i], alpha
-    return float(best_bp), float(best_alpha), float(best_mse)
+        best = min(best, *zip(mse, bp_values[rows], [alpha] * rows.size))
+    mse, bp, alpha = best
+    return float(bp), float(alpha), float(mse)
 
 
 def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
@@ -274,6 +327,9 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
 
     Exhaustive search over integer (d_bp, alpha) pairs from 1 to 200 m,
     followed by a 0.1 m local refinement around the winning cell.  The
+    search is exhaustive in result: a closed-form screen of every cell
+    decides which few cells are evaluated exactly, and the winner is the
+    one a cell-by-cell evaluation would pick (see _mse_grid).  The
     refinement window, 1 m either side, recenters while its winner lands on
     a window edge, so optima up to a few meters off the coarse winner are
     still resolved.  It evaluates at most 16 windows, and a winner still on

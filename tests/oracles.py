@@ -79,3 +79,34 @@ def circle_los_fraction(tx, radius, mins, maxs, n_points=100, rx_height=1.5,
     if n_exterior == 0:
         return None, 0, 0
     return n_los / n_exterior, n_exterior, n_los
+
+
+def mse_table_reference(radii, target, bp_values, alpha_values):
+    """Exact MSE of the squared LOS model at every (alpha, d_bp) cell, shape (n_alpha, n_bp).
+
+    One alpha at a time on a 2-D (n_bp, n_r) slice, with the arithmetic of
+    the model's evaluation: saturate at 1 where d_bp / r >= 1, otherwise
+    ratio * (1 - decay) + decay, squared.
+    """
+    ratio = bp_values[:, None] / radii
+    rows = []
+    for alpha in alpha_values:
+        decay = np.exp(-radii / alpha)
+        bracket = np.where(ratio >= 1.0, 1.0, ratio * (1.0 - decay) + decay)
+        err = bracket * bracket - target
+        rows.append(np.mean(err * err, axis=1))
+    return np.array(rows)
+
+
+def mse_grid_reference(radii, target, bp_values, alpha_values):
+    """Best (d_bp, alpha, mse) by evaluating every cell exactly, slice by slice.
+
+    Ties resolve to the smallest d_bp, then the smallest alpha.
+    """
+    best_mse, best_bp, best_alpha = np.inf, bp_values[0], alpha_values[0]
+    for alpha, mse in zip(alpha_values, mse_table_reference(radii, target, bp_values, alpha_values)):
+        i = int(np.argmin(mse))
+        # on equal mse a smaller d_bp wins; an equal d_bp keeps the earlier, smaller alpha
+        if (mse[i], bp_values[i]) < (best_mse, best_bp):
+            best_mse, best_bp, best_alpha = mse[i], bp_values[i], alpha
+    return float(best_bp), float(best_alpha), float(best_mse)

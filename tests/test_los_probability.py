@@ -1,14 +1,16 @@
 """LOS probability: circle sampling, curves, the analytic model and its fit."""
 
+import functools
 import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mmwpl import demo
+from mmwpl import los_probability
 from mmwpl.geometry import Box3, BuildingDB, Point3, PointInsideBuildingError
 from mmwpl.los_probability import (
     MAX_GRID_POINTS,
@@ -24,7 +26,7 @@ from mmwpl.los_probability import (
     p_los_model,
     radius_grid,
 )
-from oracles import circle_los_fraction
+from oracles import circle_los_fraction, mse_grid_reference, mse_table_reference
 
 POOLED = LosProbParams(27.0, 71.0)
 
@@ -274,6 +276,14 @@ def test_golden_scene_fits(scene, interior_nlos):
     assert got == GOLDEN_FITS[(scene, interior_nlos)]
 
 
+@functools.lru_cache(maxsize=None)
+def scene_curve(scene, interior_nlos):
+    return los_probability_curve(
+        demo.load_scene(scene), demo.tx_site(scene).position,
+        interior_counts_as_nlos=interior_nlos,
+    )
+
+
 def test_unknown_demo_scene_rejected():
     for lookup in (demo.scene_path, demo.tx_site, demo.load_scene):
         with pytest.raises(ValueError, match="unknown demo scene"):
@@ -436,6 +446,100 @@ class TestFit:
         )
         with pytest.raises(ValueError):
             fit_p_los(curve)
+
+
+COARSE = los_probability._COARSE_GRID
+
+
+def window(center):
+    """A 0.1 m refinement window around center, built as fit_p_los builds it."""
+    values = np.round(center + los_probability._WINDOW_M, 6)
+    return values[values > 0]
+
+
+def hex_triple(fit):
+    return tuple(float(v).hex() for v in fit)
+
+
+@st.composite
+def fit_problems(draw):
+    """Radii, targets and candidate grids for _mse_grid, with many exact ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 400))
+    radii = np.exp(rng.uniform(np.log(0.1), np.log(5000.0), n))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        radii = np.maximum(np.round(radii, decimals), 0.1)
+    radii = np.unique(radii)
+    assume(radii.size >= 2)
+    kind = draw(st.sampled_from(["uniform", "quantised", "model", "constant"]))
+    if kind == "constant":
+        target = np.full(radii.size, draw(st.sampled_from([0.0, 0.5, 1.0])))
+    elif kind == "model":
+        bp, alpha = (draw(st.integers(10, 2000)) / 10 for _ in range(2))
+        target = p_los_model(radii, LosProbParams(bp, alpha))
+    else:
+        target = rng.uniform(0.0, 1.0, radii.size)
+        if kind == "quantised":
+            target = np.round(target, 2)
+    if draw(st.booleans()):
+        bp_values = alpha_values = COARSE
+    else:
+        bp_values, alpha_values = (window(draw(st.integers(10, 2000)) / 10) for _ in range(2))
+    return radii, target, bp_values, alpha_values
+
+
+class TestMseGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(fit_problems())
+    # at d_bp = 1 the small alphas fit exactly (exp(-1000 / alpha) vanishes);
+    # the screen's rounding ranks a slightly worse alpha first, and only the
+    # tolerance keeps alpha = 1 a candidate
+    @example((np.array([0.5, 1000.0]), np.array([1.0, 1e-6]), COARSE, COARSE))
+    def test_matches_exhaustive_reference(self, problem):
+        got = los_probability._mse_grid(*problem)
+        assert hex_triple(got) == hex_triple(mse_grid_reference(*problem))
+
+    @staticmethod
+    def assert_screen_within_bound(radii, target, alpha_values=COARSE):
+        split = np.count_nonzero(COARSE[:, None] / radii >= 1.0, axis=1)
+        screened = los_probability._screened_mse(radii, target, COARSE, alpha_values, split)
+        exact = mse_table_reference(radii, target, COARSE, alpha_values)
+        # the bound stated beside _SCREEN_TOL, which must stay far below TOL / 2
+        bound = 25 * radii.size * np.finfo(float).eps
+        assert bound < los_probability._SCREEN_TOL / 4
+        assert np.max(np.abs(screened - exact)) <= bound
+
+    @pytest.mark.parametrize("scene,interior_nlos", sorted(GOLDEN_FITS))
+    def test_screen_error_within_bound_on_scenes(self, scene, interior_nlos):
+        curve = scene_curve(scene, interior_nlos)
+        self.assert_screen_within_bound(curve.radii_m[curve.valid], curve.p_los[curve.valid])
+
+    @pytest.mark.parametrize("radii", [
+        np.linspace(0.01, 1.0, 100),
+        np.geomspace(1.0, 5000.0, 500),
+        np.linspace(1.0, 5000.0, 20_000),
+    ], ids=["0.01-1m", "1-5000m", "20000-radii"])
+    def test_screen_error_within_bound_on_wide_radii(self, radii):
+        target = np.random.default_rng(7).binomial(100, p_los_model(radii, POOLED)) / 100
+        # every 10th alpha keeps the exhaustive reference to seconds on the long curve
+        alphas = COARSE[::10] if radii.size > 1000 else COARSE
+        self.assert_screen_within_bound(radii, target, alphas)
+
+    @pytest.mark.parametrize("scene,interior_nlos", sorted(GOLDEN_FITS))
+    def test_coarse_pass_evaluates_few_cells_exactly(self, scene, interior_nlos, monkeypatch):
+        rows = []
+        bracket = los_probability._bracket
+
+        def counting_bracket(ratio, decay):
+            rows.append(len(ratio))
+            return bracket(ratio, decay)
+
+        monkeypatch.setattr(los_probability, "_bracket", counting_bracket)
+        curve = scene_curve(scene, interior_nlos)
+        radii, target = curve.radii_m[curve.valid], curve.p_los[curve.valid]
+        los_probability._mse_grid(radii, target, COARSE, COARSE)
+        assert sum(rows) <= 2
 
 
 class TestCsv:
