@@ -255,7 +255,7 @@ def p_los_model(d_m, params: LosProbParams):
 # is at most 1 and t is in [0, 1], so a cell's per-radius terms sum to at most
 # 1+4+6+4+1 in magnitude, plus 2+4+2+1 for the t terms: 25.  Cumulative
 # sums of n_r such terms and Horner's rule then put the screened MSE within
-# about n_r * eps * 25 of the true one (2e-12 for the 191-radius default
+# about n_r * eps * 25 of the true one (1e-12 for the 191-radius default
 # curve); the exact MSE, pairwise-summed, is closer still.  With both errors
 # below TOL / 2, the exact winner and every cell tied with it are candidates.
 # Past about 90,000 radii the bound reaches TOL / 2 and the tolerance grows
@@ -310,15 +310,15 @@ def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alph
     screened = _screened_mse(radii, target, bp_values, alpha_values, split)
     tol = max(_SCREEN_TOL, 50 * radii.size * np.finfo(float).eps)
     cand_alpha, cand_bp = np.nonzero(screened <= screened.min() + tol)
-    best = (np.inf, bp_values[0], alpha_values[0])
+    cells = []
     for ia in np.unique(cand_alpha):
         rows = cand_bp[cand_alpha == ia]
         alpha = alpha_values[ia]
         bracket = _bracket(ratio[rows], np.exp(-radii / alpha))
         err = bracket * bracket - target
         mse = np.mean(err * err, axis=1)
-        best = min(best, *zip(mse, bp_values[rows], [alpha] * rows.size))
-    mse, bp, alpha = best
+        cells += zip(mse, bp_values[rows], [alpha] * rows.size)
+    mse, bp, alpha = min(cells)
     return float(bp), float(alpha), float(mse)
 
 
