@@ -194,8 +194,9 @@ def cmd_outage(args) -> int:
         spec = link_analysis.OutageSpec(args.threshold)
         distances = _distance_grid(args)
         if args.monte_carlo is not None:
-            if args.monte_carlo < 1:
-                raise ValueError("--monte-carlo draw count must be positive")
+            if not 1 <= args.monte_carlo <= los_probability.MAX_GRID_POINTS:
+                raise ValueError("--monte-carlo draw count must be between 1 and "
+                                 f"{los_probability.MAX_GRID_POINTS}, got {args.monte_carlo}")
             if args.seed is None:
                 raise ValueError("--monte-carlo requires --seed for reproducibility")
     except ValueError as exc:

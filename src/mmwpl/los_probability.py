@@ -30,8 +30,9 @@ CURVE_CSV_HEADER = "radius_m,p_los,valid"
 # anything is allocated.
 MAX_GRID_POINTS = 1_000_000
 
-# Rays traced together per block; bounds a curve's working memory whatever
-# the grid size.  The default 191-radius, 100-point curve is one block.
+# Rays traced together per block, and values per array in a block of the fit
+# screen; bounds a curve's and a fit's working memory whatever the grid size.
+# The default 191-radius, 100-point curve is one block.
 _RAYS_PER_BLOCK = 32768
 
 # Integer search grid for the MMSE fit, meters.
@@ -66,7 +67,7 @@ class LosProbabilityCurve:
 
     A radius is invalid when the probability was undefined there (every
     sampled circle position fell inside a building); ``p_los`` holds NaN at
-    invalid radii.
+    invalid radii.  A curve holds at most MAX_GRID_POINTS radii.
     """
 
     radii_m: np.ndarray
@@ -79,8 +80,9 @@ class LosProbabilityCurve:
         valid = np.asarray(self.valid, dtype=bool)
         if radii.ndim != 1 or p.shape != radii.shape or valid.shape != radii.shape:
             raise ValueError("radii_m, p_los and valid must be 1-D arrays of equal length")
-        if radii.size == 0:
-            raise ValueError("curve must contain at least one radius")
+        if not 0 < radii.size <= MAX_GRID_POINTS:
+            raise ValueError(f"curve must contain between 1 and {MAX_GRID_POINTS} radii, "
+                             f"got {radii.size}")
         if not np.all((radii > 0) & np.isfinite(radii)):
             raise ValueError("radii must be positive and finite")
         if not np.all(np.diff(radii) > 0):
@@ -123,6 +125,8 @@ def _circle_los(db: BuildingDB, tx: Point3, radii: np.ndarray, n_points: int,
     """
     if not 4 <= n_points <= MAX_GRID_POINTS:
         raise ValueError(f"n_points must be between 4 and {MAX_GRID_POINTS}, got {n_points}")
+    if not np.isfinite(rx_height_m):
+        raise ValueError(f"rx_height_m must be finite, got {rx_height_m!r}")
     idx = find_containing_building(db, tx)
     if idx is not None:
         raise PointInsideBuildingError(tx, idx)
@@ -171,8 +175,8 @@ def los_probability_at_radius(
 
     Raises:
         PointInsideBuildingError: when the transmitter is inside a building.
-        ValueError: on a non-positive radius, or fewer than 4 or more than
-            MAX_GRID_POINTS points.
+        ValueError: on a non-positive radius, a non-finite receiver height,
+            or fewer than 4 or more than MAX_GRID_POINTS points.
     """
     if not radius_m > 0:
         raise ValueError(f"radius must be positive, got {radius_m:g}")
@@ -224,15 +228,6 @@ def mean_curve(curves: "list[LosProbabilityCurve]") -> LosProbabilityCurve:
     return LosProbabilityCurve(base.copy(), total / counts, np.ones_like(base, dtype=bool))
 
 
-def _bracket(ratio, decay):
-    """The model's inner term: 1 where ratio = d_bp / d >= 1, else ratio * (1 - decay) + decay.
-
-    Explicit saturation keeps the value exactly 1.0 below the breakpoint
-    instead of trusting (1 - decay) + decay to round back to 1.
-    """
-    return np.where(ratio >= 1.0, 1.0, ratio * (1.0 - decay) + decay)
-
-
 def p_los_model(d_m, params: LosProbParams):
     """Evaluate the analytic LOS probability model at distance(s) d_m.
 
@@ -243,7 +238,11 @@ def p_los_model(d_m, params: LosProbParams):
     d = np.asarray(d_m, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distances must be positive")
-    bracket = _bracket(params.d_bp_m / d, np.exp(-d / params.alpha_m))
+    ratio = params.d_bp_m / d
+    decay = np.exp(-d / params.alpha_m)
+    # explicit saturation keeps the value exactly 1.0 below the breakpoint
+    # instead of trusting (1 - decay) + decay to round back to 1
+    bracket = np.where(ratio >= 1.0, 1.0, ratio * (1.0 - decay) + decay)
     out = bracket * bracket if params.squared else bracket
     if out.ndim == 0:
         return float(out)
@@ -271,13 +270,12 @@ def _screened_mse(radii, target, bp_values, alpha_values, split):
     over the radii beyond bp is a quartic in bp whose coefficients are
     suffix sums over the radii.  ``split[j]`` counts the radii at or below
     ``bp_values[j]``, which add the prefix sum of (1 - t)^2.  The suffix
-    sums are built one coefficient at a time and folded in by Horner's rule.
+    sums are built one coefficient at a time and folded in by Horner's rule,
+    for blocks of alphas that hold about _RAYS_PER_BLOCK values per array.
     """
     n_r = radii.size
     beyond = n_r - split
-    decay = np.exp(-radii / alpha_values[:, None])
-    u = (1.0 - decay) / radii
-    q = decay * decay - target
+    below = np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))[split]
 
     def suffix_sums(term):
         # sums[:, m] is the sum of the last m radii's terms
@@ -285,13 +283,18 @@ def _screened_mse(radii, target, bp_values, alpha_values, split):
         np.cumsum(term[:, ::-1], axis=1, out=sums[:, 1:])
         return sums[:, beyond]
 
-    table = suffix_sums(u**4)
-    table = table * bp_values + suffix_sums(4.0 * u**3 * decay)
-    table = table * bp_values + suffix_sums(u * u * (4.0 * decay * decay + 2.0 * q))
-    table = table * bp_values + suffix_sums(4.0 * u * decay * q)
-    table = table * bp_values + suffix_sums(q * q)
-    below = np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))
-    return (table + below[split]) / n_r
+    step = max(1, _RAYS_PER_BLOCK // n_r)
+    blocks = []
+    for start in range(0, alpha_values.size, step):
+        decay = np.exp(-radii / alpha_values[start:start + step, None])
+        u = (1.0 - decay) / radii
+        q = decay * decay - target
+        table = suffix_sums(u**4)
+        table = table * bp_values + suffix_sums(4.0 * u**3 * decay)
+        table = table * bp_values + suffix_sums(u * u * (4.0 * decay * decay + 2.0 * q))
+        table = table * bp_values + suffix_sums(4.0 * u * decay * q)
+        blocks.append(table * bp_values + suffix_sums(q * q))
+    return (np.vstack(blocks) + below) / n_r
 
 
 def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alpha_values: np.ndarray):
@@ -299,25 +302,21 @@ def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alph
 
     ``radii`` must be positive and strictly increasing, and both candidate
     arrays sorted ascending.  Every cell is first screened in closed form
-    (_screened_mse); the cells whose screened MSE lies within _SCREEN_TOL of
-    the smallest are then evaluated exactly, one alpha at a time, with the
-    arithmetic of p_los_model.  The winner is the least (mse, d_bp, alpha):
-    ties resolve to the smallest d_bp, then the smallest alpha.
+    in blocks of alphas (_screened_mse); the cells whose screened MSE lies
+    within _SCREEN_TOL of the smallest are then evaluated exactly with
+    p_los_model.  The winner is the least (mse, d_bp, alpha): ties resolve
+    to the smallest d_bp, then the smallest alpha.
     """
-    ratio = bp_values[:, None] / radii
-    # the radii at or below each breakpoint; a prefix, as the radii increase
-    split = np.count_nonzero(ratio >= 1.0, axis=1)
+    # the radii at or below each breakpoint, where p_los_model saturates: for
+    # positive radii, fl(bp / r) >= 1 exactly when r <= bp
+    split = np.searchsorted(radii, bp_values, side="right")
     screened = _screened_mse(radii, target, bp_values, alpha_values, split)
     tol = max(_SCREEN_TOL, 50 * radii.size * np.finfo(float).eps)
-    cand_alpha, cand_bp = np.nonzero(screened <= screened.min() + tol)
     cells = []
-    for ia in np.unique(cand_alpha):
-        rows = cand_bp[cand_alpha == ia]
-        alpha = alpha_values[ia]
-        bracket = _bracket(ratio[rows], np.exp(-radii / alpha))
-        err = bracket * bracket - target
-        mse = np.mean(err * err, axis=1)
-        cells += zip(mse, bp_values[rows], [alpha] * rows.size)
+    for ia, ib in zip(*np.nonzero(screened <= screened.min() + tol)):
+        bp, alpha = bp_values[ib], alpha_values[ia]
+        err = p_los_model(radii, LosProbParams(bp, alpha)) - target
+        cells.append((np.mean(err * err), bp, alpha))
     mse, bp, alpha = min(cells)
     return float(bp), float(alpha), float(mse)
 
@@ -329,15 +328,15 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     followed by a 0.1 m local refinement around the winning cell.  The
     search is exhaustive in result: a closed-form screen of every cell
     decides which few cells are evaluated exactly, and the winner is the
-    one a cell-by-cell evaluation would pick (see _mse_grid).  The
-    refinement window, 1 m either side, recenters while its winner lands on
-    a window edge, so optima up to a few meters off the coarse winner are
-    still resolved.  It evaluates at most 16 windows, and a winner still on
-    an edge of the 16th is returned without saying so: a curve whose best
-    alpha lies past 200 m comes back with alpha_m = 216.0, which is 200 m
-    plus 16 steps of 1 m.  The refinement is skipped when the coarse
-    fit is already exact.  Returns the parameters and the mean squared
-    error they achieve.
+    one a cell-by-cell evaluation would pick (see _mse_grid); the screen's
+    memory does not grow with the curve's length.  The refinement window,
+    1 m either side, recenters while its winner lands on a window edge, so
+    optima up to a few meters off the coarse winner are still resolved.  It
+    evaluates at most 16 windows, and a winner still on an edge of the 16th
+    is returned without saying so: a curve whose best alpha lies past 200 m
+    comes back with alpha_m = 216.0, which is 200 m plus 16 steps of 1 m.
+    The refinement is skipped when the coarse fit is already exact.  Returns
+    the parameters and the mean squared error they achieve.
 
     Raises:
         ValueError: with fewer than 2 valid curve points.

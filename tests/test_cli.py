@@ -99,6 +99,13 @@ class TestLosProb:
         assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--n-points", "2000000"]) == 2
         assert "n_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("height", ["nan", "inf", "-inf"])
+    def test_non_finite_rx_height_is_input_error(self, height, capsys):
+        db = str(demo.scene_path("tower"))
+        tx = ",".join(str(v) for v in demo.tx_site("tower").position.to_array())
+        assert main(["los-prob", "--db", db, "--tx", tx, f"--rx-height={height}"]) == 2
+        assert "rx_height_m must be finite" in capsys.readouterr().err
+
 
 class TestFitPlos:
     def test_round_trip(self, tmp_path, capsys):
@@ -142,6 +149,12 @@ class TestFitPlos:
         sparse.write_text("radius_m,p_los,valid\n10,1,1\n20,nan,0\n")
         assert main(["fit-plos", str(sparse)]) == 1
         assert "at least 2 valid" in capsys.readouterr().err
+
+    def test_too_many_radii_is_input_error(self, tmp_path, monkeypatch, capsys):
+        curve = synth_curve_csv(tmp_path / "curve.csv")
+        monkeypatch.setattr(los_probability, "MAX_GRID_POINTS", 190)
+        assert main(["fit-plos", curve]) == 2
+        assert "between 1 and 190 radii" in capsys.readouterr().err
 
     @pytest.mark.parametrize("radius", ["0", "-5"])
     def test_non_positive_radius_is_input_error(self, tmp_path, capsys, radius):
@@ -323,6 +336,11 @@ class TestOutage:
 
     def test_nonpositive_draw_count(self, capsys):
         assert main(self.BASE + ["--monte-carlo", "0", "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("count", [los_probability.MAX_GRID_POINTS + 1, 10**12])
+    def test_draw_count_capped_before_sampling(self, count, capsys):
+        assert main(self.BASE + ["--monte-carlo", str(count), "--seed", "1"]) == 2
+        assert "between 1 and 1000000" in capsys.readouterr().err
 
     def test_distance_below_reference_is_input_error(self, capsys):
         assert main(["outage", "--preset", "28GHz-NYC", "--threshold", "130", "--rmin", "0.5"]) == 2

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mmwpl import demo
 from mmwpl import los_probability
-from mmwpl.geometry import Box3, BuildingDB, Point3, PointInsideBuildingError
+from mmwpl.geometry import Box3, BuildingDB, Point3, PointInsideBuildingError, find_containing_building
 from mmwpl.los_probability import (
     MAX_GRID_POINTS,
     NYC_SITE_LOS_PARAMS,
@@ -123,6 +123,13 @@ class TestCircleSampling:
         with pytest.raises(ValueError):
             los_probability_at_radius(SLAB_DB, SLAB_TX, 50.0, n_points=3)
 
+    @pytest.mark.parametrize("height", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rx_height(self, height):
+        with pytest.raises(ValueError, match="rx_height_m"):
+            los_probability_at_radius(SLAB_DB, SLAB_TX, 50.0, rx_height_m=height)
+        with pytest.raises(ValueError, match="rx_height_m"):
+            los_probability_curve(SLAB_DB, SLAB_TX, rx_height_m=height)
+
     def test_point_count_capped(self):
         with pytest.raises(ValueError, match="n_points"):
             los_probability_at_radius(SLAB_DB, SLAB_TX, 50.0, n_points=MAX_GRID_POINTS + 1)
@@ -145,6 +152,54 @@ class TestCircleSampling:
         for radius in (25.0, 100.0, 180.0):
             assert los_probability_at_radius(SLAB_DB, SLAB_TX, radius) == \
                 los_probability_at_radius(rot_db, rot_p(SLAB_TX), radius)
+
+
+@st.composite
+def occlusion_scenes(draw):
+    """A box database, one more box, a transmitter clear of both and a receiver height.
+
+    Integer corners and positions put receivers on faces and rays along
+    them, where an occlusion kernel's comparisons are easiest to get wrong.
+    """
+    def box():
+        x0, y0 = draw(st.integers(-60, 59)), draw(st.integers(-60, 59))
+        z0, z1 = draw(st.sampled_from([(0, 1.5), (0, 10), (0, 40), (1.5, 10), (5, 40)]))
+        return Box3(Point3(x0, y0, z0),
+                    Point3(draw(st.integers(x0 + 1, 60)), draw(st.integers(y0 + 1, 60)), z1))
+
+    db = BuildingDB("boxes", tuple(box() for _ in range(draw(st.integers(0, 5)))))
+    more = BuildingDB("more", db.buildings + (box(),))
+    tx = Point3(draw(st.integers(-30, 30)), draw(st.integers(-30, 30)),
+                draw(st.sampled_from([1.5, 7.0, 10.0, 50.0])))
+    assume(find_containing_building(more, tx) is None)
+    return db, more, tx, draw(st.sampled_from([0.0, 1.5, 10.0]))
+
+
+class TestOcclusionProperties:
+    GRID = dict(r_min=5.0, r_max=60.0, step=5.0, n_points=16)
+
+    @settings(max_examples=100, deadline=None)
+    @given(occlusion_scenes())
+    def test_adding_a_box_never_raises_a_los_count(self, scene):
+        db, more, tx, rx_height = scene
+
+        def los_counts(boxes):
+            # with interior positions counted as NLOS, p_los is count / n_points
+            curve = los_probability_curve(boxes, tx, rx_height_m=rx_height,
+                                          interior_counts_as_nlos=True, **self.GRID)
+            return np.nan_to_num(curve.p_los) * self.GRID["n_points"]
+
+        assert np.all(los_counts(more) <= los_counts(db))
+
+    @settings(max_examples=100, deadline=None)
+    @given(occlusion_scenes(), st.booleans())
+    def test_valid_probabilities_lie_in_unit_interval(self, scene, interior_nlos):
+        _, more, tx, rx_height = scene
+        curve = los_probability_curve(more, tx, rx_height_m=rx_height,
+                                      interior_counts_as_nlos=interior_nlos, **self.GRID)
+        p = curve.p_los[curve.valid]
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.all(np.isnan(curve.p_los[~curve.valid]))
 
 
 class TestCurve:
@@ -427,17 +482,18 @@ class TestFit:
         assert mse < 1e-12
 
     def test_working_set_is_small(self):
-        # a 191-radius curve off the integer grid, so the refinement runs too
-        radii = np.arange(10.0, 201.0)
-        p = np.round(p_los_model(radii, LosProbParams(27.4, 70.8)), 2)
-        curve = LosProbabilityCurve(radii, p, np.ones(radii.size, bool))
-        tracemalloc.start()
-        try:
-            fit_p_los(curve)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+        # curves off the integer grid, so the refinement runs too; the fit's
+        # memory must not grow with the radius count
+        for radii in (np.arange(10.0, 201.0), np.linspace(1.0, 5000.0, 20_000)):
+            p = np.round(p_los_model(radii, LosProbParams(27.4, 70.8)), 2)
+            curve = LosProbabilityCurve(radii, p, np.ones(radii.size, bool))
+            tracemalloc.start()
+            try:
+                fit_p_los(curve)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000, (radii.size, peak)
 
     def test_too_few_valid_points(self):
         radii = np.array([10.0, 20.0, 30.0])
@@ -526,20 +582,31 @@ class TestMseGrid:
         alphas = COARSE[::10] if radii.size > 1000 else COARSE
         self.assert_screen_within_bound(radii, target, alphas)
 
+    def test_any_block_size_gives_identical_screen(self, monkeypatch):
+        radii = np.arange(10.0, 201.0)
+        target = np.random.default_rng(3).binomial(100, p_los_model(radii, POOLED)) / 100
+        split = np.searchsorted(radii, COARSE, side="right")
+        whole = los_probability._screened_mse(radii, target, COARSE, COARSE, split)
+        assert whole.shape == (COARSE.size, COARSE.size)
+        for block in (1, 7 * radii.size, 10**9):
+            monkeypatch.setattr(los_probability, "_RAYS_PER_BLOCK", block)
+            got = los_probability._screened_mse(radii, target, COARSE, COARSE, split)
+            assert got.tobytes() == whole.tobytes()
+
     @pytest.mark.parametrize("scene,interior_nlos", sorted(GOLDEN_FITS))
     def test_coarse_pass_evaluates_few_cells_exactly(self, scene, interior_nlos, monkeypatch):
-        rows = []
-        bracket = los_probability._bracket
+        cells = []
+        model = los_probability.p_los_model
 
-        def counting_bracket(ratio, decay):
-            rows.append(len(ratio))
-            return bracket(ratio, decay)
+        def counting_model(d_m, params):
+            cells.append(params)
+            return model(d_m, params)
 
-        monkeypatch.setattr(los_probability, "_bracket", counting_bracket)
+        monkeypatch.setattr(los_probability, "p_los_model", counting_model)
         curve = scene_curve(scene, interior_nlos)
         radii, target = curve.radii_m[curve.valid], curve.p_los[curve.valid]
         los_probability._mse_grid(radii, target, COARSE, COARSE)
-        assert sum(rows) <= 2
+        assert len(cells) <= 2
 
 
 class TestCsv:
@@ -579,6 +646,14 @@ class TestCsv:
     def test_rejects_wrong_header(self):
         with pytest.raises(ValueError, match="header"):
             curve_from_csv("r,p,v\n10,1,1\n")
+
+    def test_radius_count_capped(self, monkeypatch):
+        monkeypatch.setattr(los_probability, "MAX_GRID_POINTS", 3)
+        flat_curve([10.0, 20.0, 30.0])
+        with pytest.raises(ValueError, match="between 1 and 3 radii"):
+            flat_curve([10.0, 20.0, 30.0, 40.0])
+        with pytest.raises(ValueError, match="between 1 and 3 radii"):
+            curve_from_csv("radius_m,p_los,valid\n10,1,1\n20,1,1\n30,1,1\n40,1,1\n")
 
     def test_rejects_malformed_rows(self):
         head = "radius_m,p_los,valid\n"
