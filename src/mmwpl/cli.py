@@ -174,11 +174,14 @@ def cmd_fit(args) -> int:
         samples = fitting.samples_from_csv(Path(args.samples).read_text())
     except (OSError, ValueError) as exc:
         return _fail(EXIT_INPUT, f"{args.samples}: {exc}")
+    if args.model == "close-in":
+        if args.frequency is None:
+            return _fail(EXIT_INPUT, "--model close-in needs --frequency")
+        if not 0 < args.frequency < np.inf:
+            return _fail(EXIT_INPUT, f"--frequency must be positive and finite, got {args.frequency:g}")
     subset = [s for s in samples if s.condition == args.condition]
     try:
         if args.model == "close-in":
-            if args.frequency is None:
-                return _fail(EXIT_INPUT, "--model close-in needs --frequency")
             name, fitted = "close-in", fitting.fit_close_in(subset, args.frequency)
         else:
             name, fitted = "floating-intercept", fitting.fit_floating(subset)

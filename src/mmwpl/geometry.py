@@ -209,58 +209,37 @@ def _canonical_order(starts: np.ndarray, ends: np.ndarray):
     # Order each endpoint pair lexicographically so that swapping a and b
     # follows the exact same float path.  Makes the intersection test
     # symmetric by construction.
-    swap = ends[:, 0] < starts[:, 0]
-    eq = ends[:, 0] == starts[:, 0]
-    swap |= eq & (ends[:, 1] < starts[:, 1])
-    eq &= ends[:, 1] == starts[:, 1]
-    swap |= eq & (ends[:, 2] < starts[:, 2])
-    s = np.where(swap[:, None], ends, starts)
-    e = np.where(swap[:, None], starts, ends)
-    return s, e
-
-
-def _segments_hit_box(
-    starts: np.ndarray, deltas: np.ndarray, box_min: np.ndarray, box_max: np.ndarray
-) -> np.ndarray:
-    """Slab test of many segments against one box padded by EPSILON.
-
-    Closed-set convention: touching a face or edge counts as a hit.
-    """
-    n = starts.shape[0]
-    t_lo = np.zeros(n)
-    t_hi = np.ones(n)
-    ok = np.ones(n, dtype=bool)
-    for k in range(3):
-        p = starts[:, k]
-        d = deltas[:, k]
-        lo = box_min[k] - EPSILON
-        hi = box_max[k] + EPSILON
-        parallel = d == 0.0
-        ok &= ~parallel | ((p >= lo) & (p <= hi))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (lo - p) / d
-            t2 = (hi - p) / d
-        near = np.minimum(t1, t2)
-        far = np.maximum(t1, t2)
-        t_lo = np.where(parallel, t_lo, np.maximum(t_lo, near))
-        t_hi = np.where(parallel, t_hi, np.minimum(t_hi, far))
-    return ok & (t_lo <= t_hi)
+    swap = ends[0] < starts[0]
+    eq = ends[0] == starts[0]
+    swap |= eq & (ends[1] < starts[1])
+    eq &= ends[1] == starts[1]
+    swap |= eq & (ends[2] < starts[2])
+    return np.where(swap, ends, starts), np.where(swap, starts, ends)
 
 
 def _segments_blocked(
     starts: np.ndarray, ends: np.ndarray, min_array: np.ndarray, max_array: np.ndarray
 ) -> np.ndarray:
-    """True per segment when any box occludes it.  Arrays are (n, 3)."""
+    """True per segment when any box, padded by EPSILON, occludes it; touching counts.
+
+    Endpoints are C-contiguous ``(3, n)`` rows of x, y and z, or a ``(3, 1)``
+    column shared by every segment; boxes are ``(n_boxes, 3)`` corners.  Each
+    box is one slab test over the three rows.
+    """
     starts, ends = _canonical_order(starts, ends)
     deltas = ends - starts
-    blocked = np.zeros(starts.shape[0], dtype=bool)
-    for b in range(min_array.shape[0]):
-        open_idx = ~blocked
-        if not open_idx.any():
-            break
-        blocked[open_idx] = _segments_hit_box(
-            starts[open_idx], deltas[open_idx], min_array[b], max_array[b]
-        )
+    parallel = deltas == 0.0
+    blocked = np.zeros(starts.shape[1], dtype=bool)
+    # a parallel axis divides by zero; its t values are masked out below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, hi in zip(min_array - EPSILON, max_array + EPSILON):
+            lo, hi = lo[:, None], hi[:, None]
+            t1 = (lo - starts) / deltas
+            t2 = (hi - starts) / deltas
+            near = np.where(parallel, 0.0, np.minimum(t1, t2)).max(axis=0, initial=0.0)
+            far = np.where(parallel, 1.0, np.maximum(t1, t2)).min(axis=0, initial=1.0)
+            within = (~parallel | ((starts >= lo) & (starts <= hi))).all(axis=0)
+            blocked |= within & (near <= far)
     return blocked
 
 
@@ -274,26 +253,30 @@ def segment_intersects_box(a: Point3, b: Point3, box: Box3) -> bool:
     """
     if (a.x, a.y, a.z) == (b.x, b.y, b.z):
         raise ValueError("segment endpoints coincide")
-    rows = (v.to_array()[None, :] for v in (a, b, box.min_corner, box.max_corner))
-    return bool(_segments_blocked(*rows)[0])
+    a, b = a.to_array()[:, None], b.to_array()[:, None]
+    return bool(_segments_blocked(a, b, box.min_corner.to_array()[None], box.max_corner.to_array()[None])[0])
 
 
 def _strictly_inside(points: np.ndarray, box_min: np.ndarray, box_max: np.ndarray) -> np.ndarray:
-    """Strict containment with an EPSILON margin, reduced over the last axis."""
-    return ((points > box_min + EPSILON) & (points < box_max - EPSILON)).all(axis=-1)
+    """Strict containment with an EPSILON margin, reduced over the x, y, z rows (axis 0)."""
+    return ((points > box_min + EPSILON) & (points < box_max - EPSILON)).all(axis=0)
 
 
 def points_strictly_inside(db: BuildingDB, points: np.ndarray) -> np.ndarray:
-    """Boolean mask over points (n, 3) that lie strictly inside some building."""
-    inside = np.zeros(points.shape[0], dtype=bool)
+    """Boolean mask over points (n, 3) that lie strictly inside some building.
+
+    The test runs on (3, n) rows: the transpose of C-contiguous rows costs no copy.
+    """
+    rows = np.ascontiguousarray(points.T)
+    inside = np.zeros(rows.shape[1], dtype=bool)
     for box_min, box_max in zip(db.min_array, db.max_array):
-        inside |= _strictly_inside(points, box_min, box_max)
+        inside |= _strictly_inside(rows, box_min[:, None], box_max[:, None])
     return inside
 
 
 def find_containing_building(db: BuildingDB, p: Point3) -> int | None:
     """Index of the first building strictly containing p, or None."""
-    hits = np.nonzero(_strictly_inside(p.to_array(), db.min_array, db.max_array))[0]
+    hits = np.nonzero(_strictly_inside(p.to_array()[:, None], db.min_array.T, db.max_array.T))[0]
     return int(hits[0]) if hits.size else None
 
 
@@ -308,15 +291,16 @@ def is_los(db: BuildingDB, tx: Point3, rx: Point3) -> bool:
     Raises:
         PointInsideBuildingError: when either endpoint is strictly inside a
             building.
-        ValueError: when tx and rx coincide.
+        ValueError: when tx and rx coincide or either lies below ground
+            (z < 0).
     """
     for endpoint in (tx, rx):
+        if endpoint.z < 0:
+            raise ValueError(f"position z must be >= 0 (ground level), got {endpoint.z:g}")
         idx = find_containing_building(db, endpoint)
         if idx is not None:
             raise PointInsideBuildingError(endpoint, idx)
     if (tx.x, tx.y, tx.z) == (rx.x, rx.y, rx.z):
         raise ValueError("tx and rx positions coincide")
-    blocked = _segments_blocked(
-        tx.to_array()[None, :], rx.to_array()[None, :], db.min_array, db.max_array
-    )
+    blocked = _segments_blocked(tx.to_array()[:, None], rx.to_array()[:, None], db.min_array, db.max_array)
     return not bool(blocked[0])

@@ -2,7 +2,9 @@
 
 Nothing here shares logic with the library: occlusion is decided by sampling
 many points along a segment and testing closed-box membership directly, and
-circle classification builds on that.  Slow but unarguable.
+circle classification builds on that.  Slow but unarguable.  The reference
+kernels at the end are the library's former straightforward implementations,
+kept to check its faster ones for exact equality.
 """
 
 import numpy as np
@@ -110,3 +112,47 @@ def mse_grid_reference(radii, target, bp_values, alpha_values):
         if (mse[i], bp_values[i]) < (best_mse, best_bp):
             best_mse, best_bp, best_alpha = mse[i], bp_values[i], alpha
     return float(best_bp), float(best_alpha), float(best_mse)
+
+
+def _canonical_order_reference(starts, ends):
+    swap = ends[:, 0] < starts[:, 0]
+    eq = ends[:, 0] == starts[:, 0]
+    swap |= eq & (ends[:, 1] < starts[:, 1])
+    eq &= ends[:, 1] == starts[:, 1]
+    swap |= eq & (ends[:, 2] < starts[:, 2])
+    return np.where(swap[:, None], ends, starts), np.where(swap[:, None], starts, ends)
+
+
+def segments_blocked_reference(starts, ends, mins, maxs, eps=ORACLE_EPS):
+    """Slab test of (n, 3) segments against each box padded by eps, one axis at a time.
+
+    Closed-set convention, endpoints in lexicographic order first, exactly
+    as the library's kernel must decide it.
+    """
+    starts, ends = _canonical_order_reference(starts, ends)
+    deltas = ends - starts
+    blocked = np.zeros(starts.shape[0], dtype=bool)
+    for box_min, box_max in zip(mins, maxs):
+        t_lo = np.zeros(starts.shape[0])
+        t_hi = np.ones(starts.shape[0])
+        ok = np.ones(starts.shape[0], dtype=bool)
+        for k in range(3):
+            p, d = starts[:, k], deltas[:, k]
+            lo, hi = box_min[k] - eps, box_max[k] + eps
+            parallel = d == 0.0
+            ok &= ~parallel | ((p >= lo) & (p <= hi))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (lo - p) / d
+                t2 = (hi - p) / d
+            t_lo = np.where(parallel, t_lo, np.maximum(t_lo, np.minimum(t1, t2)))
+            t_hi = np.where(parallel, t_hi, np.minimum(t_hi, np.maximum(t1, t2)))
+        blocked |= ok & (t_lo <= t_hi)
+    return blocked
+
+
+def points_strictly_inside_reference(points, mins, maxs, eps=ORACLE_EPS):
+    """Mask over (n, 3) points strictly inside some box, by the per-point rule."""
+    inside = np.zeros(points.shape[0], dtype=bool)
+    for box_min, box_max in zip(mins, maxs):
+        inside |= ((points > box_min + eps) & (points < box_max - eps)).all(axis=1)
+    return inside

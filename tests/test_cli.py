@@ -106,6 +106,20 @@ class TestLosProb:
         assert main(["los-prob", "--db", db, "--tx", tx, f"--rx-height={height}"]) == 2
         assert "rx_height_m must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--tx=0,0,-3"], "tx z must be >= 0"),
+        (["--tx=0,0,17", "--rx-height=-5"], "rx_height_m must be >= 0"),
+    ])
+    def test_below_ground_is_input_error(self, args, message, capsys):
+        db = str(demo.scene_path("tower"))
+        assert main(["los-prob", "--db", db, *args]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_ground_level_receivers_allowed(self, capsys):
+        db = str(demo.scene_path("slab"))
+        assert main(["los-prob", "--db", db, "--tx", "0,0,7", "--rx-height=0", "--rmax", "20"]) == 0
+        assert capsys.readouterr().out.startswith("radius_m,p_los,valid\n")
+
 
 class TestFitPlos:
     def test_round_trip(self, tmp_path, capsys):
@@ -254,6 +268,13 @@ class TestFit:
         csv = self.close_in_csv(tmp_path / "nlos.csv")
         assert main(["fit", csv, "--model", "close-in", "--condition", "NLOS"]) == 2
         assert "--frequency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frequency", ["0", "-28e9", "nan", "inf"])
+    def test_bad_frequency_is_input_error(self, frequency, tmp_path, capsys):
+        csv = self.close_in_csv(tmp_path / "nlos.csv")
+        argv = ["fit", csv, "--model", "close-in", "--condition", "NLOS", f"--frequency={frequency}"]
+        assert main(argv) == 2
+        assert "--frequency must be positive and finite" in capsys.readouterr().err
 
     def test_condition_filter(self, tmp_path, capsys):
         los = pathloss.CloseInModel(28e9, 2.1, 0.0)

@@ -5,23 +5,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwpl.geometry import (
+    EPSILON,
     Box3,
     BuildingDB,
     BuildingDBError,
     Point3,
     PointInsideBuildingError,
     TxSite,
+    _segments_blocked,
     find_containing_building,
     is_los,
     latlon_to_local,
     load_building_db,
     parse_building_db,
     point_in_any_building,
+    points_strictly_inside,
     segment_intersects_box,
 )
-from oracles import crossing_length, sampled_segment_hits_box
+from oracles import (
+    crossing_length,
+    points_strictly_inside_reference,
+    sampled_segment_hits_box,
+    segments_blocked_reference,
+)
 
 UNIT_BOX = Box3(Point3(0, 0, 0), Point3(10, 10, 10))
 
@@ -222,6 +232,67 @@ class TestSegmentBox:
         assert checked > 150, f"too few informative comparisons: {checked}"
 
 
+@st.composite
+def kernel_scenes(draw):
+    """Boxes and segments on a small integer grid, boxes in a drawn order.
+
+    Endpoints on the grid or EPSILON off it land exactly on the faces, edges
+    and corners of the boxes and of their EPSILON-padded and -shrunk copies,
+    and run along them; copying some of a segment's start coordinates into
+    its end makes it parallel to one or two axes.  The box list may be empty.
+    """
+    corners = []
+    for _ in range(draw(st.integers(0, 6))):
+        lo = (draw(st.integers(-6, 5)), draw(st.integers(-6, 5)), draw(st.integers(0, 4)))
+        corners.append((lo, tuple(v + draw(st.integers(1, 4)) for v in lo)))
+    order = draw(st.permutations(range(len(corners))))
+    coord = st.builds(lambda k, off: k + off, st.integers(-8, 8), st.sampled_from([0.0, EPSILON, -EPSILON]))
+    starts, ends = [], []
+    for _ in range(draw(st.integers(1, 30))):
+        a = [draw(coord) for _ in range(3)]
+        b = [a[k] if draw(st.booleans()) else draw(coord) for k in range(3)]
+        starts.append(a)
+        ends.append(b)
+    mins = np.array([c[0] for c in corners], dtype=float).reshape(-1, 3)
+    maxs = np.array([c[1] for c in corners], dtype=float).reshape(-1, 3)
+    return mins, maxs, list(order), np.array(starts, dtype=float), np.array(ends, dtype=float)
+
+
+class TestKernelMatchesReference:
+    """The row kernel decides every segment and point exactly as the per-axis reference."""
+
+    @staticmethod
+    def rows(a):
+        return np.ascontiguousarray(a.T)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_scenes())
+    def test_segments_blocked(self, scene):
+        mins, maxs, order, starts, ends = scene
+        for s, e in ((starts, ends), (ends, starts)):
+            want = segments_blocked_reference(s, e, mins, maxs)
+            got = _segments_blocked(self.rows(s), self.rows(e), mins[order], maxs[order])
+            assert np.array_equal(got, want)
+        # one shared start as a (3, 1) column, the layout curves use
+        shared = np.broadcast_to(starts[:1], ends.shape)
+        want = segments_blocked_reference(shared, ends, mins, maxs)
+        got = _segments_blocked(self.rows(starts[:1]), self.rows(ends), mins, maxs)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_scenes())
+    def test_points_strictly_inside(self, scene):
+        mins, maxs, order, starts, ends = scene
+        db = BuildingDB("grid", tuple(Box3(Point3(*mins[i]), Point3(*maxs[i])) for i in order))
+        points = np.concatenate((starts, ends, (starts + ends) / 2))
+        assert np.array_equal(points_strictly_inside(db, points),
+                              points_strictly_inside_reference(points, mins, maxs))
+        for p in points:
+            inside = [points_strictly_inside_reference(p[None, :], mins[i:i + 1], maxs[i:i + 1])[0]
+                      for i in order]
+            assert find_containing_building(db, Point3(*p)) == (inside.index(True) if any(inside) else None)
+
+
 class TestPointInBuilding:
     def test_empty_db(self):
         assert point_in_any_building(BuildingDB("e", ()), Point3(3, 3, 3)) is False
@@ -277,6 +348,16 @@ class TestIsLos:
                 continue
             baseline = is_los(BuildingDB("b", boxes), tx, rx)
             assert is_los(db, tx, rx) == baseline
+
+    @pytest.mark.parametrize("tx, rx", [((0, 0, -3), (30, 0, 1.5)), ((0, 0, 7), (30, 0, -0.5))])
+    def test_endpoint_below_ground_rejected(self, tx, rx):
+        with pytest.raises(ValueError, match="ground"):
+            is_los(BuildingDB("e", ()), Point3(*tx), Point3(*rx))
+
+    def test_ground_level_endpoint_allowed(self):
+        db = make_db(Box3(Point3(10, -5, 0), Point3(20, 5, 30)))
+        assert is_los(db, Point3(0, 0, 0), Point3(5, 0, 0)) is True
+        assert is_los(db, Point3(0, 0, 0), Point3(30, 0, 0)) is False
 
     def test_translation_invariance(self):
         db = make_db(Box3(Point3(10, -5, 0), Point3(20, 5, 30)))
