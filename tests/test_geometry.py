@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mmwpl.geometry import (
     EPSILON,
@@ -241,21 +242,18 @@ def kernel_scenes(draw):
     and run along them; copying some of a segment's start coordinates into
     its end makes it parallel to one or two axes.  The box list may be empty.
     """
-    corners = []
-    for _ in range(draw(st.integers(0, 6))):
-        lo = (draw(st.integers(-6, 5)), draw(st.integers(-6, 5)), draw(st.integers(0, 4)))
-        corners.append((lo, tuple(v + draw(st.integers(1, 4)) for v in lo)))
-    order = draw(st.permutations(range(len(corners))))
-    coord = st.builds(lambda k, off: k + off, st.integers(-8, 8), st.sampled_from([0.0, EPSILON, -EPSILON]))
-    starts, ends = [], []
-    for _ in range(draw(st.integers(1, 30))):
-        a = [draw(coord) for _ in range(3)]
-        b = [a[k] if draw(st.booleans()) else draw(coord) for k in range(3)]
-        starts.append(a)
-        ends.append(b)
-    mins = np.array([c[0] for c in corners], dtype=float).reshape(-1, 3)
-    maxs = np.array([c[1] for c in corners], dtype=float).reshape(-1, 3)
-    return mins, maxs, list(order), np.array(starts, dtype=float), np.array(ends, dtype=float)
+    n_boxes, n = draw(st.integers(0, 6)), draw(st.integers(1, 30))
+    mins = draw(arrays(np.int64, (n_boxes, 3), elements=st.integers(-6, 5))).astype(float)
+    mins[:, 2] = np.abs(mins[:, 2])
+    maxs = mins + draw(arrays(np.int64, (n_boxes, 3), elements=st.integers(1, 4)))
+
+    def coords():
+        grid = draw(arrays(np.int64, (n, 3), elements=st.integers(-8, 8))).astype(float)
+        return grid + draw(arrays(np.int64, (n, 3), elements=st.integers(-1, 1))) * EPSILON
+
+    starts = coords()
+    ends = np.where(draw(arrays(np.bool_, (n, 3))), starts, coords())
+    return mins, maxs, draw(st.permutations(range(n_boxes))), starts, ends
 
 
 class TestKernelMatchesReference:
@@ -287,10 +285,11 @@ class TestKernelMatchesReference:
         points = np.concatenate((starts, ends, (starts + ends) / 2))
         assert np.array_equal(points_strictly_inside(db, points),
                               points_strictly_inside_reference(points, mins, maxs))
-        for p in points:
-            inside = [points_strictly_inside_reference(p[None, :], mins[i:i + 1], maxs[i:i + 1])[0]
-                      for i in order]
-            assert find_containing_building(db, Point3(*p)) == (inside.index(True) if any(inside) else None)
+        # per box, in database order: which points it strictly contains
+        inside = np.array([points_strictly_inside_reference(points, mins[i:i + 1], maxs[i:i + 1])
+                           for i in order], dtype=bool).reshape(len(order), len(points))
+        for p, hits in zip(points, inside.T):
+            assert find_containing_building(db, Point3(*p)) == (int(hits.argmax()) if hits.any() else None)
 
 
 class TestPointInBuilding:
