@@ -5,6 +5,7 @@ checked cheaply; one test goes through the real interpreter to cover the
 module entry point.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -354,6 +355,20 @@ class TestOutage:
             mc = np.mean(pathloss.sample_pl(model, d, rng, size=1000) > 130.0)
             lines.append(",".join(format(v, ".6g") for v in (d, 1.0 - outage, outage, mc)))
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    # sha256 of the stdout of `outage --preset P --nlos N --threshold 130
+    # --monte-carlo 100000 --seed 7` on the default grid, the README's run
+    @pytest.mark.parametrize("preset,nlos,digest", [
+        ("28GHz-NYC", "close-in", "47f908f89d56db3034300f87721c1a0506b2d50310e389ba8b9644fc96035b3b"),
+        ("28GHz-NYC", "floating", "3984a2004a035c3210971e3aa533d6b3f5062281dd54150fc59cbeb9f214ee23"),
+        ("73GHz-NYC", "close-in", "736226cd167cf5264baeb8f6320eb4c409f1f616b5c7bdec43444771df178a1e"),
+        ("73GHz-NYC", "floating", "06dd3827506e9ef0d2d87f1e66a7bf267239e00bffad5d73b47228c66b356c7e"),
+    ], ids=["28GHz-close-in", "28GHz-floating", "73GHz-close-in", "73GHz-floating"])
+    def test_pinned_monte_carlo_bytes(self, preset, nlos, digest, capsys):
+        argv = ["outage", "--preset", preset, "--nlos", nlos, "--threshold", "130",
+                "--monte-carlo", "100000", "--seed", "7"]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_nonpositive_draw_count(self, capsys):
         assert main(self.BASE + ["--monte-carlo", "0", "--seed", "1"]) == 2

@@ -1,5 +1,6 @@
 """Path loss models: close-in, floating intercept, hybrid mean and sampling."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -215,6 +216,23 @@ class TestSampling:
     def test_scalar_draw(self):
         value = sample_pl(M28, 50.0, np.random.default_rng(4))
         assert isinstance(value, float)
+
+    # sha256 of the float64 bytes of sample_pl at 1, 27, 100 and 500 m in that
+    # order, with size None, 1 and 100000 at each distance, all on one
+    # generator seeded 11: pins the draw order and the weighting arithmetic
+    @pytest.mark.parametrize("model,digest", [
+        (M28, "5dc51623d51934561c83eaf6dee8ddf1bff9a43995175dbe9ba2ce8233df38b8"),
+        (M28F, "55dca420ea3bf580b482cd5c909fdc0b02b5138837de592db38152f9e1c5964f"),
+        (M73, "6535ea2588e574ddda7e5bb1700f62d6507463ae491d881349d964cdeecd2514"),
+        (M73F, "76a66264aa374c4e837f1c4d4f7a59a92c7df3887a98a9189dbff9b474b8d09e"),
+    ], ids=["28GHz-close-in", "28GHz-floating", "73GHz-close-in", "73GHz-floating"])
+    def test_pinned_sample_bytes(self, model, digest):
+        rng = np.random.default_rng(11)
+        h = hashlib.sha256()
+        for d in (1.0, 27.0, 100.0, 500.0):
+            for size in (None, 1, 100_000):
+                h.update(np.float64(sample_pl(model, d, rng, size=size)).tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestPresets:
