@@ -174,6 +174,8 @@ def cmd_fit(args) -> int:
         samples = fitting.samples_from_csv(Path(args.samples).read_text())
     except (OSError, ValueError) as exc:
         return _fail(EXIT_INPUT, f"{args.samples}: {exc}")
+    if args.model == "floating" and args.frequency is not None:
+        return _fail(EXIT_INPUT, "--frequency applies to --model close-in only")
     if args.model == "close-in":
         if args.frequency is None:
             return _fail(EXIT_INPUT, "--model close-in needs --frequency")
@@ -202,17 +204,18 @@ def cmd_outage(args) -> int:
                                  f"{los_probability.MAX_GRID_POINTS}, got {args.monte_carlo}")
             if args.seed is None:
                 raise ValueError("--monte-carlo requires --seed for reproducibility")
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
     except ValueError as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:
         outage = link_analysis.outage_probability(model, distances, spec)
         columns = [distances, 1.0 - outage, outage]
         if args.monte_carlo is not None:
-            # one draw per distance, in grid order, on one generator: the whole grid
-            # at once would hold 2 x 8 B per draw and distance
+            # distances in grid order on one generator, through two reused buffers of
+            # N draws: the bytes of one sample_pl call per distance, without its allocations
             rng = np.random.default_rng(args.seed)
-            draws = (pathloss.sample_pl(model, float(d), rng, size=args.monte_carlo) for d in distances)
-            columns.append([np.mean(x > spec.max_path_loss_db) for x in draws])
+            columns.append(link_analysis.outage_monte_carlo(model, distances, spec, rng, args.monte_carlo))
     except ValueError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
     header = "d_m,coverage,outage" + (",outage_mc" if args.monte_carlo is not None else "")
@@ -263,8 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     _model_args(p)
     _grid_args(p)
     p.add_argument("--threshold", type=float, required=True, help="maximum tolerable path loss, dB")
-    p.add_argument("--monte-carlo", type=int, help="validate analytically via N shadowing draws")
-    p.add_argument("--seed", type=int, help="RNG seed (required with --monte-carlo)")
+    p.add_argument("--monte-carlo", type=int, metavar="N",
+                   help="add an outage_mc column from N shadowing draws per distance "
+                        f"(1 to {los_probability.MAX_GRID_POINTS}; holds two buffers of N draws)")
+    p.add_argument("--seed", type=int, help="non-negative RNG seed (required with --monte-carlo)")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_outage)
 

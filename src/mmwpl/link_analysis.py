@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .los_probability import radius_grid
-from .pathloss import HybridModel, _hybrid, _scalar_or_array
+from .los_probability import MAX_GRID_POINTS, radius_grid
+from .pathloss import HybridModel, _hybrid, _scalar_or_array, _shadowed
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,34 @@ def outage_probability(model: HybridModel, d_m, spec: OutageSpec):
     # numpy has no erfc; erfc(+inf) = 0 and erfc(-inf) = 2 cover infinite budgets
     tail = 0.5 * np.vectorize(math.erfc, otypes=[float])(z / math.sqrt(2.0))
     return _scalar_or_array(np.where(sigma == 0.0, mean > threshold, tail), d_m)
+
+
+def outage_monte_carlo(model: HybridModel, d_m, spec: OutageSpec, rng: np.random.Generator, draws: int):
+    """Monte Carlo outage: the share of ``draws`` shadowed samples above the budget.
+
+    Distances are sampled in grid order on the one generator, each exactly as
+    ``sample_pl(model, d, rng, size=draws)`` samples it, so the result equals
+    ``np.mean(sample_pl(...) > spec.max_path_loss_db)`` distance by distance.
+    Two float buffers of ``draws`` values (and one boolean mask) serve every
+    distance, so memory does not grow with the grid.  Scalar in, float out;
+    array in, array out.
+
+    Raises:
+        ValueError: when ``draws`` is outside 1..MAX_GRID_POINTS (checked
+            before anything is allocated) or a distance is below 1 m.
+    """
+    if not 1 <= draws <= MAX_GRID_POINTS:
+        raise ValueError(f"draws must be between 1 and {MAX_GRID_POINTS}, got {draws}")
+    p, mean, _ = _hybrid(model, d_m)
+    z_los, z_nlos = np.empty(draws), np.empty(draws)
+    above = np.empty(draws, dtype=bool)
+    share = np.empty(p.shape)
+    for i in np.ndindex(p.shape):
+        rng.standard_normal(out=z_los)
+        rng.standard_normal(out=z_nlos)
+        np.greater(_shadowed(model, p[i], mean[i], z_los, z_nlos), spec.max_path_loss_db, out=above)
+        share[i] = np.count_nonzero(above) / draws
+    return _scalar_or_array(share, d_m)
 
 
 def coverage_curve(

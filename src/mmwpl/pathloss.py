@@ -210,19 +210,33 @@ def shadow_sigma_hybrid(model: HybridModel, d_m):
     return _scalar_or_array(_hybrid(model, d_m)[2], d_m)
 
 
+def _shadowed(model: HybridModel, p, mean, z_los: np.ndarray, z_nlos: np.ndarray) -> np.ndarray:
+    """Weight standard normal LOS and NLOS draws into shadowed path loss, in place.
+
+    Returns ``z_los``, now ``s_los * z_los * p + mean + s_nlos * z_nlos * (1 - p)``
+    summed in that order; ``z_nlos`` is overwritten too.  ``s * z`` is what
+    ``rng.normal(0, s)`` returns for the same draw ``z``, bit for bit.
+    """
+    z_los *= model.los.shadow_std_db
+    z_los *= p
+    z_los += mean
+    z_nlos *= model.nlos.shadow_std_db
+    z_nlos *= 1.0 - p
+    z_los += z_nlos
+    return z_los
+
+
 def sample_pl(model: HybridModel, d_m, rng: np.random.Generator, size: int | None = None):
     """Draw shadowed path loss samples at one distance, dB.
 
-    Two independent zero-mean normal draws (LOS and NLOS spreads) are weighted
-    by P and 1-P and added to the hybrid mean.  ``size=None`` returns a float;
-    an integer returns that many samples.  Identical generators give identical
-    output.
+    Two independent zero-mean normal draws (LOS and NLOS spreads, all LOS
+    draws first) are weighted by P and 1-P and added to the hybrid mean.
+    ``size=None`` returns a float; an integer returns that many samples.
+    Identical generators give identical output.
     """
     p, mean, _ = _hybrid(model, float(d_m))
     shape = () if size is None else (int(size),)
-    z_los = rng.normal(0.0, model.los.shadow_std_db, shape)
-    z_nlos = rng.normal(0.0, model.nlos.shadow_std_db, shape)
-    # summed in place: one more large temporary per call makes the heap shrink and re-fault
-    out = z_los * p + mean
-    out += z_nlos * (1.0 - p)
+    z_los = rng.standard_normal(shape)
+    z_nlos = rng.standard_normal(shape)
+    out = _shadowed(model, p, mean, z_los, z_nlos)
     return float(out) if size is None else out

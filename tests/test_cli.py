@@ -277,6 +277,15 @@ class TestFit:
         assert main(argv) == 2
         assert "--frequency must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frequency", ["28e9", "nan"])
+    def test_frequency_with_floating_is_input_error(self, frequency, tmp_path, capsys):
+        csv = self.close_in_csv(tmp_path / "nlos.csv")
+        argv = ["fit", csv, "--model", "floating", "--condition", "NLOS", f"--frequency={frequency}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--frequency applies to --model close-in only" in captured.err
+
     def test_condition_filter(self, tmp_path, capsys):
         los = pathloss.CloseInModel(28e9, 2.1, 0.0)
         nlos = pathloss.CloseInModel(28e9, 3.4, 0.0)
@@ -369,6 +378,11 @@ class TestOutage:
                 "--monte-carlo", "100000", "--seed", "7"]
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("extra", [["--monte-carlo", "10"], []])
+    def test_negative_seed_is_input_error(self, extra, capsys):
+        assert main(self.BASE + extra + ["--seed", "-1"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
 
     def test_nonpositive_draw_count(self, capsys):
         assert main(self.BASE + ["--monte-carlo", "0", "--seed", "1"]) == 2

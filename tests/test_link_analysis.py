@@ -1,13 +1,15 @@
 """Outage probability and coverage curves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwpl.link_analysis import OutageSpec, coverage_curve, outage_probability
+from mmwpl.link_analysis import OutageSpec, coverage_curve, outage_monte_carlo, outage_probability
+from mmwpl.los_probability import MAX_GRID_POINTS
 from mmwpl.pathloss import (
     CloseInModel,
     HybridModel,
@@ -126,3 +128,58 @@ class TestScalarArrayAgreement:
             scalar_out = [fn(model, x, *args) for x in distances]
             assert all(type(v) is float for v in scalar_out)
             assert array_out.tolist() == scalar_out, fn.__name__
+
+
+class TestMonteCarloOutage:
+    """outage_monte_carlo gives the bytes of one sample_pl call per distance."""
+
+    @staticmethod
+    def per_distance(model, distances, threshold, seed, draws):
+        rng = np.random.default_rng(seed)
+        return [float(np.mean(sample_pl(model, d, rng, size=draws) > threshold)) for d in distances]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([M28, M28F, M73, M73F, ZERO_SIGMA]),
+        st.lists(st.floats(1.0, 5000.0), min_size=1, max_size=12),
+        st.one_of(st.floats(60.0, 200.0), st.sampled_from([math.inf, -math.inf])),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.just(1), st.integers(1, 3000)),
+    )
+    @example(ZERO_SIGMA, [100.0], mean_pl_hybrid(ZERO_SIGMA, 100.0), 0, 1)
+    def test_equals_sample_pl_loop(self, model, distances, threshold, seed, draws):
+        spec = OutageSpec(threshold)
+        out = outage_monte_carlo(model, np.array(distances), spec, np.random.default_rng(seed), draws)
+        assert isinstance(out, np.ndarray) and out.shape == (len(distances),)
+        assert out.tolist() == self.per_distance(model, distances, threshold, seed, draws)
+        scalar = outage_monte_carlo(model, distances[0], spec, np.random.default_rng(seed), draws)
+        assert type(scalar) is float
+        assert scalar == out[0]
+
+    def test_generator_advances_like_sample_pl(self):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        outage_monte_carlo(M28, np.array([50.0, 150.0]), OutageSpec(130.0), a, 1000)
+        for d in (50.0, 150.0):
+            sample_pl(M28, d, b, size=1000)
+        assert a.standard_normal() == b.standard_normal()
+
+    @pytest.mark.parametrize("n_distances", [1, 50, 500])
+    def test_working_set_independent_of_grid(self, n_distances):
+        draws = 20_000
+        d = np.linspace(10.0, 200.0, n_distances)
+        tracemalloc.start()
+        try:
+            outage_monte_carlo(M28, d, OutageSpec(130.0), np.random.default_rng(1), draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * draws, peak
+
+    @pytest.mark.parametrize("draws", [0, -1, MAX_GRID_POINTS + 1, 10**12])
+    def test_draw_count_checked_before_allocating(self, draws):
+        with pytest.raises(ValueError, match="between 1 and"):
+            outage_monte_carlo(M28, 100.0, OutageSpec(130.0), np.random.default_rng(1), draws)
+
+    def test_distance_below_reference_rejected(self):
+        with pytest.raises(ValueError, match=">= 1 m"):
+            outage_monte_carlo(M28, np.array([0.5, 10.0]), OutageSpec(130.0), np.random.default_rng(1), 10)
