@@ -167,9 +167,10 @@ class TestMonteCarloOutage:
     def test_working_set_independent_of_grid(self, n_distances):
         draws = 20_000
         d = np.linspace(10.0, 200.0, n_distances)
+        rng = np.random.default_rng(1)
         tracemalloc.start()
         try:
-            outage_monte_carlo(M28, d, OutageSpec(130.0), np.random.default_rng(1), draws)
+            outage_monte_carlo(M28, d, OutageSpec(130.0), rng, draws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
