@@ -419,3 +419,206 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def write_contract_inputs(tmp_path):
+    """The input files of the CLI contract table below."""
+    write_empty_db(tmp_path / "empty.json")
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "subdir").mkdir()
+    synth_curve_csv(tmp_path / "curve.csv")
+    synth_curve_csv(tmp_path / "curve36.csv", los_probability.LosProbParams(36.0, 71.0))
+    (tmp_path / "bad.csv").write_text("radius_m,p_los,valid\nten,0.5,1\n")
+    (tmp_path / "short.csv").write_text("radius_m,p_los,valid\n10,1,1\n20,0.5,1\n")
+    (tmp_path / "sparse.csv").write_text("radius_m,p_los,valid\n10,1,1\n20,nan,0\n")
+    los = pathloss.CloseInModel(28e9, 2.1, 0.0)
+    nlos = pathloss.FloatingInterceptModel(80.6, 2.9, 0.0)
+    samples = []
+    for k, d in enumerate(range(30, 201, 10)):
+        ripple = 2.0 * (-1) ** k
+        samples.append(fitting.PathLossSample(float(d), pathloss.mean_pl_close_in(los, float(d)) + ripple, "LOS"))
+        samples.append(fitting.PathLossSample(float(d), pathloss.mean_pl_floating(nlos, float(d))[0] - ripple, "NLOS"))
+    (tmp_path / "samples.csv").write_text(fitting.samples_to_csv(samples))
+    (tmp_path / "short-distance.csv").write_text("d_m,pl_db,condition\n0.5,120,NLOS\n")
+    (tmp_path / "one.csv").write_text("d_m,pl_db,condition\n50,120,NLOS\n")
+    (tmp_path / "coincident.csv").write_text("d_m,pl_db,condition\n50,120,NLOS\n50,121,NLOS\n")
+    (tmp_path / "reference.csv").write_text("d_m,pl_db,condition\n1,60,NLOS\n1,61,NLOS\n")
+
+
+# The CLI contract: argv -> exit code, the one `error:` line on stderr (None
+# for none; the temp directory reads <tmp>) and the sha256 of stdout.  Every
+# input (2) and numerical (1) exit the CLI can reach is here at least once;
+# `{scenes}` is the bundled scene directory.
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+CONTRACT = [
+    ("los-prob-empty-scene", "los-prob --db {tmp}/empty.json --tx 0,0,10",
+     0, None, "ee0c199751764c32795057f81a7d95240354c120b07f16f82bf893a9a5a3b491"),
+    ("los-prob-slab", "los-prob --db {scenes}/slab.json --tx 0,0,10",
+     0, None, "ac974e72b4a394046d81efa668a0022c169547f64a8f75232feab439d1a4bdf4"),
+    ("los-prob-tower-interior-nlos", "los-prob --db {scenes}/tower.json --tx 0,0,17 --rmax 60 --n-points 16 --interior-nlos",
+     0, None, "6f1b5ce4ec6a4ddf8d1e822f44d5d90ed7d3a3b745c060b2e28cc5d778982ac0"),
+    ("los-prob-out", "los-prob --db {tmp}/empty.json --tx 0,0,10 --out {tmp}/curve-out.csv",
+     0, None, EMPTY),
+    ("los-prob-out-missing-dir", "los-prob --db {tmp}/empty.json --tx 0,0,10 --out {tmp}/missing/curve.csv",
+     2, "cannot write <tmp>/missing/curve.csv: No such file or directory", EMPTY),
+    ("los-prob-missing-db", "los-prob --db {tmp}/nope.json --tx 0,0,10",
+     2, "[Errno 2] No such file or directory: '<tmp>/nope.json'", EMPTY),
+    ("los-prob-db-directory", "los-prob --db {tmp}/subdir --tx 0,0,10",
+     2, "[Errno 21] Is a directory: '<tmp>/subdir'", EMPTY),
+    ("los-prob-malformed-db", "los-prob --db {tmp}/bad.json --tx 0,0,10",
+     2, "invalid building DB document: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)", EMPTY),
+    ("los-prob-tx-two-parts", "los-prob --db {tmp}/empty.json --tx 1,2",
+     2, "expected x,y,z with three components, got '1,2'", EMPTY),
+    ("los-prob-tx-not-numbers", "los-prob --db {tmp}/empty.json --tx a,b,c",
+     2, "could not convert string to float: 'a'", EMPTY),
+    ("los-prob-tx-nan", "los-prob --db {tmp}/empty.json --tx nan,0,10",
+     2, "coordinates must be finite numbers, got nan", EMPTY),
+    ("los-prob-tx-inside-building", "los-prob --db {scenes}/slab.json --tx 15,0,1.5",
+     2, "tx position invalid: point (15, 0, 1.5) is strictly inside building 0", EMPTY),
+    ("los-prob-tx-below-ground", "los-prob --db {scenes}/tower.json --tx=0,0,-3",
+     2, "tx z must be >= 0 (ground level), got -3", EMPTY),
+    ("los-prob-n-points-3", "los-prob --db {tmp}/empty.json --tx 0,0,10 --n-points 3",
+     2, "n_points must be between 4 and 1000000, got 3", EMPTY),
+    ("los-prob-step-tiny", "los-prob --db {tmp}/empty.json --tx 0,0,10 --step 1e-9",
+     2, "grid of 10 to 200 m in 1e-09 m steps has more than 1000000 points", EMPTY),
+    ("los-prob-rx-height-nan", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rx-height=nan",
+     2, "rx_height_m must be finite, got nan", EMPTY),
+    ("los-prob-rx-height-negative", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rx-height=-5",
+     2, "rx_height_m must be >= 0 (ground level), got -5", EMPTY),
+    ("los-prob-rmax-below-rmin", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rmin 50 --rmax 20",
+     2, "r_max must be >= r_min, got r_min=50 r_max=20", EMPTY),
+    ("fit-plos-one", "fit-plos {tmp}/curve.csv",
+     0, None, "f877f21ab21f30633c06efbc4f0416ecd5d670a297f1a3f6eb6fda0ea45f2270"),
+    ("fit-plos-two", "fit-plos {tmp}/curve.csv {tmp}/curve36.csv",
+     0, None, "e9339dd00c5b7245794f2b3ce6c90e56e530c3e0db215bd5ed0efe145c4a3062"),
+    ("fit-plos-mean", "fit-plos {tmp}/curve.csv {tmp}/curve36.csv --mean",
+     0, None, "ce0fb22323e6d818ea233b3de4437f275acbf9d15151317ec06829c0c59e841f"),
+    ("fit-plos-out", "fit-plos {tmp}/curve.csv --out {tmp}/fit-out.json",
+     0, None, EMPTY),
+    ("fit-plos-out-missing-dir", "fit-plos {tmp}/curve.csv --out {tmp}/missing/fit.json",
+     2, "cannot write <tmp>/missing/fit.json: No such file or directory", EMPTY),
+    ("fit-plos-missing-file", "fit-plos {tmp}/curve.csv {tmp}/nope.csv",
+     2, "<tmp>/nope.csv: [Errno 2] No such file or directory: '<tmp>/nope.csv'", EMPTY),
+    ("fit-plos-directory", "fit-plos {tmp}/subdir",
+     2, "<tmp>/subdir: [Errno 21] Is a directory: '<tmp>/subdir'", EMPTY),
+    ("fit-plos-malformed-row", "fit-plos {tmp}/bad.csv",
+     2, "<tmp>/bad.csv: malformed curve CSV row: 'ten,0.5,1'", EMPTY),
+    ("fit-plos-wrong-header", "fit-plos {tmp}/samples.csv",
+     2, "<tmp>/samples.csv: curve CSV must start with header 'radius_m,p_los,valid'", EMPTY),
+    ("fit-plos-mean-mismatched-grid", "fit-plos {tmp}/curve.csv {tmp}/short.csv --mean",
+     2, "curve 1 has a mismatched radius grid", EMPTY),
+    ("fit-plos-mean-no-valid-radius", "fit-plos {tmp}/sparse.csv {tmp}/sparse.csv --mean",
+     2, "no valid curve at radius 20 m", EMPTY),
+    ("fit-plos-too-few-valid", "fit-plos {tmp}/sparse.csv",
+     1, "fit requires at least 2 valid curve points", EMPTY),
+    ("pathloss-preset", "pathloss --preset 28GHz-NYC",
+     0, None, "d71bb0c4f9e8d084e24397fb5931423a239012c211e0cb23c92e3a68d55598b8"),
+    ("pathloss-preset-floating", "pathloss --preset 73GHz-NYC --nlos floating --dbp 36 --alpha 90 --rmin 1 --rmax 1000 --step 7",
+     0, None, "16b83672117315e5c0db83e9508efc125a032a58d0a6ee08ec7bcd5de89dc0a0"),
+    ("pathloss-explicit", "pathloss --frequency 28e9 --los-exponent 2.1 --los-sigma 3.6 --nlos-exponent 3.4 --nlos-sigma 9.7",
+     0, None, "d71bb0c4f9e8d084e24397fb5931423a239012c211e0cb23c92e3a68d55598b8"),
+    ("pathloss-explicit-floating", "pathloss --nlos floating --frequency 73.5e9 --los-exponent 2 --los-sigma 4.8 --nlos-intercept 80.6 --nlos-slope 2.9 --nlos-sigma 7.8",
+     0, None, "f21791cc3a3e0dc3daa475b46bc30d9a3be0bd5c013b8272c2f235654ebdb9af"),
+    ("pathloss-out", "pathloss --preset 28GHz-NYC --out {tmp}/pl-out.csv",
+     0, None, EMPTY),
+    ("pathloss-out-missing-dir", "pathloss --preset 28GHz-NYC --out {tmp}/missing/pl.csv",
+     2, "cannot write <tmp>/missing/pl.csv: No such file or directory", EMPTY),
+    ("pathloss-preset-and-explicit", "pathloss --preset 28GHz-NYC --frequency 28e9",
+     2, "give either --preset or explicit model parameters, not both", EMPTY),
+    ("pathloss-incomplete-explicit", "pathloss --frequency 28e9",
+     2, "explicit models need --frequency, --los-exponent, --los-sigma and --nlos-sigma (or use --preset)", EMPTY),
+    ("pathloss-close-in-no-exponent", "pathloss --frequency 28e9 --los-exponent 2.1 --los-sigma 3.6 --nlos-sigma 9.7",
+     2, "--nlos close-in needs --nlos-exponent", EMPTY),
+    ("pathloss-floating-no-line", "pathloss --nlos floating --frequency 73.5e9 --los-exponent 2 --los-sigma 4.8 --nlos-sigma 7.8",
+     2, "--nlos floating needs --nlos-intercept and --nlos-slope", EMPTY),
+    ("pathloss-frequency-negative", "pathloss --frequency=-28e9 --los-exponent 2.1 --los-sigma 3.6 --nlos-exponent 3.4 --nlos-sigma 9.7",
+     2, "frequency_hz must be positive, got -28000000000.0", EMPTY),
+    ("pathloss-sigma-negative", "pathloss --frequency 28e9 --los-exponent 2.1 --los-sigma=-1 --nlos-exponent 3.4 --nlos-sigma 9.7",
+     2, "shadow_std_db must be >= 0, got -1.0", EMPTY),
+    ("pathloss-floating-slope-inf", "pathloss --nlos floating --frequency 73.5e9 --los-exponent 2 --los-sigma 4.8 --nlos-intercept 80.6 --nlos-slope inf --nlos-sigma 7.8",
+     2, "intercept_db and slope must be finite", EMPTY),
+    ("pathloss-alpha-nan", "pathloss --preset 28GHz-NYC --alpha nan",
+     2, "alpha_m must be positive, got nan", EMPTY),
+    ("pathloss-dbp-zero", "pathloss --preset 28GHz-NYC --dbp 0",
+     2, "d_bp_m must be positive, got 0.0", EMPTY),
+    ("pathloss-rmin-below-reference", "pathloss --preset 28GHz-NYC --rmin 0.5",
+     2, "--rmin must be >= 1 m, got 0.5", EMPTY),
+    ("pathloss-rmax-below-rmin", "pathloss --preset 28GHz-NYC --rmin 50 --rmax 20",
+     2, "r_max must be >= r_min, got r_min=50 r_max=20", EMPTY),
+    ("pathloss-step-zero", "pathloss --preset 28GHz-NYC --step 0",
+     2, "step must be positive, got 0", EMPTY),
+    ("pathloss-step-tiny", "pathloss --preset 28GHz-NYC --step 1e-9",
+     2, "grid of 10 to 200 m in 1e-09 m steps has more than 1000000 points", EMPTY),
+    ("fit-close-in", "fit {tmp}/samples.csv --model close-in --condition NLOS --frequency 28e9",
+     0, None, "ecefd33078e89819036440eaad4d6a9d470bd93f328abf8baf23688782b89b18"),
+    ("fit-close-in-los", "fit {tmp}/samples.csv --model close-in --condition LOS --frequency 28e9",
+     0, None, "8610c6ebb8d707bad7e12c0427fe14d972249d280b62357323ca6b485d5d91e1"),
+    ("fit-floating", "fit {tmp}/samples.csv --model floating --condition NLOS",
+     0, None, "42465ea71acf6127dcd52e2ddb6c6aca4a4d3d0009b05a2c1040a3e610edee9b"),
+    ("fit-out", "fit {tmp}/samples.csv --model floating --condition LOS --out {tmp}/fit-out.json",
+     0, None, EMPTY),
+    ("fit-out-missing-dir", "fit {tmp}/samples.csv --model floating --condition LOS --out {tmp}/missing/fit.json",
+     2, "cannot write <tmp>/missing/fit.json: No such file or directory", EMPTY),
+    ("fit-missing-file", "fit {tmp}/nope.csv --model floating --condition NLOS",
+     2, "<tmp>/nope.csv: [Errno 2] No such file or directory: '<tmp>/nope.csv'", EMPTY),
+    ("fit-wrong-header", "fit {tmp}/curve.csv --model floating --condition NLOS",
+     2, "<tmp>/curve.csv: samples CSV must start with header 'd_m,pl_db,condition'", EMPTY),
+    ("fit-malformed-row", "fit {tmp}/short-distance.csv --model floating --condition NLOS",
+     2, "<tmp>/short-distance.csv: malformed samples CSV row '0.5,120,NLOS': distance_m must be >= 1 m, got 0.5", EMPTY),
+    ("fit-close-in-no-frequency", "fit {tmp}/samples.csv --model close-in --condition NLOS",
+     2, "--model close-in needs --frequency", EMPTY),
+    ("fit-frequency-nan", "fit {tmp}/samples.csv --model close-in --condition NLOS --frequency=nan",
+     2, "--frequency must be positive and finite, got nan", EMPTY),
+    ("fit-frequency-zero", "fit {tmp}/samples.csv --model close-in --condition NLOS --frequency=0",
+     2, "--frequency must be positive and finite, got 0", EMPTY),
+    ("fit-frequency-with-floating", "fit {tmp}/samples.csv --model floating --condition NLOS --frequency 28e9",
+     2, "--frequency applies to --model close-in only", EMPTY),
+    ("fit-one-sample", "fit {tmp}/one.csv --model close-in --condition NLOS --frequency 28e9",
+     1, "fit requires at least 2 samples", EMPTY),
+    ("fit-no-samples-of-condition", "fit {tmp}/one.csv --model floating --condition LOS",
+     1, "fit requires at least 2 samples", EMPTY),
+    ("fit-coincident-distances", "fit {tmp}/coincident.csv --model floating --condition NLOS",
+     1, "all sample distances coincide; the design matrix is rank deficient", EMPTY),
+    ("fit-all-at-reference", "fit {tmp}/reference.csv --model close-in --condition NLOS --frequency 28e9",
+     1, "all distances equal the 1 m reference; exponent is undetermined", EMPTY),
+    ("outage-analytic", "outage --preset 28GHz-NYC --threshold 130",
+     0, None, "149f4d4b505e2480898ceebae23511b4b3d68e9ceda2256f900b0b5149b87523"),
+    ("outage-floating-infinite-budget", "outage --preset 73GHz-NYC --nlos floating --threshold inf --rmax 50",
+     0, None, "5110850f6033ef1908f5f61ac0bc062a8164d925f2650d184a627f60e1389eca"),
+    ("outage-monte-carlo", "outage --preset 28GHz-NYC --threshold 130 --rmin 50 --rmax 150 --step 50 --monte-carlo 1000 --seed 3",
+     0, None, "d513aea457f235cf1517df5fb3ea9f5f9ff9a5c58e063875b869213e7f009114"),
+    ("outage-seed-without-monte-carlo", "outage --preset 73GHz-NYC --threshold 120 --seed 5 --rmax 40",
+     0, None, "65e2d9c247ee48db77d0f243bdb3cc4499ed2034d8acf6dac2a9fe96e893fd7b"),
+    ("outage-out", "outage --preset 28GHz-NYC --threshold 130 --out {tmp}/outage-out.csv",
+     0, None, EMPTY),
+    ("outage-out-missing-dir", "outage --preset 28GHz-NYC --threshold 130 --out {tmp}/missing/outage.csv",
+     2, "cannot write <tmp>/missing/outage.csv: No such file or directory", EMPTY),
+    ("outage-threshold-nan", "outage --preset 28GHz-NYC --threshold nan",
+     2, "max_path_loss_db must not be NaN", EMPTY),
+    ("outage-incomplete-explicit", "outage --frequency 28e9 --threshold 130",
+     2, "explicit models need --frequency, --los-exponent, --los-sigma and --nlos-sigma (or use --preset)", EMPTY),
+    ("outage-monte-carlo-no-seed", "outage --preset 28GHz-NYC --threshold 130 --monte-carlo 1000",
+     2, "--monte-carlo requires --seed for reproducibility", EMPTY),
+    ("outage-monte-carlo-zero", "outage --preset 28GHz-NYC --threshold 130 --monte-carlo 0 --seed 1",
+     2, "--monte-carlo draw count must be between 1 and 1000000, got 0", EMPTY),
+    ("outage-monte-carlo-over-cap", "outage --preset 28GHz-NYC --threshold 130 --monte-carlo 1000001 --seed 1",
+     2, "--monte-carlo draw count must be between 1 and 1000000, got 1000001", EMPTY),
+    ("outage-seed-negative", "outage --preset 28GHz-NYC --threshold 130 --seed -1",
+     2, "--seed must be >= 0, got -1", EMPTY),
+    ("outage-rmin-below-reference", "outage --preset 28GHz-NYC --threshold 130 --rmin 0.5",
+     2, "--rmin must be >= 1 m, got 0.5", EMPTY),
+    ("outage-step-tiny", "outage --preset 28GHz-NYC --threshold 130 --step 1e-9",
+     2, "grid of 10 to 200 m in 1e-09 m steps has more than 1000000 points", EMPTY),
+]
+
+
+@pytest.mark.parametrize("argv, code, message, digest", [case[1:] for case in CONTRACT],
+                         ids=[case[0] for case in CONTRACT])
+def test_cli_contract(argv, code, message, digest, tmp_path, capsys):
+    write_contract_inputs(tmp_path)
+    scenes = str(demo.scene_path("slab").parent)
+    assert main([a.format(tmp=tmp_path, scenes=scenes) for a in argv.split()]) == code
+    captured = capsys.readouterr()
+    assert captured.err.replace(str(tmp_path), "<tmp>") == ("" if message is None else f"error: {message}\n")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
