@@ -6,6 +6,11 @@ loss sweeps (pathloss), regression on measured scatter (fit) and link outage
 analysis (outage).
 
 Exit codes: 0 on success, 1 on numerical failure, 2 on input or parse errors.
+``main`` decides them: a subcommand raises OSError or ValueError on bad input
+or a failed write, and ``main`` prints it and exits 2.  Only fit-plos and fit
+catch a ValueError themselves, around the fit call, and exit 1: input that
+parsed can still leave a fit undetermined.
+
 Output files are written atomically and identical invocations (including the
 seed) produce byte-identical output.
 """
@@ -22,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fitting, link_analysis, los_probability, pathloss
-from .geometry import BuildingDBError, Point3, PointInsideBuildingError, load_building_db
+from .geometry import Point3, PointInsideBuildingError, load_building_db
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -39,7 +44,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def _emit(out: str | None, text: str) -> int:
-    """Print ``text``, or write it atomically to ``out``; failing to write is an input error."""
+    """Print ``text``, or write it atomically to ``out``; failing to write raises OSError."""
     if out is None:
         sys.stdout.write(text)
         return EXIT_OK
@@ -49,10 +54,16 @@ def _emit(out: str | None, text: str) -> int:
         tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as exc:
-        return _fail(EXIT_INPUT, f"cannot write {out}: {exc.strerror or exc}")
+        raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)  # already gone after a successful replace
     return EXIT_OK
+
+
+def _table(header: str, *columns) -> str:
+    """CSV text: ``header``, then one row of 6-significant-digit values per index of ``columns``."""
+    rows = (",".join(_fmt(v) for v in row) for row in zip(*columns))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def _parse_xyz(text: str) -> Point3:
@@ -115,11 +126,8 @@ def _build_hybrid(args) -> pathloss.HybridModel:
 
 
 def cmd_los_prob(args) -> int:
-    try:
-        db = load_building_db(args.db)
-        tx = _parse_xyz(args.tx)
-    except (OSError, BuildingDBError, ValueError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    db = load_building_db(args.db)
+    tx = _parse_xyz(args.tx)
     try:
         curve = los_probability.los_probability_curve(
             db, tx, r_min=args.rmin, r_max=args.rmax, step=args.step,
@@ -127,9 +135,7 @@ def cmd_los_prob(args) -> int:
             interior_counts_as_nlos=args.interior_nlos,
         )
     except PointInsideBuildingError as exc:
-        return _fail(EXIT_INPUT, f"tx position invalid: {exc}")
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+        raise ValueError(f"tx position invalid: {exc}") from exc
     return _emit(args.out, los_probability.curve_to_csv(curve))
 
 
@@ -139,12 +145,9 @@ def cmd_fit_plos(args) -> int:
         try:
             curves.append(los_probability.curve_from_csv(Path(path).read_text()))
         except (OSError, ValueError) as exc:
-            return _fail(EXIT_INPUT, f"{path}: {exc}")
+            raise ValueError(f"{path}: {exc}") from exc
     if args.mean:
-        try:
-            curves = [los_probability.mean_curve(curves)]
-        except ValueError as exc:
-            return _fail(EXIT_INPUT, str(exc))
+        curves = [los_probability.mean_curve(curves)]
     try:
         fits = [los_probability.fit_p_los(c) for c in curves]
     except ValueError as exc:
@@ -155,32 +158,24 @@ def cmd_fit_plos(args) -> int:
 
 
 def cmd_pathloss(args) -> int:
-    try:
-        model = _build_hybrid(args)
-        distances = _distance_grid(args)
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        p, mean, sigma = pathloss._hybrid(model, distances)
-    except ValueError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
-    rows = zip(distances, p, mean, sigma)
-    lines = ["d_m,p_los,mean_pl_db,sigma_db"] + [",".join(_fmt(v) for v in row) for row in rows]
-    return _emit(args.out, "\n".join(lines) + "\n")
+    model = _build_hybrid(args)
+    distances = _distance_grid(args)
+    p, mean, sigma = pathloss._hybrid(model, distances)
+    return _emit(args.out, _table("d_m,p_los,mean_pl_db,sigma_db", distances, p, mean, sigma))
 
 
 def cmd_fit(args) -> int:
     try:
         samples = fitting.samples_from_csv(Path(args.samples).read_text())
     except (OSError, ValueError) as exc:
-        return _fail(EXIT_INPUT, f"{args.samples}: {exc}")
+        raise ValueError(f"{args.samples}: {exc}") from exc
     if args.model == "floating" and args.frequency is not None:
-        return _fail(EXIT_INPUT, "--frequency applies to --model close-in only")
+        raise ValueError("--frequency applies to --model close-in only")
     if args.model == "close-in":
         if args.frequency is None:
-            return _fail(EXIT_INPUT, "--model close-in needs --frequency")
+            raise ValueError("--model close-in needs --frequency")
         if not 0 < args.frequency < np.inf:
-            return _fail(EXIT_INPUT, f"--frequency must be positive and finite, got {args.frequency:g}")
+            raise ValueError(f"--frequency must be positive and finite, got {args.frequency:g}")
     subset = [s for s in samples if s.condition == args.condition]
     try:
         if args.model == "close-in":
@@ -194,33 +189,26 @@ def cmd_fit(args) -> int:
 
 
 def cmd_outage(args) -> int:
-    try:
-        model = _build_hybrid(args)
-        spec = link_analysis.OutageSpec(args.threshold)
-        distances = _distance_grid(args)
-        if args.monte_carlo is not None:
-            if not 1 <= args.monte_carlo <= los_probability.MAX_GRID_POINTS:
-                raise ValueError("--monte-carlo draw count must be between 1 and "
-                                 f"{los_probability.MAX_GRID_POINTS}, got {args.monte_carlo}")
-            if args.seed is None:
-                raise ValueError("--monte-carlo requires --seed for reproducibility")
-        if args.seed is not None and args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        outage = link_analysis.outage_probability(model, distances, spec)
-        columns = [distances, 1.0 - outage, outage]
-        if args.monte_carlo is not None:
-            # distances in grid order on one generator, through two reused buffers of
-            # N draws: the bytes of one sample_pl call per distance, without its allocations
-            rng = np.random.default_rng(args.seed)
-            columns.append(link_analysis.outage_monte_carlo(model, distances, spec, rng, args.monte_carlo))
-    except ValueError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
-    header = "d_m,coverage,outage" + (",outage_mc" if args.monte_carlo is not None else "")
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
-    return _emit(args.out, "\n".join(lines) + "\n")
+    model = _build_hybrid(args)
+    spec = link_analysis.OutageSpec(args.threshold)
+    distances = _distance_grid(args)
+    if args.monte_carlo is not None:
+        if not 1 <= args.monte_carlo <= los_probability.MAX_GRID_POINTS:
+            raise ValueError("--monte-carlo draw count must be between 1 and "
+                             f"{los_probability.MAX_GRID_POINTS}, got {args.monte_carlo}")
+        if args.seed is None:
+            raise ValueError("--monte-carlo requires --seed for reproducibility")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    outage = link_analysis.outage_probability(model, distances, spec)
+    columns = [distances, 1.0 - outage, outage]
+    if args.monte_carlo is None:
+        return _emit(args.out, _table("d_m,coverage,outage", *columns))
+    # distances in grid order on one generator, through two reused buffers of
+    # N draws: the bytes of one sample_pl call per distance, without its allocations
+    rng = np.random.default_rng(args.seed)
+    columns.append(link_analysis.outage_monte_carlo(model, distances, spec, rng, args.monte_carlo))
+    return _emit(args.out, _table("d_m,coverage,outage,outage_mc", *columns))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        return _fail(EXIT_INPUT, str(exc))
 
 
 if __name__ == "__main__":
