@@ -176,6 +176,7 @@ def cmd_fit(args) -> int:
             raise ValueError("--model close-in needs --frequency")
         if not 0 < args.frequency < np.inf:
             raise ValueError(f"--frequency must be positive and finite, got {args.frequency:g}")
+        pathloss.fspl_at_reference(args.frequency)  # raises when the 1 m FSPL overflows
     subset = [s for s in samples if s.condition == args.condition]
     try:
         if args.model == "close-in":

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .los_probability import MAX_GRID_POINTS
 from .pathloss import CloseInModel, FloatingInterceptModel, fspl_at_reference
 
 CONDITIONS = ("LOS", "NLOS")
@@ -94,14 +95,17 @@ def samples_from_csv(text: str) -> "list[PathLossSample]":
     """Parse measurement scatter from CSV with header d_m,pl_db,condition.
 
     Rows whose path loss field is empty or NaN mark locations where no signal
-    could be measured; they are skipped rather than treated as values.
+    could be measured; they are skipped rather than treated as values.  At
+    most MAX_GRID_POINTS rows are accepted, counted before any is parsed.
 
     Raises:
-        ValueError: on a wrong header or malformed rows.
+        ValueError: on a wrong header, too many rows or malformed rows.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != SAMPLES_CSV_HEADER:
         raise ValueError(f"samples CSV must start with header '{SAMPLES_CSV_HEADER}'")
+    if len(lines) - 1 > MAX_GRID_POINTS:
+        raise ValueError(f"samples CSV must hold at most {MAX_GRID_POINTS} rows, got {len(lines) - 1}")
     out = []
     for ln in lines[1:]:
         parts = [p.strip() for p in ln.split(",")]

@@ -242,13 +242,17 @@ def p_los_model(d_m, params: LosProbParams):
     array in, array out.
     """
     d = np.asarray(d_m, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):  # NaN fails too
         raise ValueError("distances must be positive")
-    ratio = params.d_bp_m / d
-    decay = np.exp(-d / params.alpha_m)
-    # explicit saturation keeps the value exactly 1.0 below the breakpoint
-    # instead of trusting (1 - decay) + decay to round back to 1
-    bracket = np.where(ratio >= 1.0, 1.0, ratio * (1.0 - decay) + decay)
+    # A tiny d overflows the ratio (then inf * 0 is NaN in the unused branch)
+    # and a tiny alpha overflows d / alpha (then decay is 0): the values are
+    # still right, since np.where takes the saturated branch for the first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = params.d_bp_m / d
+        decay = np.exp(-d / params.alpha_m)
+        # explicit saturation keeps the value exactly 1.0 below the breakpoint
+        # instead of trusting (1 - decay) + decay to round back to 1
+        bracket = np.where(ratio >= 1.0, 1.0, ratio * (1.0 - decay) + decay)
     out = bracket * bracket if params.squared else bracket
     if out.ndim == 0:
         return float(out)

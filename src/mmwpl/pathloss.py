@@ -24,6 +24,21 @@ REFERENCE_DISTANCE_M = 1.0
 DEFAULT_P_LOS_PARAMS = LosProbParams(27.0, 71.0)
 
 
+def fspl_at_reference(frequency_hz: float) -> float:
+    """Free-space path loss in dB at the 1 m reference distance.
+
+    Raises:
+        ValueError: when the frequency is not positive and finite, or so large
+            (above about 1.4e307 Hz) that 4 pi f / c overflows.
+    """
+    if not (frequency_hz > 0 and math.isfinite(frequency_hz)):
+        raise ValueError(f"frequency_hz must be positive, got {frequency_hz!r}")
+    ratio = 4.0 * math.pi * REFERENCE_DISTANCE_M * frequency_hz / SPEED_OF_LIGHT_M_S
+    if not math.isfinite(ratio):
+        raise ValueError(f"frequency_hz is too large for a finite free-space path loss, got {frequency_hz!r}")
+    return 20.0 * math.log10(ratio)
+
+
 @dataclass(frozen=True)
 class CloseInModel:
     """Close-in reference path loss model: FSPL at 1 m plus a fitted exponent."""
@@ -33,8 +48,7 @@ class CloseInModel:
     shadow_std_db: float
 
     def __post_init__(self):
-        if not (self.frequency_hz > 0 and math.isfinite(self.frequency_hz)):
-            raise ValueError(f"frequency_hz must be positive, got {self.frequency_hz!r}")
+        fspl_at_reference(self.frequency_hz)  # rejects a frequency with no finite 1 m FSPL
         if not (self.exponent > 0 and math.isfinite(self.exponent)):
             raise ValueError(f"exponent must be positive, got {self.exponent!r}")
         if not (self.shadow_std_db >= 0 and math.isfinite(self.shadow_std_db)):
@@ -130,15 +144,6 @@ def hybrid_from_preset(
     return HybridModel(preset.los, nlos_model, p_los or DEFAULT_P_LOS_PARAMS)
 
 
-def fspl_at_reference(frequency_hz: float) -> float:
-    """Free-space path loss in dB at the 1 m reference distance."""
-    if not (frequency_hz > 0 and math.isfinite(frequency_hz)):
-        raise ValueError(f"frequency_hz must be positive, got {frequency_hz!r}")
-    return 20.0 * math.log10(
-        4.0 * math.pi * REFERENCE_DISTANCE_M * frequency_hz / SPEED_OF_LIGHT_M_S
-    )
-
-
 def _scalar_or_array(values, d_m):
     return float(values) if np.ndim(d_m) == 0 else values
 
@@ -157,7 +162,7 @@ def mean_pl_close_in(model: CloseInModel, d_m):
         ValueError: when any distance is below the 1 m reference.
     """
     d = np.asarray(d_m, dtype=float)
-    if np.any(d < REFERENCE_DISTANCE_M):
+    if not np.all(d >= REFERENCE_DISTANCE_M):  # NaN fails too
         raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
     return _scalar_or_array(_log_distance_mean(model, d), d_m)
 
@@ -169,7 +174,7 @@ def mean_pl_floating(model: FloatingInterceptModel, d_m):
     model's valid range (endpoints count as in range).
     """
     d = np.asarray(d_m, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):  # NaN fails too
         raise ValueError("distances must be positive")
     lo, hi = model.valid_range_m
     out = _log_distance_mean(model, d)
@@ -182,7 +187,7 @@ def mean_pl_floating(model: FloatingInterceptModel, d_m):
 def _hybrid(model: HybridModel, d_m):
     """(P_LOS, mean, spread) of the hybrid model: one distance check, one p_los_model."""
     d = np.asarray(d_m, dtype=float)
-    if np.any(d < REFERENCE_DISTANCE_M):
+    if not np.all(d >= REFERENCE_DISTANCE_M):  # NaN fails too
         raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
     p = np.asarray(p_los_model(d, model.p_los))
     mean = p * _log_distance_mean(model.los, d) + (1.0 - p) * _log_distance_mean(model.nlos, d)

@@ -228,6 +228,16 @@ class TestPathloss:
         assert main(["pathloss", "--preset", "28GHz-NYC", "--step", "1e-9"]) == 2
         assert "more than 1000000 points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["pathloss"], ["outage", "--threshold", "130"]])
+    def test_frequency_with_overflowing_fspl_is_input_error(self, command, capsys):
+        argv = command + ["--frequency", "1e308", "--los-exponent", "2", "--los-sigma", "1",
+                          "--nlos-exponent", "3", "--nlos-sigma", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: frequency_hz is too large for a finite free-space path loss, "
+                                "got 1e+308\n")
+
 
 class TestFit:
     def close_in_csv(self, path, exponent=3.4, condition="NLOS"):
@@ -310,6 +320,19 @@ class TestFit:
     def test_missing_samples_file(self, tmp_path, capsys):
         argv = ["fit", str(tmp_path / "nope.csv"), "--model", "floating", "--condition", "NLOS"]
         assert main(argv) == 2
+
+    def test_frequency_with_overflowing_fspl_is_input_error(self, tmp_path, capsys):
+        csv = self.close_in_csv(tmp_path / "nlos.csv")
+        argv = ["fit", csv, "--model", "close-in", "--condition", "NLOS", "--frequency", "1e308"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("error: frequency_hz is too large for a finite free-space "
+                                           "path loss, got 1e+308\n")
+
+    def test_too_many_rows_is_input_error(self, tmp_path, monkeypatch, capsys):
+        csv = self.close_in_csv(tmp_path / "nlos.csv")  # 18 rows
+        monkeypatch.setattr(fitting, "MAX_GRID_POINTS", 17)
+        assert main(["fit", csv, "--model", "floating", "--condition", "NLOS"]) == 2
+        assert capsys.readouterr().err == f"error: {csv}: samples CSV must hold at most 17 rows, got 18\n"
 
 
 class TestOutage:
@@ -395,6 +418,13 @@ class TestOutage:
     def test_distance_below_reference_is_input_error(self, capsys):
         assert main(["outage", "--preset", "28GHz-NYC", "--threshold", "130", "--rmin", "0.5"]) == 2
         assert "--rmin must be >= 1 m" in capsys.readouterr().err
+
+    def test_tiny_alpha_runs_without_warning(self, capsys):
+        # d / alpha overflows; under the suite's RuntimeWarning filter a warning fails here
+        assert main(self.BASE + ["--alpha", "1e-320"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("d_m,coverage,outage\n50,")
 
 
 class TestEntryPoint:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mmwpl import fitting
 from mmwpl.fitting import (
     PathLossSample,
     fit_close_in,
@@ -147,3 +148,10 @@ class TestCsv:
     def test_rejects_malformed_row(self):
         with pytest.raises(ValueError):
             samples_from_csv(self.HEADER + "10,95\n")
+
+    def test_row_count_capped(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_GRID_POINTS", 3)
+        assert len(samples_from_csv(self.HEADER + "10,95,LOS\n20,nan,LOS\n30,105,LOS\n")) == 2
+        # skipped rows count too, and the cap is checked before any row is parsed
+        with pytest.raises(ValueError, match="at most 3 rows, got 4"):
+            samples_from_csv(self.HEADER + "10,95,LOS\n20,nan,LOS\n30,105,LOS\n40,bad\n")

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmwpl.link_analysis import OutageSpec, coverage_curve, outage_monte_carlo, outage_probability
-from mmwpl.los_probability import MAX_GRID_POINTS
+from mmwpl.los_probability import MAX_GRID_POINTS, p_los_model
 from mmwpl.pathloss import (
     CloseInModel,
     HybridModel,
     hybrid_from_preset,
+    mean_pl_close_in,
+    mean_pl_floating,
     mean_pl_hybrid,
     sample_pl,
     shadow_sigma_hybrid,
@@ -184,3 +186,31 @@ class TestMonteCarloOutage:
     def test_distance_below_reference_rejected(self):
         with pytest.raises(ValueError, match=">= 1 m"):
             outage_monte_carlo(M28, np.array([0.5, 10.0]), OutageSpec(130.0), np.random.default_rng(1), 10)
+
+
+NAN_CHECKS = {
+    "p_los_model": (lambda d: p_los_model(d, M28.p_los), "distances must be positive"),
+    "mean_pl_close_in": (lambda d: mean_pl_close_in(M28.los, d), "distances must be >= 1 m"),
+    "mean_pl_floating": (lambda d: mean_pl_floating(M28F.nlos, d), "distances must be positive"),
+    "mean_pl_hybrid": (lambda d: mean_pl_hybrid(M28, d), "distances must be >= 1 m"),
+    "shadow_sigma_hybrid": (lambda d: shadow_sigma_hybrid(M28, d), "distances must be >= 1 m"),
+    "outage_probability": (lambda d: outage_probability(M28, d, OutageSpec(130.0)), "distances must be >= 1 m"),
+    "outage_monte_carlo": (
+        lambda d: outage_monte_carlo(M28, d, OutageSpec(130.0), np.random.default_rng(0), 100),
+        "distances must be >= 1 m",
+    ),
+    # one distance a call, so an array is sampled distance by distance
+    "sample_pl": (
+        lambda d: [sample_pl(M28, v, np.random.default_rng(0), size=100) for v in np.ravel(d)],
+        "distances must be >= 1 m",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CHECKS))
+@pytest.mark.parametrize("d", [math.nan, np.array([50.0, math.nan, 100.0])], ids=["scalar", "array"])
+def test_nan_distance_rejected(name, d):
+    """A NaN distance fails every distance check instead of coming back as NaN (or 0 outage)."""
+    call, message = NAN_CHECKS[name]
+    with pytest.raises(ValueError, match=message):
+        call(d)

@@ -433,6 +433,13 @@ class TestModel:
         with pytest.raises(ValueError):
             p_los_model(0.0, POOLED)
 
+    def test_extreme_valid_inputs_do_not_warn(self):
+        # the suite turns RuntimeWarning into an error: an overflowing ratio
+        # (tiny d) or d / alpha (tiny alpha) must stay silent and exact
+        assert p_los_model(5e-324, POOLED) == 1.0
+        tiny_alpha = LosProbParams(27.0, 1e-320)
+        assert np.array_equal(p_los_model(np.array([10.0, 27.0, 100.0]), tiny_alpha), [1.0, 1.0, 0.27 * 0.27])
+
     def test_params_validated(self):
         with pytest.raises(ValueError):
             LosProbParams(0.0, 71.0)

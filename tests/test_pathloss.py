@@ -46,6 +46,15 @@ class TestFspl:
             with pytest.raises(ValueError):
                 fspl_at_reference(bad)
 
+    def test_rejects_frequency_whose_fspl_overflows(self):
+        # 4 pi f overflows just above 1.43e307 Hz
+        assert math.isfinite(fspl_at_reference(1.4e307))
+        for bad in (1.5e307, 1e308):
+            with pytest.raises(ValueError, match="too large for a finite free-space path loss"):
+                fspl_at_reference(bad)
+            with pytest.raises(ValueError, match="too large for a finite free-space path loss"):
+                CloseInModel(bad, 2.0, 1.0)
+
 
 class TestCloseIn:
     def test_reference_anchor(self):
