@@ -6,10 +6,9 @@ loss sweeps (pathloss), regression on measured scatter (fit) and link outage
 analysis (outage).
 
 Exit codes: 0 on success, 1 on numerical failure, 2 on input or parse errors.
-``main`` decides them: a subcommand raises OSError or ValueError on bad input
-or a failed write, and ``main`` prints it and exits 2.  Only fit-plos and fit
-catch a ValueError themselves, around the fit call, and exit 1: input that
-parsed can still leave a fit undetermined.
+Subcommands raise OSError or ValueError on bad input or a failed write, and
+``main`` alone turns that into exit 2.  Exit 1 is decided around the fit calls
+of fit-plos and fit: input that parsed can still leave a fit undetermined.
 
 Output files are written atomically and identical invocations (including the
 seed) produce byte-identical output.
