@@ -33,10 +33,6 @@ EXIT_NUMERICAL = 1
 EXIT_INPUT = 2
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".6g")
-
-
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -59,10 +55,12 @@ def _emit(out: str | None, text: str) -> int:
     return EXIT_OK
 
 
-def _table(header: str, *columns) -> str:
-    """CSV text: ``header``, then one row of 6-significant-digit values per index of ``columns``."""
-    rows = (",".join(_fmt(v) for v in row) for row in zip(*columns))
-    return "\n".join([header, *rows]) + "\n"
+def _load(path: str, parse):
+    """``parse`` applied to the text of the file at ``path``; errors name the file."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_xyz(text: str) -> Point3:
@@ -139,12 +137,7 @@ def cmd_los_prob(args) -> int:
 
 
 def cmd_fit_plos(args) -> int:
-    curves = []
-    for path in args.curves:
-        try:
-            curves.append(los_probability.curve_from_csv(Path(path).read_text()))
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    curves = [_load(path, los_probability.curve_from_csv) for path in args.curves]
     if args.mean:
         curves = [los_probability.mean_curve(curves)]
     try:
@@ -160,14 +153,11 @@ def cmd_pathloss(args) -> int:
     model = _build_hybrid(args)
     distances = _distance_grid(args)
     p, mean, sigma = pathloss._hybrid(model, distances)
-    return _emit(args.out, _table("d_m,p_los,mean_pl_db,sigma_db", distances, p, mean, sigma))
+    return _emit(args.out, los_probability._table("d_m,p_los,mean_pl_db,sigma_db", distances, p, mean, sigma))
 
 
 def cmd_fit(args) -> int:
-    try:
-        samples = fitting.samples_from_csv(Path(args.samples).read_text())
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"{args.samples}: {exc}") from exc
+    samples = _load(args.samples, fitting.samples_from_csv)
     if args.model == "floating" and args.frequency is not None:
         raise ValueError("--frequency applies to --model close-in only")
     if args.model == "close-in":
@@ -203,12 +193,12 @@ def cmd_outage(args) -> int:
     outage = link_analysis.outage_probability(model, distances, spec)
     columns = [distances, 1.0 - outage, outage]
     if args.monte_carlo is None:
-        return _emit(args.out, _table("d_m,coverage,outage", *columns))
+        return _emit(args.out, los_probability._table("d_m,coverage,outage", *columns))
     # distances in grid order on one generator, through two reused buffers of
     # N draws: the bytes of one sample_pl call per distance, without its allocations
     rng = np.random.default_rng(args.seed)
     columns.append(link_analysis.outage_monte_carlo(model, distances, spec, rng, args.monte_carlo))
-    return _emit(args.out, _table("d_m,coverage,outage,outage_mc", *columns))
+    return _emit(args.out, los_probability._table("d_m,coverage,outage,outage_mc", *columns))
 
 
 def build_parser() -> argparse.ArgumentParser:

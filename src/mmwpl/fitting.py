@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .los_probability import MAX_GRID_POINTS
+from .los_probability import _rows, _table
 from .pathloss import CloseInModel, FloatingInterceptModel, fspl_at_reference
 
 CONDITIONS = ("LOS", "NLOS")
@@ -101,28 +101,19 @@ def samples_from_csv(text: str) -> "list[PathLossSample]":
     Raises:
         ValueError: on a wrong header, too many rows or malformed rows.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != SAMPLES_CSV_HEADER:
-        raise ValueError(f"samples CSV must start with header '{SAMPLES_CSV_HEADER}'")
-    if len(lines) - 1 > MAX_GRID_POINTS:
-        raise ValueError(f"samples CSV must hold at most {MAX_GRID_POINTS} rows, got {len(lines) - 1}")
     out = []
-    for ln in lines[1:]:
-        parts = [p.strip() for p in ln.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"malformed samples CSV row: {ln!r}")
-        if parts[1] == "" or parts[1].lower() == "nan":
+    for fields in _rows(text, SAMPLES_CSV_HEADER, "samples"):
+        distance, path_loss, condition = (f.strip() for f in fields)
+        if path_loss == "" or path_loss.lower() == "nan":
             continue
         try:
-            sample = PathLossSample(float(parts[0]), float(parts[1]), parts[2])
+            sample = PathLossSample(float(distance), float(path_loss), condition)
         except ValueError as exc:
-            raise ValueError(f"malformed samples CSV row {ln!r}: {exc}") from None
+            raise ValueError(f"malformed samples CSV row {','.join(fields)!r}: {exc}") from None
         out.append(sample)
     return out
 
 
 def samples_to_csv(samples: "list[PathLossSample]") -> str:
-    lines = [SAMPLES_CSV_HEADER]
-    for s in samples:
-        lines.append(f"{format(s.distance_m, '.6g')},{format(s.path_loss_db, '.6g')},{s.condition}")
-    return "\n".join(lines) + "\n"
+    return _table(SAMPLES_CSV_HEADER, [s.distance_m for s in samples], [s.path_loss_db for s in samples],
+                  [s.condition for s in samples])

@@ -26,8 +26,8 @@ DEFAULT_RX_HEIGHT_M = 1.5
 
 CURVE_CSV_HEADER = "radius_m,p_los,valid"
 
-# Largest radius grid and largest circle point count accepted, checked before
-# anything is allocated.
+# Largest radius grid, circle point count and CSV row count accepted, checked
+# before anything is allocated.
 MAX_GRID_POINTS = 1_000_000
 
 # Rays traced together per block, and values per array in a block of the fit
@@ -384,39 +384,55 @@ NYC_SITE_LOS_PARAMS = {
 }
 
 
-def _format(v: float) -> str:
-    return format(v, ".6g")
+def _table(header: str, *columns) -> str:
+    """CSV text: ``header``, then a row per index of ``columns``; numbers to 6 significant digits."""
+    # strings pass as given; Python floats from tolist() format about twice as fast as numpy scalars
+    cells = [[v if isinstance(v, str) else format(v, ".6g") for v in np.asarray(c).tolist()] for c in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
+def _rows(text: str, header: str, what: str) -> "list[list[str]]":
+    """The fields of each row under ``header``, blank lines skipped; ``what`` names the table in errors.
+
+    Rows are counted against MAX_GRID_POINTS before any is split.
+
+    Raises:
+        ValueError: on a wrong header, too many rows or a row whose field count differs from the header's.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"{what} CSV must start with header '{header}'")
+    if len(lines) - 1 > MAX_GRID_POINTS:
+        raise ValueError(f"{what} CSV must hold at most {MAX_GRID_POINTS} rows, got {len(lines) - 1}")
+    width = header.count(",") + 1
+    rows = [ln.split(",") for ln in lines[1:]]
+    for fields in rows:
+        if len(fields) != width:
+            raise ValueError(f"malformed {what} CSV row: {','.join(fields)!r}")
+    return rows
 
 
 def curve_to_csv(curve: LosProbabilityCurve) -> str:
     """Serialize a curve; invalid radii carry NaN and a 0 in the valid column."""
-    lines = [CURVE_CSV_HEADER]
-    for r, p, ok in zip(curve.radii_m, curve.p_los, curve.valid):
-        lines.append(f"{_format(r)},{_format(p)},{1 if ok else 0}")
-    return "\n".join(lines) + "\n"
+    return _table(CURVE_CSV_HEADER, curve.radii_m, curve.p_los, np.where(curve.valid, "1", "0"))
 
 
 def curve_from_csv(text: str) -> LosProbabilityCurve:
     """Parse a curve CSV produced by curve_to_csv.
 
     Raises:
-        ValueError: on a wrong header, malformed rows or invariant violations.
+        ValueError: on a wrong header, more than MAX_GRID_POINTS rows,
+            malformed rows or invariant violations.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CURVE_CSV_HEADER:
-        raise ValueError(f"curve CSV must start with header '{CURVE_CSV_HEADER}'")
     radii, p, valid = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"malformed curve CSV row: {ln!r}")
+    for fields in _rows(text, CURVE_CSV_HEADER, "curve"):
         try:
-            radii.append(float(parts[0]))
-            p.append(float(parts[1]))
-            flag = int(parts[2])
+            radii.append(float(fields[0]))
+            p.append(float(fields[1]))
+            flag = int(fields[2])
         except ValueError:
-            raise ValueError(f"malformed curve CSV row: {ln!r}") from None
+            raise ValueError(f"malformed curve CSV row: {','.join(fields)!r}") from None
         if flag not in (0, 1):
-            raise ValueError(f"valid flag must be 0 or 1 in row: {ln!r}")
+            raise ValueError(f"valid flag must be 0 or 1 in row: {','.join(fields)!r}")
         valid.append(bool(flag))
     return LosProbabilityCurve(np.array(radii), np.array(p), np.array(valid))

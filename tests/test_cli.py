@@ -169,7 +169,7 @@ class TestFitPlos:
         curve = synth_curve_csv(tmp_path / "curve.csv")
         monkeypatch.setattr(los_probability, "MAX_GRID_POINTS", 190)
         assert main(["fit-plos", curve]) == 2
-        assert "between 1 and 190 radii" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {curve}: curve CSV must hold at most 190 rows, got 191\n"
 
     @pytest.mark.parametrize("radius", ["0", "-5"])
     def test_non_positive_radius_is_input_error(self, tmp_path, capsys, radius):
@@ -330,7 +330,7 @@ class TestFit:
 
     def test_too_many_rows_is_input_error(self, tmp_path, monkeypatch, capsys):
         csv = self.close_in_csv(tmp_path / "nlos.csv")  # 18 rows
-        monkeypatch.setattr(fitting, "MAX_GRID_POINTS", 17)
+        monkeypatch.setattr(los_probability, "MAX_GRID_POINTS", 17)
         assert main(["fit", csv, "--model", "floating", "--condition", "NLOS"]) == 2
         assert capsys.readouterr().err == f"error: {csv}: samples CSV must hold at most 17 rows, got 18\n"
 

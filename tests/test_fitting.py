@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mmwpl import fitting
+from mmwpl import los_probability
 from mmwpl.fitting import (
     PathLossSample,
     fit_close_in,
@@ -150,7 +150,7 @@ class TestCsv:
             samples_from_csv(self.HEADER + "10,95\n")
 
     def test_row_count_capped(self, monkeypatch):
-        monkeypatch.setattr(fitting, "MAX_GRID_POINTS", 3)
+        monkeypatch.setattr(los_probability, "MAX_GRID_POINTS", 3)
         assert len(samples_from_csv(self.HEADER + "10,95,LOS\n20,nan,LOS\n30,105,LOS\n")) == 2
         # skipped rows count too, and the cap is checked before any row is parsed
         with pytest.raises(ValueError, match="at most 3 rows, got 4"):

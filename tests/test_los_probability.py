@@ -669,8 +669,11 @@ class TestCsv:
         flat_curve([10.0, 20.0, 30.0])
         with pytest.raises(ValueError, match="between 1 and 3 radii"):
             flat_curve([10.0, 20.0, 30.0, 40.0])
-        with pytest.raises(ValueError, match="between 1 and 3 radii"):
+        with pytest.raises(ValueError, match="curve CSV must hold at most 3 rows, got 4"):
             curve_from_csv("radius_m,p_los,valid\n10,1,1\n20,1,1\n30,1,1\n40,1,1\n")
+        # rows are counted before any is parsed: the malformed row past the cap is never read
+        with pytest.raises(ValueError, match="curve CSV must hold at most 3 rows, got 4"):
+            curve_from_csv("radius_m,p_los,valid\n10,1,1\n20,1,1\n30,1,1\n\nten,bad\n")
 
     def test_rejects_malformed_rows(self):
         head = "radius_m,p_los,valid\n"
