@@ -285,6 +285,15 @@ def point_in_any_building(db: BuildingDB, p: Point3) -> bool:
     return find_containing_building(db, p) is not None
 
 
+def _check_endpoint(db: BuildingDB, p: Point3, name: str) -> None:
+    """Raise unless ``p`` is at or above ground and outside every building; ``name`` opens the z message."""
+    if p.z < 0:
+        raise ValueError(f"{name} z must be >= 0 (ground level), got {p.z:g}")
+    idx = find_containing_building(db, p)
+    if idx is not None:
+        raise PointInsideBuildingError(p, idx)
+
+
 def is_los(db: BuildingDB, tx: Point3, rx: Point3) -> bool:
     """True when no building occludes the straight tx-rx segment.
 
@@ -295,11 +304,7 @@ def is_los(db: BuildingDB, tx: Point3, rx: Point3) -> bool:
             (z < 0).
     """
     for endpoint in (tx, rx):
-        if endpoint.z < 0:
-            raise ValueError(f"position z must be >= 0 (ground level), got {endpoint.z:g}")
-        idx = find_containing_building(db, endpoint)
-        if idx is not None:
-            raise PointInsideBuildingError(endpoint, idx)
+        _check_endpoint(db, endpoint, "position")
     if (tx.x, tx.y, tx.z) == (rx.x, rx.y, rx.z):
         raise ValueError("tx and rx positions coincide")
     blocked = _segments_blocked(tx.to_array()[:, None], rx.to_array()[:, None], db.min_array, db.max_array)

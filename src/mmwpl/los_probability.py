@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    BuildingDB,
-    Point3,
-    PointInsideBuildingError,
-    _segments_blocked,
-    find_containing_building,
-    points_strictly_inside,
-)
+from .geometry import BuildingDB, Point3, _check_endpoint, _segments_blocked, points_strictly_inside
 
 DEFAULT_N_POINTS = 100
 DEFAULT_RX_HEIGHT_M = 1.5
@@ -131,11 +124,7 @@ def _circle_los(db: BuildingDB, tx: Point3, radii: np.ndarray, n_points: int,
         raise ValueError(f"rx_height_m must be finite, got {rx_height_m!r}")
     if rx_height_m < 0:
         raise ValueError(f"rx_height_m must be >= 0 (ground level), got {rx_height_m:g}")
-    if tx.z < 0:
-        raise ValueError(f"tx z must be >= 0 (ground level), got {tx.z:g}")
-    idx = find_containing_building(db, tx)
-    if idx is not None:
-        raise PointInsideBuildingError(tx, idx)
+    _check_endpoint(db, tx, "tx")
 
     angles = 2.0 * np.pi * np.arange(n_points) / n_points
     cos, sin = np.cos(angles), np.sin(angles)
