@@ -94,7 +94,8 @@ class LosProbabilityCurve:
 def radius_grid(r_min: float, r_max: float, step: float) -> np.ndarray:
     """Radii r_min, r_min+step, ... up to and including r_max when it lands on the grid.
 
-    Raises ValueError on bad bounds or a grid of more than MAX_GRID_POINTS radii.
+    Raises ValueError on bad or non-finite bounds or step, or a grid of more than
+    MAX_GRID_POINTS radii.
     """
     if not r_min > 0:
         raise ValueError(f"r_min must be positive, got {r_min:g}")
@@ -102,6 +103,9 @@ def radius_grid(r_min: float, r_max: float, step: float) -> np.ndarray:
         raise ValueError(f"r_max must be >= r_min, got r_min={r_min:g} r_max={r_max:g}")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step:g}")
+    # an infinite r_max alone is an over-cap grid, reported below
+    if not (np.isfinite(r_min) and np.isfinite(step)):
+        raise ValueError(f"r_min and step must be finite, got r_min={r_min:g} step={step:g}")
     count = np.floor((r_max - r_min) / step + 1e-9) + 1
     if not count <= MAX_GRID_POINTS:
         raise ValueError(f"grid of {r_min:g} to {r_max:g} m in {step:g} m steps "
@@ -169,12 +173,12 @@ def los_probability_at_radius(
 
     Raises:
         PointInsideBuildingError: when the transmitter is inside a building.
-        ValueError: on a non-positive radius, a non-finite or negative
+        ValueError: on a non-positive or infinite radius, a non-finite or negative
             receiver height, a transmitter below ground (z < 0), or fewer
             than 4 or more than MAX_GRID_POINTS points.
     """
-    if not radius_m > 0:
-        raise ValueError(f"radius must be positive, got {radius_m:g}")
+    if not 0 < radius_m < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius_m:g}")
     radii = np.array([float(radius_m)])
     p = _circle_los(db, tx, radii, n_points, rx_height_m, interior_counts_as_nlos)[0]
     return None if np.isnan(p) else float(p)
@@ -373,11 +377,15 @@ NYC_SITE_LOS_PARAMS = {
 }
 
 
+def _cells(column) -> "list[str]":
+    """CSV cells of ``column``: numbers to 6 significant digits, strings as given."""
+    # Python floats from tolist() format about twice as fast as numpy scalars
+    return [v if isinstance(v, str) else format(v, ".6g") for v in np.asarray(column).tolist()]
+
+
 def _table(header: str, *columns) -> str:
-    """CSV text: ``header``, then a row per index of ``columns``; numbers to 6 significant digits."""
-    # strings pass as given; Python floats from tolist() format about twice as fast as numpy scalars
-    cells = [[v if isinstance(v, str) else format(v, ".6g") for v in np.asarray(c).tolist()] for c in columns]
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+    """CSV text: ``header``, then one row of cells per index of ``columns``."""
+    return "\n".join([header, *map(",".join, zip(*map(_cells, columns)))]) + "\n"
 
 
 def _rows(text: str, header: str, what: str) -> "list[list[str]]":
@@ -402,8 +410,17 @@ def _rows(text: str, header: str, what: str) -> "list[list[str]]":
 
 
 def curve_to_csv(curve: LosProbabilityCurve) -> str:
-    """Serialize a curve; invalid radii carry NaN and a 0 in the valid column."""
-    return _table(CURVE_CSV_HEADER, curve.radii_m, curve.p_los, np.where(curve.valid, "1", "0"))
+    """Serialize a curve; invalid radii carry NaN and a 0 in the valid column.
+
+    Raises:
+        ValueError: when two radii print the same at 6 significant digits,
+            which curve_from_csv would reject as not strictly increasing.
+    """
+    radii = _cells(curve.radii_m)
+    for r, after in zip(radii, radii[1:]):
+        if r == after:
+            raise ValueError(f"radius {r} m repeats at 6 significant digits; the curve CSV needs distinct radii")
+    return _table(CURVE_CSV_HEADER, radii, curve.p_los, np.where(curve.valid, "1", "0"))
 
 
 def curve_from_csv(text: str) -> LosProbabilityCurve:

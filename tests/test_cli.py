@@ -518,6 +518,12 @@ CONTRACT = [
      2, "rx_height_m must be >= 0 (ground level), got -5", EMPTY),
     ("los-prob-rmax-below-rmin", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rmin 50 --rmax 20",
      2, "r_max must be >= r_min, got r_min=50 r_max=20", EMPTY),
+    ("los-prob-step-inf", "los-prob --db {tmp}/empty.json --tx 0,0,10 --step inf",
+     2, "r_min and step must be finite, got r_min=10 step=inf", EMPTY),
+    ("los-prob-rmin-inf", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rmin inf --rmax inf",
+     2, "r_min and step must be finite, got r_min=inf step=1", EMPTY),
+    ("los-prob-radius-repeats", "los-prob --db {scenes}/slab.json --tx 0,0,7 --rmin 1000 --rmax 1000.01 --step 0.001",
+     2, "radius 1000 m repeats at 6 significant digits; the curve CSV needs distinct radii", EMPTY),
     ("fit-plos-one", "fit-plos {tmp}/curve.csv",
      0, None, "f877f21ab21f30633c06efbc4f0416ecd5d670a297f1a3f6eb6fda0ea45f2270"),
     ("fit-plos-two", "fit-plos {tmp}/curve.csv {tmp}/curve36.csv",
@@ -580,6 +586,8 @@ CONTRACT = [
      2, "step must be positive, got 0", EMPTY),
     ("pathloss-step-tiny", "pathloss --preset 28GHz-NYC --step 1e-9",
      2, "grid of 10 to 200 m in 1e-09 m steps has more than 1000000 points", EMPTY),
+    ("pathloss-step-inf", "pathloss --preset 28GHz-NYC --step inf",
+     2, "r_min and step must be finite, got r_min=10 step=inf", EMPTY),
     ("fit-close-in", "fit {tmp}/samples.csv --model close-in --condition NLOS --frequency 28e9",
      0, None, "ecefd33078e89819036440eaad4d6a9d470bd93f328abf8baf23688782b89b18"),
     ("fit-close-in-los", "fit {tmp}/samples.csv --model close-in --condition LOS --frequency 28e9",
@@ -640,6 +648,8 @@ CONTRACT = [
      2, "--rmin must be >= 1 m, got 0.5", EMPTY),
     ("outage-step-tiny", "outage --preset 28GHz-NYC --threshold 130 --step 1e-9",
      2, "grid of 10 to 200 m in 1e-09 m steps has more than 1000000 points", EMPTY),
+    ("outage-step-inf", "outage --preset 28GHz-NYC --threshold 130 --step inf",
+     2, "r_min and step must be finite, got r_min=10 step=inf", EMPTY),
 ]
 
 

@@ -65,6 +65,11 @@ class TestRadiusGrid:
             with pytest.raises(ValueError):
                 radius_grid(*args)
 
+    @pytest.mark.parametrize("args", [(10.0, 200.0, np.inf), (np.inf, np.inf, 1.0)])
+    def test_rejects_non_finite_start_or_step(self, args):
+        with pytest.raises(ValueError, match="r_min and step must be finite"):
+            radius_grid(*args)
+
     def test_point_count_capped(self):
         assert radius_grid(1.0, float(MAX_GRID_POINTS), 1.0).size == MAX_GRID_POINTS
         for args in ((1.0, MAX_GRID_POINTS + 1.0, 1.0), (10.0, 200.0, 1e-9), (10.0, np.inf, 1.0)):
@@ -120,6 +125,8 @@ class TestCircleSampling:
     def test_rejects_bad_radius_and_points(self):
         with pytest.raises(ValueError):
             los_probability_at_radius(SLAB_DB, SLAB_TX, 0.0)
+        with pytest.raises(ValueError, match="radius must be positive and finite, got inf"):
+            los_probability_at_radius(SLAB_DB, SLAB_TX, np.inf)
         with pytest.raises(ValueError):
             los_probability_at_radius(SLAB_DB, SLAB_TX, 50.0, n_points=3)
 
@@ -659,6 +666,12 @@ class TestCsv:
         lines = text.strip().splitlines()
         assert lines[0] == "radius_m,p_los,valid"
         assert lines[1] == "10,0.333333,1"
+
+    def test_radii_must_print_distinct(self):
+        # a 1 mm step at 1 km collapses at 6 significant digits
+        with pytest.raises(ValueError, match="radius 1000 m repeats at 6 significant digits"):
+            curve_to_csv(flat_curve([999.0, 1000.0, 1000.001]))
+        assert curve_to_csv(flat_curve([1000.0, 1000.01])).splitlines()[1:] == ["1000,1,1", "1000.01,1,1"]
 
     def test_rejects_wrong_header(self):
         with pytest.raises(ValueError, match="header"):
