@@ -80,19 +80,6 @@ class TestLosProb:
         assert "tx position invalid" in err
         assert "building 0" in err
 
-    def test_missing_db_file(self, tmp_path, capsys):
-        assert main(["los-prob", "--db", str(tmp_path / "nope.json"), "--tx", "0,0,10"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_malformed_db(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["los-prob", "--db", str(bad), "--tx", "0,0,10"]) == 2
-
-    def test_bad_tx_string(self, tmp_path):
-        db = write_empty_db(tmp_path / "empty.json")
-        assert main(["los-prob", "--db", db, "--tx", "1,2"]) == 2
-
     def test_oversized_inputs_are_input_errors(self, tmp_path, capsys):
         db = write_empty_db(tmp_path / "empty.json")
         assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--step", "1e-9"]) == 2
@@ -203,11 +190,6 @@ class TestPathloss:
         assert main(argv) == 0
         assert capsys.readouterr().out == from_preset
 
-    def test_preset_and_explicit_conflict(self, capsys):
-        argv = ["pathloss", "--preset", "28GHz-NYC", "--frequency", "28e9"]
-        assert main(argv) == 2
-        assert "not both" in capsys.readouterr().err
-
     def test_incomplete_explicit_model(self, capsys):
         assert main(["pathloss", "--frequency", "28e9"]) == 2
         assert "--los-exponent" in capsys.readouterr().err
@@ -316,10 +298,6 @@ class TestFit:
         argv = ["fit", str(csv), "--model", "close-in", "--condition", "NLOS", "--frequency", "28e9"]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
-
-    def test_missing_samples_file(self, tmp_path, capsys):
-        argv = ["fit", str(tmp_path / "nope.csv"), "--model", "floating", "--condition", "NLOS"]
-        assert main(argv) == 2
 
     def test_frequency_with_overflowing_fspl_is_input_error(self, tmp_path, capsys):
         csv = self.close_in_csv(tmp_path / "nlos.csv")
@@ -461,6 +439,8 @@ def write_contract_inputs(tmp_path):
     (tmp_path / "bad.csv").write_text("radius_m,p_los,valid\nten,0.5,1\n")
     (tmp_path / "short.csv").write_text("radius_m,p_los,valid\n10,1,1\n20,0.5,1\n")
     (tmp_path / "sparse.csv").write_text("radius_m,p_los,valid\n10,1,1\n20,nan,0\n")
+    for name, radius in (("zero-radius", 0), ("negative-radius", -5)):
+        (tmp_path / f"{name}.csv").write_text(f"radius_m,p_los,valid\n{radius},1,1\n10,0.5,1\n20,0.25,1\n")
     los = pathloss.CloseInModel(28e9, 2.1, 0.0)
     nlos = pathloss.FloatingInterceptModel(80.6, 2.9, 0.0)
     samples = []
@@ -488,6 +468,8 @@ CONTRACT = [
      0, None, "ac974e72b4a394046d81efa668a0022c169547f64a8f75232feab439d1a4bdf4"),
     ("los-prob-tower-interior-nlos", "los-prob --db {scenes}/tower.json --tx 0,0,17 --rmax 60 --n-points 16 --interior-nlos",
      0, None, "6f1b5ce4ec6a4ddf8d1e822f44d5d90ed7d3a3b745c060b2e28cc5d778982ac0"),
+    ("los-prob-ground-level-receivers", "los-prob --db {scenes}/slab.json --tx 0,0,7 --rx-height=0 --rmax 20",
+     0, None, "c94f7264781fcc8047cd99d2a384ee73086908167129c821029f20a57bb6b97a"),
     ("los-prob-out", "los-prob --db {tmp}/empty.json --tx 0,0,10 --out {tmp}/curve-out.csv",
      0, None, EMPTY),
     ("los-prob-out-missing-dir", "los-prob --db {tmp}/empty.json --tx 0,0,10 --out {tmp}/missing/curve.csv",
@@ -510,10 +492,16 @@ CONTRACT = [
      2, "tx z must be >= 0 (ground level), got -3", EMPTY),
     ("los-prob-n-points-3", "los-prob --db {tmp}/empty.json --tx 0,0,10 --n-points 3",
      2, "n_points must be between 4 and 1000000, got 3", EMPTY),
+    ("los-prob-n-points-over-cap", "los-prob --db {tmp}/empty.json --tx 0,0,10 --n-points 2000000",
+     2, "n_points must be between 4 and 1000000, got 2000000", EMPTY),
     ("los-prob-step-tiny", "los-prob --db {tmp}/empty.json --tx 0,0,10 --step 1e-9",
      2, "grid of 10 to 200 m in 1e-09 m steps has more than 1000000 points", EMPTY),
     ("los-prob-rx-height-nan", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rx-height=nan",
      2, "rx_height_m must be finite, got nan", EMPTY),
+    ("los-prob-rx-height-inf", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rx-height=inf",
+     2, "rx_height_m must be finite, got inf", EMPTY),
+    ("los-prob-rx-height-minus-inf", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rx-height=-inf",
+     2, "rx_height_m must be finite, got -inf", EMPTY),
     ("los-prob-rx-height-negative", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rx-height=-5",
      2, "rx_height_m must be >= 0 (ground level), got -5", EMPTY),
     ("los-prob-rmax-below-rmin", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rmin 50 --rmax 20",
@@ -540,6 +528,10 @@ CONTRACT = [
      2, "<tmp>/subdir: [Errno 21] Is a directory: '<tmp>/subdir'", EMPTY),
     ("fit-plos-malformed-row", "fit-plos {tmp}/bad.csv",
      2, "<tmp>/bad.csv: malformed curve CSV row: 'ten,0.5,1'", EMPTY),
+    ("fit-plos-zero-radius", "fit-plos {tmp}/zero-radius.csv",
+     2, "<tmp>/zero-radius.csv: radii must be positive and finite", EMPTY),
+    ("fit-plos-negative-radius", "fit-plos {tmp}/negative-radius.csv",
+     2, "<tmp>/negative-radius.csv: radii must be positive and finite", EMPTY),
     ("fit-plos-wrong-header", "fit-plos {tmp}/samples.csv",
      2, "<tmp>/samples.csv: curve CSV must start with header 'radius_m,p_los,valid'", EMPTY),
     ("fit-plos-mean-mismatched-grid", "fit-plos {tmp}/curve.csv {tmp}/short.csv --mean",
@@ -570,6 +562,8 @@ CONTRACT = [
      2, "--nlos floating needs --nlos-intercept and --nlos-slope", EMPTY),
     ("pathloss-frequency-negative", "pathloss --frequency=-28e9 --los-exponent 2.1 --los-sigma 3.6 --nlos-exponent 3.4 --nlos-sigma 9.7",
      2, "frequency_hz must be positive, got -28000000000.0", EMPTY),
+    ("pathloss-frequency-fspl-overflow", "pathloss --frequency 1e308 --los-exponent 2 --los-sigma 1 --nlos-exponent 3 --nlos-sigma 1",
+     2, "frequency_hz is too large for a finite free-space path loss, got 1e+308", EMPTY),
     ("pathloss-sigma-negative", "pathloss --frequency 28e9 --los-exponent 2.1 --los-sigma=-1 --nlos-exponent 3.4 --nlos-sigma 9.7",
      2, "shadow_std_db must be >= 0, got -1.0", EMPTY),
     ("pathloss-floating-slope-inf", "pathloss --nlos floating --frequency 73.5e9 --los-exponent 2 --los-sigma 4.8 --nlos-intercept 80.6 --nlos-slope inf --nlos-sigma 7.8",
@@ -610,7 +604,15 @@ CONTRACT = [
      2, "--frequency must be positive and finite, got nan", EMPTY),
     ("fit-frequency-zero", "fit {tmp}/samples.csv --model close-in --condition NLOS --frequency=0",
      2, "--frequency must be positive and finite, got 0", EMPTY),
+    ("fit-frequency-negative", "fit {tmp}/samples.csv --model close-in --condition NLOS --frequency=-28e9",
+     2, "--frequency must be positive and finite, got -2.8e+10", EMPTY),
+    ("fit-frequency-inf", "fit {tmp}/samples.csv --model close-in --condition NLOS --frequency=inf",
+     2, "--frequency must be positive and finite, got inf", EMPTY),
+    ("fit-frequency-fspl-overflow", "fit {tmp}/samples.csv --model close-in --condition NLOS --frequency 1e308",
+     2, "frequency_hz is too large for a finite free-space path loss, got 1e+308", EMPTY),
     ("fit-frequency-with-floating", "fit {tmp}/samples.csv --model floating --condition NLOS --frequency 28e9",
+     2, "--frequency applies to --model close-in only", EMPTY),
+    ("fit-frequency-nan-with-floating", "fit {tmp}/samples.csv --model floating --condition NLOS --frequency=nan",
      2, "--frequency applies to --model close-in only", EMPTY),
     ("fit-one-sample", "fit {tmp}/one.csv --model close-in --condition NLOS --frequency 28e9",
      1, "fit requires at least 2 samples", EMPTY),
@@ -628,6 +630,8 @@ CONTRACT = [
      0, None, "d513aea457f235cf1517df5fb3ea9f5f9ff9a5c58e063875b869213e7f009114"),
     ("outage-seed-without-monte-carlo", "outage --preset 73GHz-NYC --threshold 120 --seed 5 --rmax 40",
      0, None, "65e2d9c247ee48db77d0f243bdb3cc4499ed2034d8acf6dac2a9fe96e893fd7b"),
+    ("outage-alpha-tiny", "outage --preset 28GHz-NYC --threshold 130 --rmin 50 --rmax 150 --step 50 --alpha 1e-320",
+     0, None, "13efbceea046b9bd281137a498a1e9012c38dc76853308a41f2e22b486295a59"),
     ("outage-out", "outage --preset 28GHz-NYC --threshold 130 --out {tmp}/outage-out.csv",
      0, None, EMPTY),
     ("outage-out-missing-dir", "outage --preset 28GHz-NYC --threshold 130 --out {tmp}/missing/outage.csv",
@@ -636,13 +640,19 @@ CONTRACT = [
      2, "max_path_loss_db must not be NaN", EMPTY),
     ("outage-incomplete-explicit", "outage --frequency 28e9 --threshold 130",
      2, "explicit models need --frequency, --los-exponent, --los-sigma and --nlos-sigma (or use --preset)", EMPTY),
+    ("outage-frequency-fspl-overflow", "outage --threshold 130 --frequency 1e308 --los-exponent 2 --los-sigma 1 --nlos-exponent 3 --nlos-sigma 1",
+     2, "frequency_hz is too large for a finite free-space path loss, got 1e+308", EMPTY),
     ("outage-monte-carlo-no-seed", "outage --preset 28GHz-NYC --threshold 130 --monte-carlo 1000",
      2, "--monte-carlo requires --seed for reproducibility", EMPTY),
     ("outage-monte-carlo-zero", "outage --preset 28GHz-NYC --threshold 130 --monte-carlo 0 --seed 1",
      2, "--monte-carlo draw count must be between 1 and 1000000, got 0", EMPTY),
     ("outage-monte-carlo-over-cap", "outage --preset 28GHz-NYC --threshold 130 --monte-carlo 1000001 --seed 1",
      2, "--monte-carlo draw count must be between 1 and 1000000, got 1000001", EMPTY),
+    ("outage-monte-carlo-far-over-cap", "outage --preset 28GHz-NYC --threshold 130 --monte-carlo 1000000000000 --seed 1",
+     2, "--monte-carlo draw count must be between 1 and 1000000, got 1000000000000", EMPTY),
     ("outage-seed-negative", "outage --preset 28GHz-NYC --threshold 130 --seed -1",
+     2, "--seed must be >= 0, got -1", EMPTY),
+    ("outage-monte-carlo-seed-negative", "outage --preset 28GHz-NYC --threshold 130 --monte-carlo 10 --seed -1",
      2, "--seed must be >= 0, got -1", EMPTY),
     ("outage-rmin-below-reference", "outage --preset 28GHz-NYC --threshold 130 --rmin 0.5",
      2, "--rmin must be >= 1 m, got 0.5", EMPTY),
