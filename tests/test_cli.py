@@ -80,6 +80,19 @@ class TestLosProb:
         assert "tx position invalid" in err
         assert "building 0" in err
 
+    def test_missing_db_file(self, tmp_path, capsys):
+        assert main(["los-prob", "--db", str(tmp_path / "nope.json"), "--tx", "0,0,10"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_db(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main(["los-prob", "--db", str(bad), "--tx", "0,0,10"]) == 2
+
+    def test_bad_tx_string(self, tmp_path):
+        db = write_empty_db(tmp_path / "empty.json")
+        assert main(["los-prob", "--db", db, "--tx", "1,2"]) == 2
+
     def test_oversized_inputs_are_input_errors(self, tmp_path, capsys):
         db = write_empty_db(tmp_path / "empty.json")
         assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--step", "1e-9"]) == 2
@@ -190,6 +203,11 @@ class TestPathloss:
         assert main(argv) == 0
         assert capsys.readouterr().out == from_preset
 
+    def test_preset_and_explicit_conflict(self, capsys):
+        argv = ["pathloss", "--preset", "28GHz-NYC", "--frequency", "28e9"]
+        assert main(argv) == 2
+        assert "not both" in capsys.readouterr().err
+
     def test_incomplete_explicit_model(self, capsys):
         assert main(["pathloss", "--frequency", "28e9"]) == 2
         assert "--los-exponent" in capsys.readouterr().err
@@ -298,6 +316,10 @@ class TestFit:
         argv = ["fit", str(csv), "--model", "close-in", "--condition", "NLOS", "--frequency", "28e9"]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_samples_file(self, tmp_path, capsys):
+        argv = ["fit", str(tmp_path / "nope.csv"), "--model", "floating", "--condition", "NLOS"]
+        assert main(argv) == 2
 
     def test_frequency_with_overflowing_fspl_is_input_error(self, tmp_path, capsys):
         csv = self.close_in_csv(tmp_path / "nlos.csv")
