@@ -1,5 +1,6 @@
 """Scene geometry: parsing, box intersection and LOS classification."""
 
+import hashlib
 import json
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mmwpl import demo
 from mmwpl.geometry import (
     EPSILON,
     Box3,
@@ -35,6 +37,39 @@ from oracles import (
 )
 
 UNIT_BOX = Box3(Point3(0, 0, 0), Point3(10, 10, 10))
+
+# Every way parse_building_db rejects a building entry: the `buildings` list
+# as JSON text, and the exact message.  The last case has a degenerate entry 1
+# and a malformed entry 3: the first bad entry in document order is reported.
+OK = '{"min": [0, 0, 0], "max": [1, 1, 1]}'
+DEGENERATE = "degenerate box: min corner must be strictly below max corner on every axis, got "
+ENTRY_REJECTIONS = [
+    ("non-object-entry", f"[{OK}, [0, 0, 0]]", "building 1: expected an object with 'min' and 'max'"),
+    ("missing-max", '[{"min": [0, 0, 0]}]', "building 0: expected an object with 'min' and 'max'"),
+    ("two-element-corner", '[{"min": [0, 0], "max": [1, 1, 1]}]',
+     "building 0 'min' must be a list of three numbers, got [0, 0]"),
+    ("string-coordinate", '[{"min": [0, "0", 0], "max": [1, 1, 1]}]',
+     "building 0 'min' must be a list of three numbers, got [0, '0', 0]"),
+    ("bool-coordinate", '[{"min": [0, 0, 0], "max": [1, true, 1]}]',
+     "building 0 'max' must be a list of three numbers, got [1, True, 1]"),
+    ("overflowing-float", '[{"min": [0, 0, 0], "max": [1e999, 1, 1]}]',
+     "building 0 'max': coordinates must be finite numbers, got inf"),
+    ("degenerate-x", '[{"min": [1, 0, 0], "max": [1, 1, 1]}]', f"building 0: {DEGENERATE}min=(1, 0, 0) max=(1, 1, 1)"),
+    ("degenerate-y", '[{"min": [0, 2, 0], "max": [1, 1, 1]}]', f"building 0: {DEGENERATE}min=(0, 2, 0) max=(1, 1, 1)"),
+    ("degenerate-z", '[{"min": [0, 0, 1], "max": [1, 1, 1]}]', f"building 0: {DEGENERATE}min=(0, 0, 1) max=(1, 1, 1)"),
+    ("below-ground", '[{"min": [0, 0, -0.5], "max": [1, 1, 1]}]', "building 0: box base height must be >= 0, got -0.5"),
+    ("first-bad-entry-wins", f'[{OK}, {{"min": [5, 5, 0], "max": [5, 6, 1]}}, {OK}, {{"min": [0, 0, 0]}}]',
+     f"building 1: {DEGENERATE}min=(5, 5, 0) max=(5, 6, 1)"),
+]
+
+# sha256 of min_array then max_array bytes of each bundled scene
+SCENE_CORNER_DIGESTS = {
+    "slab": "420002aec191486321dbe936e2406f9abcc0747eecffbfa72d446412e0fc168f",
+    "avenue": "c2ab5b519fd672ed19e3492bbbaa9a12de60273a3a08fd34fcc7b3c0797ee987",
+    "crosstown": "80a56505b0dfaed06d8182abc43a87945d85072b743942f48b76b67eba3357d0",
+    "plaza": "895ca4b0b617e401b8838870111e0fe44b348d7656515b9805783b2119b5953d",
+    "tower": "69a4975ea371eb239679a439a2406cd066bad9dd528d4c257df3830e1672a01a",
+}
 
 
 def make_db(*boxes):
@@ -135,6 +170,21 @@ class TestParsing:
         path = tmp_path / "db.json"
         path.write_text('{"name": "f", "buildings": []}')
         assert load_building_db(path).name == "f"
+
+    @pytest.mark.parametrize("buildings, message", [case[1:] for case in ENTRY_REJECTIONS],
+                             ids=[case[0] for case in ENTRY_REJECTIONS])
+    def test_entry_rejection_message(self, buildings, message):
+        with pytest.raises(BuildingDBError) as exc:
+            parse_building_db('{"name": "x", "buildings": %s}' % buildings)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("scene", sorted(SCENE_CORNER_DIGESTS))
+    def test_scene_corner_arrays_pinned(self, scene):
+        db = demo.load_scene(scene)
+        assert db.min_array.dtype == db.max_array.dtype == np.float64
+        assert db.min_array.shape == db.max_array.shape == (len(db), 3)
+        digest = hashlib.sha256(db.min_array.tobytes() + db.max_array.tobytes()).hexdigest()
+        assert digest == SCENE_CORNER_DIGESTS[scene]
 
 
 class TestLatLon:
