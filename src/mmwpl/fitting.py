@@ -8,6 +8,7 @@ residual about the fitted line (population convention, divisor N).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,9 @@ class PathLossSample:
     condition: str
 
     def __post_init__(self):
-        if not (self.distance_m >= 1.0 and np.isfinite(self.distance_m)):
+        if not (self.distance_m >= 1.0 and math.isfinite(self.distance_m)):
             raise ValueError(f"distance_m must be >= 1 m, got {self.distance_m!r}")
-        if not np.isfinite(self.path_loss_db):
+        if not math.isfinite(self.path_loss_db):
             raise ValueError(f"path_loss_db must be finite, got {self.path_loss_db!r}")
         if self.condition not in CONDITIONS:
             raise ValueError(f"condition must be one of {CONDITIONS}, got {self.condition!r}")

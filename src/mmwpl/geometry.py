@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -93,29 +97,49 @@ class TxSite:
     longitude: float | None = None
 
 
-@dataclass(frozen=True)
 class BuildingDB:
-    """An immutable, ordered collection of building boxes."""
+    """An immutable, ordered collection of building boxes.
 
-    name: str
-    buildings: tuple[Box3, ...]
-    origin_latlon: tuple[float, float] | None = None
+    The boxes are two read-only, C-contiguous float64 arrays of shape
+    (n_buildings, 3): ``min_array`` and ``max_array`` hold their min and max
+    corners, and every geometry function reads them.  ``buildings`` presents
+    the same boxes as ``Box3`` objects, built on first access.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "buildings", tuple(self.buildings))
+    def __init__(
+        self, name: str, buildings: Iterable[Box3] = (), origin_latlon: tuple[float, float] | None = None
+    ):
+        boxes = tuple(buildings)
+        corners = np.array([[b.min_corner.to_array() for b in boxes], [b.max_corner.to_array() for b in boxes]])
+        self._assign(name, corners, origin_latlon)
+        vars(self)["buildings"] = boxes
+
+    @classmethod
+    def _from_corners(cls, name: str, corners: np.ndarray, origin_latlon) -> "BuildingDB":
+        db = cls.__new__(cls)
+        db._assign(name, corners, origin_latlon)
+        return db
+
+    def _assign(self, name: str, corners: np.ndarray, origin_latlon) -> None:
+        """Keep ``corners``, a new float64 array of all min corners then all max corners, read-only."""
+        corners.flags.writeable = False  # on the array that owns the data, so no view can undo it
+        min_array, max_array = corners.reshape(2, -1, 3)
+        vars(self).update(name=name, min_array=min_array, max_array=max_array, origin_latlon=origin_latlon)
+
+    def _read_only(self, name, *value):
+        raise AttributeError(f"BuildingDB is immutable: cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _read_only
 
     def __len__(self) -> int:
-        return len(self.buildings)
+        return len(self.min_array)
 
     @cached_property
-    def min_array(self) -> np.ndarray:
-        """Stacked min corners, shape (n_buildings, 3)."""
-        return np.array([b.min_corner.to_array() for b in self.buildings]).reshape(-1, 3)
-
-    @cached_property
-    def max_array(self) -> np.ndarray:
-        """Stacked max corners, shape (n_buildings, 3)."""
-        return np.array([b.max_corner.to_array() for b in self.buildings]).reshape(-1, 3)
+    def buildings(self) -> tuple[Box3, ...]:
+        """The boxes as ``Box3`` objects, in document order."""
+        return tuple(
+            Box3(Point3(*lo), Point3(*hi)) for lo, hi in zip(self.min_array.tolist(), self.max_array.tolist())
+        )
 
 
 def latlon_to_local(
@@ -147,8 +171,52 @@ def _coerce_corner(value, what: str) -> Point3:
         raise BuildingDBError(f"{what} must be a list of three numbers, got {value!r}")
     try:
         return Point3(float(value[0]), float(value[1]), float(value[2]))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
         raise BuildingDBError(f"{what}: {exc}") from None
+
+
+def _check_entry(i: int, entry) -> None:
+    """Raise the BuildingDBError of building entry ``i`` when it breaks a rule."""
+    if not isinstance(entry, dict) or "min" not in entry or "max" not in entry:
+        raise BuildingDBError(f"building {i}: expected an object with 'min' and 'max'")
+    lo = _coerce_corner(entry["min"], f"building {i} 'min'")
+    hi = _coerce_corner(entry["max"], f"building {i} 'max'")
+    try:
+        Box3(lo, hi)
+    except ValueError as exc:
+        raise BuildingDBError(f"building {i}: {exc}") from None
+
+
+# exact types, as JSON makes them: true and false are bool, a subclass of int
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _corner_array(entries: list) -> np.ndarray | None:
+    """All min corners, then all max corners of the building entries, as one float64 array.
+
+    None when some entry breaks a rule of ``_check_entry``.  Python checks
+    the structure of all entries at once, as sets of types and lengths; the
+    numeric rules run once over the array.
+    """
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        corners = list(map(itemgetter("min"), entries)) + list(map(itemgetter("max"), entries))
+    except KeyError:
+        return None
+    if not (set(map(type, corners)) <= {list} and set(map(len, corners)) <= {3}):
+        return None
+    values = list(chain.from_iterable(corners))
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        return None
+    try:
+        corners = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond float range
+        return None
+    lo, hi = corners.reshape(2, -1, 3)
+    if not (np.isfinite(corners).all() and (lo < hi).all() and (lo[:, 2] >= 0).all()):
+        return None
+    return corners
 
 
 def parse_building_db(text: str) -> BuildingDB:
@@ -157,11 +225,14 @@ def parse_building_db(text: str) -> BuildingDB:
     The document is JSON with fields ``name``, optional ``origin`` (a
     ``{"lat": ..., "lon": ...}`` anchor for geographic ingest) and
     ``buildings``, a list of ``{"min": [x, y, z], "max": [x, y, z]}`` boxes in
-    meters.  Non-finite numbers are rejected.
+    meters.  Every number must be finite as a float: a non-finite literal,
+    ``1e999`` or an integer beyond float range is rejected.  The corners go
+    straight into the database's corner arrays; a rejection names the first
+    bad building in document order.
 
     Raises:
-        BuildingDBError: on malformed JSON, missing fields, degenerate boxes
-            or boxes below ground level.
+        BuildingDBError: on malformed JSON, missing fields, out-of-range
+            numbers, degenerate boxes or boxes below ground level.
     """
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
@@ -183,21 +254,20 @@ def parse_building_db(text: str) -> BuildingDB:
             or not isinstance(raw.get("lon"), (int, float))
         ):
             raise BuildingDBError("'origin' must be an object with numeric lat/lon")
-        origin = (float(raw["lat"]), float(raw["lon"]))
+        try:
+            origin = (float(raw["lat"]), float(raw["lon"]))
+        except OverflowError as exc:
+            raise BuildingDBError(f"'origin': {exc}") from None
         if not (math.isfinite(origin[0]) and math.isfinite(origin[1])):
             raise BuildingDBError("'origin' lat/lon must be finite")
 
-    boxes = []
-    for i, entry in enumerate(doc["buildings"]):
-        if not isinstance(entry, dict) or "min" not in entry or "max" not in entry:
-            raise BuildingDBError(f"building {i}: expected an object with 'min' and 'max'")
-        lo = _coerce_corner(entry["min"], f"building {i} 'min'")
-        hi = _coerce_corner(entry["max"], f"building {i} 'max'")
-        try:
-            boxes.append(Box3(lo, hi))
-        except ValueError as exc:
-            raise BuildingDBError(f"building {i}: {exc}") from None
-    return BuildingDB(name=doc["name"], buildings=tuple(boxes), origin_latlon=origin)
+    entries = doc["buildings"]
+    corners = _corner_array(entries)
+    if corners is None:
+        # every rule is per entry, so a prefix fails exactly when it reaches the first bad entry
+        first_bad = bisect_left(range(len(entries)), True, key=lambda k: _corner_array(entries[: k + 1]) is None)
+        _check_entry(first_bad, entries[first_bad])
+    return BuildingDB._from_corners(doc["name"], corners, origin)
 
 
 def load_building_db(path) -> BuildingDB:

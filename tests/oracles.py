@@ -3,11 +3,18 @@
 Nothing here shares logic with the library: occlusion is decided by sampling
 many points along a segment and testing closed-box membership directly, and
 circle classification builds on that.  Slow but unarguable.  The reference
-kernels at the end are the library's former straightforward implementations,
-kept to check its faster ones for exact equality.
+kernels and the reference building-DB parser at the end are the library's
+former straightforward implementations, kept to check its faster ones for
+exact equality; the parser keeps using the library's Point3 and Box3 checks,
+which are what word its messages.
 """
 
+import json
+import math
+
 import numpy as np
+
+from mmwpl.geometry import Box3, BuildingDBError, Point3
 
 ORACLE_EPS = 1e-9
 ORACLE_SAMPLES = 10_000
@@ -156,3 +163,65 @@ def points_strictly_inside_reference(points, mins, maxs, eps=ORACLE_EPS):
     for box_min, box_max in zip(mins, maxs):
         inside |= ((points > box_min + eps) & (points < box_max - eps)).all(axis=1)
     return inside
+
+
+def parse_building_db_reference(text):
+    """The former building-DB parser: one entry at a time, each box checked as a Box3.
+
+    Returns (name, boxes, origin_latlon, min_array, max_array), the arrays
+    stacked from the boxes as the former BuildingDB did.  An integer beyond
+    float range escapes as OverflowError.
+    """
+
+    def reject_constant(name):
+        raise BuildingDBError(f"non-finite numeric literal {name!r} in building DB")
+
+    def coerce_corner(value, what):
+        if (
+            not isinstance(value, list)
+            or len(value) != 3
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        ):
+            raise BuildingDBError(f"{what} must be a list of three numbers, got {value!r}")
+        try:
+            return Point3(float(value[0]), float(value[1]), float(value[2]))
+        except ValueError as exc:
+            raise BuildingDBError(f"{what}: {exc}") from None
+
+    try:
+        doc = json.loads(text, parse_constant=reject_constant)
+    except json.JSONDecodeError as exc:
+        raise BuildingDBError(f"invalid building DB document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise BuildingDBError("building DB document must be a JSON object")
+    if "name" not in doc or not isinstance(doc["name"], str):
+        raise BuildingDBError("building DB document requires a text 'name' field")
+    if "buildings" not in doc or not isinstance(doc["buildings"], list):
+        raise BuildingDBError("building DB document requires a 'buildings' list")
+
+    origin = None
+    if "origin" in doc and doc["origin"] is not None:
+        raw = doc["origin"]
+        if (
+            not isinstance(raw, dict)
+            or not isinstance(raw.get("lat"), (int, float))
+            or not isinstance(raw.get("lon"), (int, float))
+        ):
+            raise BuildingDBError("'origin' must be an object with numeric lat/lon")
+        origin = (float(raw["lat"]), float(raw["lon"]))
+        if not (math.isfinite(origin[0]) and math.isfinite(origin[1])):
+            raise BuildingDBError("'origin' lat/lon must be finite")
+
+    boxes = []
+    for i, entry in enumerate(doc["buildings"]):
+        if not isinstance(entry, dict) or "min" not in entry or "max" not in entry:
+            raise BuildingDBError(f"building {i}: expected an object with 'min' and 'max'")
+        lo = coerce_corner(entry["min"], f"building {i} 'min'")
+        hi = coerce_corner(entry["max"], f"building {i} 'max'")
+        try:
+            boxes.append(Box3(lo, hi))
+        except ValueError as exc:
+            raise BuildingDBError(f"building {i}: {exc}") from None
+    min_array = np.array([b.min_corner.to_array() for b in boxes]).reshape(-1, 3)
+    max_array = np.array([b.max_corner.to_array() for b in boxes]).reshape(-1, 3)
+    return doc["name"], tuple(boxes), origin, min_array, max_array

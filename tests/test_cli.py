@@ -455,6 +455,9 @@ def write_contract_inputs(tmp_path):
     """The input files of the CLI contract table below."""
     write_empty_db(tmp_path / "empty.json")
     (tmp_path / "bad.json").write_text("{not json")
+    huge = "1" + "0" * 400  # an integer literal beyond float range
+    (tmp_path / "huge-corner.json").write_text(f'{{"name": "h", "buildings": [{{"min": [0, 0, 0], "max": [{huge}, 1, 1]}}]}}')
+    (tmp_path / "huge-origin.json").write_text(f'{{"name": "h", "origin": {{"lat": {huge}, "lon": 0}}, "buildings": []}}')
     (tmp_path / "subdir").mkdir()
     synth_curve_csv(tmp_path / "curve.csv")
     synth_curve_csv(tmp_path / "curve36.csv", los_probability.LosProbParams(36.0, 71.0))
@@ -502,6 +505,10 @@ CONTRACT = [
      2, "[Errno 21] Is a directory: '<tmp>/subdir'", EMPTY),
     ("los-prob-malformed-db", "los-prob --db {tmp}/bad.json --tx 0,0,10",
      2, "invalid building DB document: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)", EMPTY),
+    ("los-prob-db-huge-corner", "los-prob --db {tmp}/huge-corner.json --tx 0,0,10",
+     2, "building 0 'max': int too large to convert to float", EMPTY),
+    ("los-prob-db-huge-origin", "los-prob --db {tmp}/huge-origin.json --tx 0,0,10",
+     2, "'origin': int too large to convert to float", EMPTY),
     ("los-prob-tx-two-parts", "los-prob --db {tmp}/empty.json --tx 1,2",
      2, "expected x,y,z with three components, got '1,2'", EMPTY),
     ("los-prob-tx-not-numbers", "los-prob --db {tmp}/empty.json --tx a,b,c",

@@ -31,6 +31,7 @@ from mmwpl.geometry import (
 )
 from oracles import (
     crossing_length,
+    parse_building_db_reference,
     points_strictly_inside_reference,
     sampled_segment_hits_box,
     segments_blocked_reference,
@@ -61,6 +62,59 @@ ENTRY_REJECTIONS = [
     ("first-bad-entry-wins", f'[{OK}, {{"min": [5, 5, 0], "max": [5, 6, 1]}}, {OK}, {{"min": [0, 0, 0]}}]',
      f"building 1: {DEGENERATE}min=(5, 5, 0) max=(5, 6, 1)"),
 ]
+
+SMALL = st.one_of(st.integers(-1000, 1000), st.floats(-1000, 1000))
+# integers and floats around 2**53 and 2**63, where neighbouring integers share one float
+LARGE = st.one_of(st.integers(2**53 - 3, 2**53 + 3), st.integers(2**63 - 3, 2**64 + 3), st.floats(2.0**53 - 4, 2.0**64))
+NOT_AN_OBJECT = st.sampled_from([None, 3, 2.5, True, "box", [], [0, 0, 0]])
+NOT_A_NUMBER = st.sampled_from([None, True, False, "1", [1], {}])
+# past float range as an integer or a literal (inf is written 1e999), and its edges
+HUGE = st.sampled_from([10**400, -(10**400), 2**1024 - 2**970, 2**1024 - 2**970 - 1, math.inf, -math.inf])
+FAULTS = ("entry", "key", "corner", "length", "value", "huge", "degenerate", "below-ground", "origin")
+
+
+@st.composite
+def box_axis(draw, ground=False):
+    """(min, max) of a box on one axis, large one time in eight; a size of 1 there can round to zero."""
+    if draw(st.integers(0, 7)):
+        lo, size = draw(SMALL), draw(st.integers(1, 100) | st.floats(0.001, 100))
+    else:
+        lo, size = draw(LARGE), draw(st.sampled_from([1, 2**12, 2**13, 2.0**14]))
+    lo = abs(lo) if ground else lo
+    return lo, lo + size
+
+
+@st.composite
+def building_documents(draw):
+    """A building-DB document as JSON text: boxes of every size, with at most one injected fault."""
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        axes = [draw(box_axis()), draw(box_axis()), draw(box_axis(ground=True))]
+        entries.append({"min": [lo for lo, _ in axes], "max": [hi for _, hi in axes]})
+    doc = {"name": "x", "buildings": entries}
+    if draw(st.booleans()):
+        doc["origin"] = {"lat": draw(SMALL | LARGE), "lon": draw(SMALL | LARGE)}
+    fault = draw(st.sampled_from(FAULTS)) if entries and draw(st.booleans()) else None
+    if fault == "origin":
+        doc["origin"] = {"lat": draw(HUGE), "lon": 0}
+    elif fault is not None:
+        i = draw(st.integers(0, len(entries) - 1))
+        corner, k = draw(st.sampled_from(["min", "max"])), draw(st.integers(0, 2))
+        entry = entries[i]
+        if fault == "entry":
+            entries[i] = draw(NOT_AN_OBJECT)
+        elif fault == "key":
+            del entry[corner]
+        elif fault == "corner":
+            entry[corner] = draw(st.sampled_from([None, 3, "box", {"x": 0}, entry[corner][:2], entry[corner] + [0]]))
+        elif fault in ("value", "huge"):
+            entry[corner][k] = draw(NOT_A_NUMBER if fault == "value" else HUGE)
+        elif fault == "degenerate":
+            entry["max"][k] = entry["min"][k] - draw(st.sampled_from([0, 1, 0.5]))
+        else:
+            entry["min"][2] = -draw(st.floats(1e-12, 1e3))
+    return json.dumps(doc).replace("Infinity", "1e999")
+
 
 # sha256 of min_array then max_array bytes of each bundled scene
 SCENE_CORNER_DIGESTS = {
@@ -177,6 +231,27 @@ class TestParsing:
         with pytest.raises(BuildingDBError) as exc:
             parse_building_db('{"name": "x", "buildings": %s}' % buildings)
         assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(building_documents())
+    def test_parser_matches_reference(self, text):
+        try:
+            name, boxes, origin, min_array, max_array = parse_building_db_reference(text)
+        except BuildingDBError as exc:
+            with pytest.raises(BuildingDBError) as got:
+                parse_building_db(text)
+            assert str(got.value) == str(exc)
+            return
+        except OverflowError:
+            # the former parser let this escape; it is an input error now
+            with pytest.raises(BuildingDBError, match="int too large to convert to float"):
+                parse_building_db(text)
+            return
+        db = parse_building_db(text)
+        assert (db.name, db.origin_latlon, db.buildings) == (name, origin, boxes)
+        assert db.min_array.shape == db.max_array.shape == min_array.shape == (len(boxes), 3)
+        assert db.min_array.tobytes() == min_array.tobytes()
+        assert db.max_array.tobytes() == max_array.tobytes()
 
     @pytest.mark.parametrize("scene", sorted(SCENE_CORNER_DIGESTS))
     def test_scene_corner_arrays_pinned(self, scene):
