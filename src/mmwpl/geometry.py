@@ -106,9 +106,7 @@ class BuildingDB:
     the same boxes as ``Box3`` objects, built on first access.
     """
 
-    def __init__(
-        self, name: str, buildings: Iterable[Box3] = (), origin_latlon: tuple[float, float] | None = None
-    ):
+    def __init__(self, name: str, buildings: Iterable[Box3], origin_latlon: tuple[float, float] | None = None):
         boxes = tuple(buildings)
         corners = np.array([[b.min_corner.to_array() for b in boxes], [b.max_corner.to_array() for b in boxes]])
         self._assign(name, corners, origin_latlon)
@@ -133,6 +131,19 @@ class BuildingDB:
 
     def __len__(self) -> int:
         return len(self.min_array)
+
+    # equality, hash and repr as the frozen dataclass this class was: on name, buildings and origin
+    def _fields(self) -> tuple:
+        return self.name, self.buildings, self.origin_latlon
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "BuildingDB(name={!r}, buildings={!r}, origin_latlon={!r})".format(*self._fields())
 
     @cached_property
     def buildings(self) -> tuple[Box3, ...]:
@@ -210,13 +221,13 @@ def _corner_array(entries: list) -> np.ndarray | None:
     if not set(map(type, values)) <= _NUMBER_TYPES:
         return None
     try:
-        corners = np.array(values, dtype=float)
+        array = np.array(values, dtype=float)
     except OverflowError:  # an integer beyond float range
         return None
-    lo, hi = corners.reshape(2, -1, 3)
-    if not (np.isfinite(corners).all() and (lo < hi).all() and (lo[:, 2] >= 0).all()):
+    lo, hi = array.reshape(2, -1, 3)
+    if not (np.isfinite(array).all() and (lo < hi).all() and (lo[:, 2] >= 0).all()):
         return None
-    return corners
+    return array
 
 
 def parse_building_db(text: str) -> BuildingDB:

@@ -70,7 +70,7 @@ NOT_AN_OBJECT = st.sampled_from([None, 3, 2.5, True, "box", [], [0, 0, 0]])
 NOT_A_NUMBER = st.sampled_from([None, True, False, "1", [1], {}])
 # past float range as an integer or a literal (inf is written 1e999), and its edges
 HUGE = st.sampled_from([10**400, -(10**400), 2**1024 - 2**970, 2**1024 - 2**970 - 1, math.inf, -math.inf])
-FAULTS = ("entry", "key", "corner", "length", "value", "huge", "degenerate", "below-ground", "origin")
+FAULTS = ("entry", "key", "corner", "value", "huge", "degenerate", "below-ground", "origin")
 
 
 @st.composite
@@ -111,7 +111,7 @@ def building_documents(draw):
             entry[corner][k] = draw(NOT_A_NUMBER if fault == "value" else HUGE)
         elif fault == "degenerate":
             entry["max"][k] = entry["min"][k] - draw(st.sampled_from([0, 1, 0.5]))
-        else:
+        else:  # below-ground
             entry["min"][2] = -draw(st.floats(1e-12, 1e3))
     return json.dumps(doc).replace("Infinity", "1e999")
 
@@ -154,6 +154,25 @@ class TestTypes:
         assert len(db) == 1
         with pytest.raises(AttributeError):
             db.name = "other"
+
+    def test_db_corner_arrays_are_read_only(self):
+        parsed = parse_building_db('{"name": "p", "buildings": [{"min": [0, 0, 0], "max": [10, 10, 10]}]}')
+        for db in (make_db(UNIT_BOX), parsed):
+            assert db.buildings == (UNIT_BOX,)
+            for corners, expected in ((db.min_array, [[0, 0, 0]]), (db.max_array, [[10, 10, 10]])):
+                assert corners.dtype == np.float64 and corners.flags.c_contiguous
+                assert corners.tolist() == expected
+                with pytest.raises(ValueError):
+                    corners[0, 0] = 1.0
+                with pytest.raises(ValueError):
+                    corners.flags.writeable = True
+
+    def test_db_equality_hash_and_repr_follow_the_boxes(self):
+        parsed = parse_building_db('{"name": "test", "buildings": [{"min": [0, 0, 0], "max": [10, 10, 10]}]}')
+        built = make_db(UNIT_BOX)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed != make_db() and parsed != BuildingDB("other", (UNIT_BOX,))
+        assert repr(built) == f"BuildingDB(name='test', buildings=({UNIT_BOX!r},), origin_latlon=None)"
 
     def test_tx_site_metadata(self):
         site = TxSite("COL1", Point3(0, 0, 7), latitude=40.727, longitude=-73.997)
