@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -259,11 +258,7 @@ def parse_building_db(text: str) -> BuildingDB:
     origin = None
     if "origin" in doc and doc["origin"] is not None:
         raw = doc["origin"]
-        if (
-            not isinstance(raw, dict)
-            or not isinstance(raw.get("lat"), (int, float))
-            or not isinstance(raw.get("lon"), (int, float))
-        ):
+        if not isinstance(raw, dict) or not {type(raw.get("lat")), type(raw.get("lon"))} <= _NUMBER_TYPES:
             raise BuildingDBError("'origin' must be an object with numeric lat/lon")
         try:
             origin = (float(raw["lat"]), float(raw["lon"]))
@@ -274,10 +269,9 @@ def parse_building_db(text: str) -> BuildingDB:
 
     entries = doc["buildings"]
     corners = _corner_array(entries)
-    if corners is None:
-        # every rule is per entry, so a prefix fails exactly when it reaches the first bad entry
-        first_bad = bisect_left(range(len(entries)), True, key=lambda k: _corner_array(entries[: k + 1]) is None)
-        _check_entry(first_bad, entries[first_bad])
+    if corners is None:  # some entry breaks a rule: raise the message of the first
+        for i, entry in enumerate(entries):
+            _check_entry(i, entry)
     return BuildingDB._from_corners(doc["name"], corners, origin)
 
 

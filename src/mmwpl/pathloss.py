@@ -148,8 +148,15 @@ def _scalar_or_array(values, d_m):
     return float(values) if np.ndim(d_m) == 0 else values
 
 
+def _finite(values: np.ndarray, d: np.ndarray, what: str) -> np.ndarray:
+    """``values`` when all are finite, else a ValueError naming the first distance where one is not."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} is not finite at {d[~np.isfinite(values)][0]:g} m")
+    return values
+
+
 def _log_distance_mean(model: CloseInModel | FloatingInterceptModel, d: np.ndarray):
-    """Mean path loss of either model family at distances already checked, dB."""
+    """Mean path loss of either model family at distances already checked, dB; the caller checks it is finite."""
     if isinstance(model, CloseInModel):
         return fspl_at_reference(model.frequency_hz) + 10.0 * model.exponent * np.log10(d)
     return model.intercept_db + 10.0 * model.slope * np.log10(d)
@@ -159,12 +166,14 @@ def mean_pl_close_in(model: CloseInModel, d_m):
     """Mean path loss of a close-in model, dB.  Accepts scalars or arrays.
 
     Raises:
-        ValueError: when any distance is below the 1 m reference.
+        ValueError: when any distance is below the 1 m reference or the mean is not finite.
     """
     d = np.asarray(d_m, dtype=float)
     if not np.all(d >= REFERENCE_DISTANCE_M):  # NaN fails too
         raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
-    return _scalar_or_array(_log_distance_mean(model, d), d_m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = _finite(_log_distance_mean(model, d), d, "mean path loss")
+    return _scalar_or_array(mean, d_m)
 
 
 def mean_pl_floating(model: FloatingInterceptModel, d_m):
@@ -177,7 +186,8 @@ def mean_pl_floating(model: FloatingInterceptModel, d_m):
     if not np.all(d > 0):  # NaN fails too
         raise ValueError("distances must be positive")
     lo, hi = model.valid_range_m
-    out = _log_distance_mean(model, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _finite(_log_distance_mean(model, d), d, "mean path loss")
     extrapolated = (d < lo) | (d > hi)
     if d.ndim == 0:
         return float(out), bool(extrapolated)
@@ -185,15 +195,16 @@ def mean_pl_floating(model: FloatingInterceptModel, d_m):
 
 
 def _hybrid(model: HybridModel, d_m):
-    """(P_LOS, mean, spread) of the hybrid model: one distance check, one p_los_model."""
+    """(P_LOS, mean, spread) of the hybrid model: one distance check, one p_los_model, finite or a ValueError."""
     d = np.asarray(d_m, dtype=float)
     if not np.all(d >= REFERENCE_DISTANCE_M):  # NaN fails too
         raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
     p = np.asarray(p_los_model(d, model.p_los))
-    mean = p * _log_distance_mean(model.los, d) + (1.0 - p) * _log_distance_mean(model.nlos, d)
-    # np.square, not ** 2: libm pow on a Python float can differ in the last bit
-    var = np.square(p * model.los.shadow_std_db) + np.square((1.0 - p) * model.nlos.shadow_std_db)
-    return p, mean, np.sqrt(var)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite branch mean makes the mean non-finite
+        mean = p * _log_distance_mean(model.los, d) + (1.0 - p) * _log_distance_mean(model.nlos, d)
+        # np.square, not ** 2: libm pow on a Python float can differ in the last bit
+        var = np.square(p * model.los.shadow_std_db) + np.square((1.0 - p) * model.nlos.shadow_std_db)
+    return p, _finite(mean, d, "mean path loss"), _finite(np.sqrt(var), d, "shadowing spread")
 
 
 def mean_pl_hybrid(model: HybridModel, d_m):

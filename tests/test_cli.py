@@ -34,6 +34,36 @@ def synth_curve_csv(path, params=POOLED):
     return str(path)
 
 
+def close_in_csv(path):
+    """NLOS samples of a 28 GHz close-in model with exponent 3.4 at 30, 40, ..., 200 m."""
+    model = pathloss.CloseInModel(28e9, 3.4, 0.0)
+    samples = [
+        fitting.PathLossSample(float(d), float(pathloss.mean_pl_close_in(model, float(d))), "NLOS")
+        for d in range(30, 201, 10)
+    ]
+    path.write_text(fitting.samples_to_csv(samples))
+    return str(path)
+
+
+def contract_test(*names, ids=None):
+    """A test that runs the named CONTRACT rows: in turn, or one per case under ``ids``.
+
+    The single-case tests that the contract table absorbed keep their ids this
+    way, while their argv, exit code, message and stdout digest live only in
+    their rows.
+    """
+    if ids is None:
+        def test(self, tmp_path, capsys):
+            for name in names:
+                check_contract_row(name, tmp_path, capsys)
+        return test
+
+    @pytest.mark.parametrize("name", names, ids=ids)
+    def test_case(self, name, tmp_path, capsys):
+        check_contract_row(name, tmp_path, capsys)
+    return test_case
+
+
 class TestLosProb:
     def test_empty_scene_all_los(self, tmp_path, capsys):
         db = write_empty_db(tmp_path / "empty.json")
@@ -55,12 +85,6 @@ class TestLosProb:
         os.umask(umask)
         assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
-    def test_missing_output_directory_is_input_error(self, tmp_path, capsys):
-        db = write_empty_db(tmp_path / "empty.json")
-        out = str(tmp_path / "missing" / "curve.csv")
-        assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--out", out]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
-
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
         db = write_empty_db(tmp_path / "empty.json")
 
@@ -73,53 +97,19 @@ class TestLosProb:
         assert "No space left on device" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["empty.json"]
 
-    def test_tx_inside_building_is_input_error(self, capsys):
-        db = str(demo.scene_path("slab"))
-        assert main(["los-prob", "--db", db, "--tx", "15,0,1.5"]) == 2
-        err = capsys.readouterr().err
-        assert "tx position invalid" in err
-        assert "building 0" in err
-
-    def test_missing_db_file(self, tmp_path, capsys):
-        assert main(["los-prob", "--db", str(tmp_path / "nope.json"), "--tx", "0,0,10"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_malformed_db(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["los-prob", "--db", str(bad), "--tx", "0,0,10"]) == 2
-
-    def test_bad_tx_string(self, tmp_path):
-        db = write_empty_db(tmp_path / "empty.json")
-        assert main(["los-prob", "--db", db, "--tx", "1,2"]) == 2
-
-    def test_oversized_inputs_are_input_errors(self, tmp_path, capsys):
-        db = write_empty_db(tmp_path / "empty.json")
-        assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--step", "1e-9"]) == 2
-        assert "more than 1000000 points" in capsys.readouterr().err
-        assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--n-points", "2000000"]) == 2
-        assert "n_points" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("height", ["nan", "inf", "-inf"])
-    def test_non_finite_rx_height_is_input_error(self, height, capsys):
-        db = str(demo.scene_path("tower"))
-        tx = ",".join(str(v) for v in demo.tx_site("tower").position.to_array())
-        assert main(["los-prob", "--db", db, "--tx", tx, f"--rx-height={height}"]) == 2
-        assert "rx_height_m must be finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("args, message", [
-        (["--tx=0,0,-3"], "tx z must be >= 0"),
-        (["--tx=0,0,17", "--rx-height=-5"], "rx_height_m must be >= 0"),
-    ])
-    def test_below_ground_is_input_error(self, args, message, capsys):
-        db = str(demo.scene_path("tower"))
-        assert main(["los-prob", "--db", db, *args]) == 2
-        assert message in capsys.readouterr().err
-
-    def test_ground_level_receivers_allowed(self, capsys):
-        db = str(demo.scene_path("slab"))
-        assert main(["los-prob", "--db", db, "--tx", "0,0,7", "--rx-height=0", "--rmax", "20"]) == 0
-        assert capsys.readouterr().out.startswith("radius_m,p_los,valid\n")
+    test_missing_output_directory_is_input_error = contract_test("los-prob-out-missing-dir")
+    test_tx_inside_building_is_input_error = contract_test("los-prob-tx-inside-building")
+    test_missing_db_file = contract_test("los-prob-missing-db")
+    test_malformed_db = contract_test("los-prob-malformed-db")
+    test_bad_tx_string = contract_test("los-prob-tx-two-parts")
+    test_oversized_inputs_are_input_errors = contract_test("los-prob-step-tiny", "los-prob-n-points-over-cap")
+    test_non_finite_rx_height_is_input_error = contract_test(
+        "los-prob-tower-rx-height-nan", "los-prob-tower-rx-height-inf", "los-prob-tower-rx-height-minus-inf",
+        ids=["nan", "inf", "-inf"])
+    test_below_ground_is_input_error = contract_test(
+        "los-prob-tx-below-ground", "los-prob-tower-rx-height-negative",
+        ids=["args0-tx z must be >= 0", "args1-rx_height_m must be >= 0"])
+    test_ground_level_receivers_allowed = contract_test("los-prob-ground-level-receivers")
 
 
 class TestFitPlos:
@@ -146,37 +136,17 @@ class TestFitPlos:
         doc = json.loads(capsys.readouterr().out)
         assert doc["d_bp_m"] == 27.0
 
-    def test_malformed_curve(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("radius_m,p_los,valid\nten,0.5,1\n")
-        assert main(["fit-plos", str(bad)]) == 2
-        assert str(bad) in capsys.readouterr().err
-
-    def test_mean_of_mismatched_grids_is_input_error(self, tmp_path, capsys):
-        a = synth_curve_csv(tmp_path / "a.csv")
-        b = tmp_path / "b.csv"
-        b.write_text("radius_m,p_los,valid\n10,1,1\n20,0.5,1\n")
-        assert main(["fit-plos", a, str(b), "--mean"]) == 2
-        assert "mismatched radius grid" in capsys.readouterr().err
-
-    def test_too_few_valid_points_is_numerical_error(self, tmp_path, capsys):
-        sparse = tmp_path / "sparse.csv"
-        sparse.write_text("radius_m,p_los,valid\n10,1,1\n20,nan,0\n")
-        assert main(["fit-plos", str(sparse)]) == 1
-        assert "at least 2 valid" in capsys.readouterr().err
-
     def test_too_many_radii_is_input_error(self, tmp_path, monkeypatch, capsys):
         curve = synth_curve_csv(tmp_path / "curve.csv")
         monkeypatch.setattr(los_probability, "MAX_GRID_POINTS", 190)
         assert main(["fit-plos", curve]) == 2
         assert capsys.readouterr().err == f"error: {curve}: curve CSV must hold at most 190 rows, got 191\n"
 
-    @pytest.mark.parametrize("radius", ["0", "-5"])
-    def test_non_positive_radius_is_input_error(self, tmp_path, capsys, radius):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(f"radius_m,p_los,valid\n{radius},1,1\n10,0.5,1\n20,0.25,1\n")
-        assert main(["fit-plos", str(bad)]) == 2
-        assert "positive and finite" in capsys.readouterr().err
+    test_malformed_curve = contract_test("fit-plos-malformed-row")
+    test_mean_of_mismatched_grids_is_input_error = contract_test("fit-plos-mean-mismatched-grid")
+    test_too_few_valid_points_is_numerical_error = contract_test("fit-plos-too-few-valid")
+    test_non_positive_radius_is_input_error = contract_test(
+        "fit-plos-zero-radius", "fit-plos-negative-radius", ids=["0", "-5"])
 
 
 class TestPathloss:
@@ -203,54 +173,18 @@ class TestPathloss:
         assert main(argv) == 0
         assert capsys.readouterr().out == from_preset
 
-    def test_preset_and_explicit_conflict(self, capsys):
-        argv = ["pathloss", "--preset", "28GHz-NYC", "--frequency", "28e9"]
-        assert main(argv) == 2
-        assert "not both" in capsys.readouterr().err
-
-    def test_incomplete_explicit_model(self, capsys):
-        assert main(["pathloss", "--frequency", "28e9"]) == 2
-        assert "--los-exponent" in capsys.readouterr().err
-
-    def test_floating_family_needs_line_parameters(self, capsys):
-        argv = [
-            "pathloss", "--nlos", "floating", "--frequency", "73.5e9",
-            "--los-exponent", "2.0", "--los-sigma", "4.8", "--nlos-sigma", "7.8",
-        ]
-        assert main(argv) == 2
-        assert "--nlos-intercept" in capsys.readouterr().err
-
-    def test_distance_below_reference_is_input_error(self, capsys):
-        assert main(["pathloss", "--preset", "28GHz-NYC", "--rmin", "0.5"]) == 2
-        assert "--rmin must be >= 1 m" in capsys.readouterr().err
-
-    def test_oversized_grid_is_input_error(self, capsys):
-        assert main(["pathloss", "--preset", "28GHz-NYC", "--step", "1e-9"]) == 2
-        assert "more than 1000000 points" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", [["pathloss"], ["outage", "--threshold", "130"]])
-    def test_frequency_with_overflowing_fspl_is_input_error(self, command, capsys):
-        argv = command + ["--frequency", "1e308", "--los-exponent", "2", "--los-sigma", "1",
-                          "--nlos-exponent", "3", "--nlos-sigma", "1"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: frequency_hz is too large for a finite free-space path loss, "
-                                "got 1e+308\n")
+    test_preset_and_explicit_conflict = contract_test("pathloss-preset-and-explicit")
+    test_incomplete_explicit_model = contract_test("pathloss-incomplete-explicit")
+    test_floating_family_needs_line_parameters = contract_test("pathloss-floating-no-line-float-exponent")
+    test_distance_below_reference_is_input_error = contract_test("pathloss-rmin-below-reference")
+    test_oversized_grid_is_input_error = contract_test("pathloss-step-tiny")
+    test_frequency_with_overflowing_fspl_is_input_error = contract_test(
+        "pathloss-frequency-fspl-overflow", "outage-frequency-fspl-overflow", ids=["command0", "command1"])
 
 
 class TestFit:
-    def close_in_csv(self, path, exponent=3.4, condition="NLOS"):
-        model = pathloss.CloseInModel(28e9, exponent, 0.0)
-        samples = [
-            fitting.PathLossSample(float(d), float(pathloss.mean_pl_close_in(model, float(d))), condition)
-            for d in range(30, 201, 10)
-        ]
-        path.write_text(fitting.samples_to_csv(samples))
-        return str(path)
-
     def test_close_in_round_trip(self, tmp_path, capsys):
-        csv = self.close_in_csv(tmp_path / "nlos.csv")
+        csv = close_in_csv(tmp_path / "nlos.csv")
         argv = ["fit", csv, "--model", "close-in", "--condition", "NLOS", "--frequency", "28e9"]
         assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -275,27 +209,6 @@ class TestFit:
         assert np.isclose(doc["slope"], 2.9, atol=1e-4)
         assert doc["valid_range_m"] == [30.0, 200.0]
 
-    def test_close_in_needs_frequency(self, tmp_path, capsys):
-        csv = self.close_in_csv(tmp_path / "nlos.csv")
-        assert main(["fit", csv, "--model", "close-in", "--condition", "NLOS"]) == 2
-        assert "--frequency" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("frequency", ["0", "-28e9", "nan", "inf"])
-    def test_bad_frequency_is_input_error(self, frequency, tmp_path, capsys):
-        csv = self.close_in_csv(tmp_path / "nlos.csv")
-        argv = ["fit", csv, "--model", "close-in", "--condition", "NLOS", f"--frequency={frequency}"]
-        assert main(argv) == 2
-        assert "--frequency must be positive and finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("frequency", ["28e9", "nan"])
-    def test_frequency_with_floating_is_input_error(self, frequency, tmp_path, capsys):
-        csv = self.close_in_csv(tmp_path / "nlos.csv")
-        argv = ["fit", csv, "--model", "floating", "--condition", "NLOS", f"--frequency={frequency}"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--frequency applies to --model close-in only" in captured.err
-
     def test_condition_filter(self, tmp_path, capsys):
         los = pathloss.CloseInModel(28e9, 2.1, 0.0)
         nlos = pathloss.CloseInModel(28e9, 3.4, 0.0)
@@ -310,29 +223,21 @@ class TestFit:
         doc = json.loads(capsys.readouterr().out)
         assert np.isclose(doc["exponent"], 2.1, atol=1e-4)
 
-    def test_underdetermined_fit_is_numerical_error(self, tmp_path, capsys):
-        csv = tmp_path / "one.csv"
-        csv.write_text("d_m,pl_db,condition\n50,120,NLOS\n")
-        argv = ["fit", str(csv), "--model", "close-in", "--condition", "NLOS", "--frequency", "28e9"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_missing_samples_file(self, tmp_path, capsys):
-        argv = ["fit", str(tmp_path / "nope.csv"), "--model", "floating", "--condition", "NLOS"]
-        assert main(argv) == 2
-
-    def test_frequency_with_overflowing_fspl_is_input_error(self, tmp_path, capsys):
-        csv = self.close_in_csv(tmp_path / "nlos.csv")
-        argv = ["fit", csv, "--model", "close-in", "--condition", "NLOS", "--frequency", "1e308"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == ("error: frequency_hz is too large for a finite free-space "
-                                           "path loss, got 1e+308\n")
-
     def test_too_many_rows_is_input_error(self, tmp_path, monkeypatch, capsys):
-        csv = self.close_in_csv(tmp_path / "nlos.csv")  # 18 rows
+        csv = close_in_csv(tmp_path / "nlos.csv")  # 18 rows
         monkeypatch.setattr(los_probability, "MAX_GRID_POINTS", 17)
         assert main(["fit", csv, "--model", "floating", "--condition", "NLOS"]) == 2
         assert capsys.readouterr().err == f"error: {csv}: samples CSV must hold at most 17 rows, got 18\n"
+
+    test_close_in_needs_frequency = contract_test("fit-nlos-close-in-no-frequency")
+    test_bad_frequency_is_input_error = contract_test(
+        "fit-nlos-frequency-zero", "fit-nlos-frequency-negative", "fit-nlos-frequency-nan", "fit-nlos-frequency-inf",
+        ids=["0", "-28e9", "nan", "inf"])
+    test_frequency_with_floating_is_input_error = contract_test(
+        "fit-nlos-frequency-with-floating", "fit-nlos-frequency-nan-with-floating", ids=["28e9", "nan"])
+    test_underdetermined_fit_is_numerical_error = contract_test("fit-one-sample")
+    test_missing_samples_file = contract_test("fit-missing-file")
+    test_frequency_with_overflowing_fspl_is_input_error = contract_test("fit-nlos-frequency-fspl-overflow")
 
 
 class TestOutage:
@@ -353,10 +258,6 @@ class TestOutage:
         first = capsys.readouterr().out
         assert main(self.BASE) == 0
         assert capsys.readouterr().out == first
-
-    def test_monte_carlo_requires_seed(self, capsys):
-        assert main(self.BASE + ["--monte-carlo", "1000"]) == 2
-        assert "--seed" in capsys.readouterr().err
 
     def test_monte_carlo_column(self, capsys):
         argv = self.BASE + ["--monte-carlo", "20000", "--seed", "9"]
@@ -402,29 +303,14 @@ class TestOutage:
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("extra", [["--monte-carlo", "10"], []])
-    def test_negative_seed_is_input_error(self, extra, capsys):
-        assert main(self.BASE + extra + ["--seed", "-1"]) == 2
-        assert "--seed must be >= 0" in capsys.readouterr().err
-
-    def test_nonpositive_draw_count(self, capsys):
-        assert main(self.BASE + ["--monte-carlo", "0", "--seed", "1"]) == 2
-
-    @pytest.mark.parametrize("count", [los_probability.MAX_GRID_POINTS + 1, 10**12])
-    def test_draw_count_capped_before_sampling(self, count, capsys):
-        assert main(self.BASE + ["--monte-carlo", str(count), "--seed", "1"]) == 2
-        assert "between 1 and 1000000" in capsys.readouterr().err
-
-    def test_distance_below_reference_is_input_error(self, capsys):
-        assert main(["outage", "--preset", "28GHz-NYC", "--threshold", "130", "--rmin", "0.5"]) == 2
-        assert "--rmin must be >= 1 m" in capsys.readouterr().err
-
-    def test_tiny_alpha_runs_without_warning(self, capsys):
-        # d / alpha overflows; under the suite's RuntimeWarning filter a warning fails here
-        assert main(self.BASE + ["--alpha", "1e-320"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert captured.out.startswith("d_m,coverage,outage\n50,")
+    test_monte_carlo_requires_seed = contract_test("outage-grid-monte-carlo-no-seed")
+    test_negative_seed_is_input_error = contract_test(
+        "outage-grid-monte-carlo-seed-negative", "outage-grid-seed-negative", ids=["extra0", "extra1"])
+    test_nonpositive_draw_count = contract_test("outage-grid-monte-carlo-zero")
+    test_draw_count_capped_before_sampling = contract_test(
+        "outage-grid-monte-carlo-over-cap", "outage-grid-monte-carlo-far-over-cap", ids=["1000001", "1000000000000"])
+    test_distance_below_reference_is_input_error = contract_test("outage-rmin-below-reference")
+    test_tiny_alpha_runs_without_warning = contract_test("outage-alpha-tiny")
 
 
 class TestEntryPoint:
@@ -458,7 +344,8 @@ def write_contract_inputs(tmp_path):
     huge = "1" + "0" * 400  # an integer literal beyond float range
     (tmp_path / "huge-corner.json").write_text(f'{{"name": "h", "buildings": [{{"min": [0, 0, 0], "max": [{huge}, 1, 1]}}]}}')
     (tmp_path / "huge-origin.json").write_text(f'{{"name": "h", "origin": {{"lat": {huge}, "lon": 0}}, "buildings": []}}')
-    (tmp_path / "subdir").mkdir()
+    (tmp_path / "bool-origin.json").write_text('{"name": "b", "origin": {"lat": true, "lon": false}, "buildings": []}')
+    (tmp_path / "subdir").mkdir(exist_ok=True)
     synth_curve_csv(tmp_path / "curve.csv")
     synth_curve_csv(tmp_path / "curve36.csv", los_probability.LosProbParams(36.0, 71.0))
     (tmp_path / "bad.csv").write_text("radius_m,p_los,valid\nten,0.5,1\n")
@@ -474,6 +361,7 @@ def write_contract_inputs(tmp_path):
         samples.append(fitting.PathLossSample(float(d), pathloss.mean_pl_close_in(los, float(d)) + ripple, "LOS"))
         samples.append(fitting.PathLossSample(float(d), pathloss.mean_pl_floating(nlos, float(d))[0] - ripple, "NLOS"))
     (tmp_path / "samples.csv").write_text(fitting.samples_to_csv(samples))
+    close_in_csv(tmp_path / "nlos.csv")
     (tmp_path / "short-distance.csv").write_text("d_m,pl_db,condition\n0.5,120,NLOS\n")
     (tmp_path / "one.csv").write_text("d_m,pl_db,condition\n50,120,NLOS\n")
     (tmp_path / "coincident.csv").write_text("d_m,pl_db,condition\n50,120,NLOS\n50,121,NLOS\n")
@@ -509,6 +397,8 @@ CONTRACT = [
      2, "building 0 'max': int too large to convert to float", EMPTY),
     ("los-prob-db-huge-origin", "los-prob --db {tmp}/huge-origin.json --tx 0,0,10",
      2, "'origin': int too large to convert to float", EMPTY),
+    ("los-prob-db-bool-origin", "los-prob --db {tmp}/bool-origin.json --tx 0,0,10",
+     2, "'origin' must be an object with numeric lat/lon", EMPTY),
     ("los-prob-tx-two-parts", "los-prob --db {tmp}/empty.json --tx 1,2",
      2, "expected x,y,z with three components, got '1,2'", EMPTY),
     ("los-prob-tx-not-numbers", "los-prob --db {tmp}/empty.json --tx a,b,c",
@@ -532,6 +422,14 @@ CONTRACT = [
     ("los-prob-rx-height-minus-inf", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rx-height=-inf",
      2, "rx_height_m must be finite, got -inf", EMPTY),
     ("los-prob-rx-height-negative", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rx-height=-5",
+     2, "rx_height_m must be >= 0 (ground level), got -5", EMPTY),
+    ("los-prob-tower-rx-height-nan", "los-prob --db {scenes}/tower.json --tx 0.0,0.0,17.0 --rx-height=nan",
+     2, "rx_height_m must be finite, got nan", EMPTY),
+    ("los-prob-tower-rx-height-inf", "los-prob --db {scenes}/tower.json --tx 0.0,0.0,17.0 --rx-height=inf",
+     2, "rx_height_m must be finite, got inf", EMPTY),
+    ("los-prob-tower-rx-height-minus-inf", "los-prob --db {scenes}/tower.json --tx 0.0,0.0,17.0 --rx-height=-inf",
+     2, "rx_height_m must be finite, got -inf", EMPTY),
+    ("los-prob-tower-rx-height-negative", "los-prob --db {scenes}/tower.json --tx=0,0,17 --rx-height=-5",
      2, "rx_height_m must be >= 0 (ground level), got -5", EMPTY),
     ("los-prob-rmax-below-rmin", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rmin 50 --rmax 20",
      2, "r_max must be >= r_min, got r_min=50 r_max=20", EMPTY),
@@ -589,6 +487,8 @@ CONTRACT = [
      2, "--nlos close-in needs --nlos-exponent", EMPTY),
     ("pathloss-floating-no-line", "pathloss --nlos floating --frequency 73.5e9 --los-exponent 2 --los-sigma 4.8 --nlos-sigma 7.8",
      2, "--nlos floating needs --nlos-intercept and --nlos-slope", EMPTY),
+    ("pathloss-floating-no-line-float-exponent", "pathloss --nlos floating --frequency 73.5e9 --los-exponent 2.0 --los-sigma 4.8 --nlos-sigma 7.8",
+     2, "--nlos floating needs --nlos-intercept and --nlos-slope", EMPTY),
     ("pathloss-frequency-negative", "pathloss --frequency=-28e9 --los-exponent 2.1 --los-sigma 3.6 --nlos-exponent 3.4 --nlos-sigma 9.7",
      2, "frequency_hz must be positive, got -28000000000.0", EMPTY),
     ("pathloss-frequency-fspl-overflow", "pathloss --frequency 1e308 --los-exponent 2 --los-sigma 1 --nlos-exponent 3 --nlos-sigma 1",
@@ -611,6 +511,10 @@ CONTRACT = [
      2, "grid of 10 to 200 m in 1e-09 m steps has more than 1000000 points", EMPTY),
     ("pathloss-step-inf", "pathloss --preset 28GHz-NYC --step inf",
      2, "r_min and step must be finite, got r_min=10 step=inf", EMPTY),
+    ("pathloss-mean-overflow", "pathloss --frequency 28e9 --los-exponent 1e308 --los-sigma 1 --nlos-exponent 3 --nlos-sigma 1 --rmin 1 --rmax 2",
+     2, "mean path loss is not finite at 1 m", EMPTY),
+    ("pathloss-sigma-overflow", "pathloss --frequency 28e9 --los-exponent 2.1 --los-sigma 1e200 --nlos-exponent 3.4 --nlos-sigma 9.7",
+     2, "shadowing spread is not finite at 10 m", EMPTY),
     ("fit-close-in", "fit {tmp}/samples.csv --model close-in --condition NLOS --frequency 28e9",
      0, None, "ecefd33078e89819036440eaad4d6a9d470bd93f328abf8baf23688782b89b18"),
     ("fit-close-in-los", "fit {tmp}/samples.csv --model close-in --condition LOS --frequency 28e9",
@@ -642,6 +546,22 @@ CONTRACT = [
     ("fit-frequency-with-floating", "fit {tmp}/samples.csv --model floating --condition NLOS --frequency 28e9",
      2, "--frequency applies to --model close-in only", EMPTY),
     ("fit-frequency-nan-with-floating", "fit {tmp}/samples.csv --model floating --condition NLOS --frequency=nan",
+     2, "--frequency applies to --model close-in only", EMPTY),
+    ("fit-nlos-close-in-no-frequency", "fit {tmp}/nlos.csv --model close-in --condition NLOS",
+     2, "--model close-in needs --frequency", EMPTY),
+    ("fit-nlos-frequency-zero", "fit {tmp}/nlos.csv --model close-in --condition NLOS --frequency=0",
+     2, "--frequency must be positive and finite, got 0", EMPTY),
+    ("fit-nlos-frequency-negative", "fit {tmp}/nlos.csv --model close-in --condition NLOS --frequency=-28e9",
+     2, "--frequency must be positive and finite, got -2.8e+10", EMPTY),
+    ("fit-nlos-frequency-nan", "fit {tmp}/nlos.csv --model close-in --condition NLOS --frequency=nan",
+     2, "--frequency must be positive and finite, got nan", EMPTY),
+    ("fit-nlos-frequency-inf", "fit {tmp}/nlos.csv --model close-in --condition NLOS --frequency=inf",
+     2, "--frequency must be positive and finite, got inf", EMPTY),
+    ("fit-nlos-frequency-fspl-overflow", "fit {tmp}/nlos.csv --model close-in --condition NLOS --frequency 1e308",
+     2, "frequency_hz is too large for a finite free-space path loss, got 1e+308", EMPTY),
+    ("fit-nlos-frequency-with-floating", "fit {tmp}/nlos.csv --model floating --condition NLOS --frequency=28e9",
+     2, "--frequency applies to --model close-in only", EMPTY),
+    ("fit-nlos-frequency-nan-with-floating", "fit {tmp}/nlos.csv --model floating --condition NLOS --frequency=nan",
      2, "--frequency applies to --model close-in only", EMPTY),
     ("fit-one-sample", "fit {tmp}/one.csv --model close-in --condition NLOS --frequency 28e9",
      1, "fit requires at least 2 samples", EMPTY),
@@ -689,15 +609,39 @@ CONTRACT = [
      2, "grid of 10 to 200 m in 1e-09 m steps has more than 1000000 points", EMPTY),
     ("outage-step-inf", "outage --preset 28GHz-NYC --threshold 130 --step inf",
      2, "r_min and step must be finite, got r_min=10 step=inf", EMPTY),
+    ("outage-sigma-overflow", "outage --threshold 130 --frequency 28e9 --los-exponent 2.1 --los-sigma 1e200 --nlos-exponent 3.4 --nlos-sigma 9.7 --monte-carlo 10 --seed 1",
+     2, "shadowing spread is not finite at 10 m", EMPTY),
+    # on the 50, 100, 150 m grid
+    ("outage-grid-monte-carlo-no-seed", "outage --preset 28GHz-NYC --threshold 130 --rmin 50 --rmax 150 --step 50 --monte-carlo 1000",
+     2, "--monte-carlo requires --seed for reproducibility", EMPTY),
+    ("outage-grid-monte-carlo-zero", "outage --preset 28GHz-NYC --threshold 130 --rmin 50 --rmax 150 --step 50 --monte-carlo 0 --seed 1",
+     2, "--monte-carlo draw count must be between 1 and 1000000, got 0", EMPTY),
+    ("outage-grid-monte-carlo-over-cap", "outage --preset 28GHz-NYC --threshold 130 --rmin 50 --rmax 150 --step 50 --monte-carlo 1000001 --seed 1",
+     2, "--monte-carlo draw count must be between 1 and 1000000, got 1000001", EMPTY),
+    ("outage-grid-monte-carlo-far-over-cap", "outage --preset 28GHz-NYC --threshold 130 --rmin 50 --rmax 150 --step 50 --monte-carlo 1000000000000 --seed 1",
+     2, "--monte-carlo draw count must be between 1 and 1000000, got 1000000000000", EMPTY),
+    ("outage-grid-seed-negative", "outage --preset 28GHz-NYC --threshold 130 --rmin 50 --rmax 150 --step 50 --seed -1",
+     2, "--seed must be >= 0, got -1", EMPTY),
+    ("outage-grid-monte-carlo-seed-negative", "outage --preset 28GHz-NYC --threshold 130 --rmin 50 --rmax 150 --step 50 --monte-carlo 10 --seed -1",
+     2, "--seed must be >= 0, got -1", EMPTY),
 ]
 
 
-@pytest.mark.parametrize("argv, code, message, digest", [case[1:] for case in CONTRACT],
-                         ids=[case[0] for case in CONTRACT])
-def test_cli_contract(argv, code, message, digest, tmp_path, capsys):
+ROWS = {case[0]: case[1:] for case in CONTRACT}
+assert len(ROWS) == len(CONTRACT), "CONTRACT row names must be unique"
+
+
+def check_contract_row(name, tmp_path, capsys):
+    """Run CONTRACT row ``name``: its exit code, its one stderr line and its stdout digest."""
+    argv, code, message, digest = ROWS[name]
     write_contract_inputs(tmp_path)
     scenes = str(demo.scene_path("slab").parent)
     assert main([a.format(tmp=tmp_path, scenes=scenes) for a in argv.split()]) == code
     captured = capsys.readouterr()
     assert captured.err.replace(str(tmp_path), "<tmp>") == ("" if message is None else f"error: {message}\n")
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", list(ROWS))
+def test_cli_contract(name, tmp_path, capsys):
+    check_contract_row(name, tmp_path, capsys)

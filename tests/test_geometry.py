@@ -40,8 +40,8 @@ from oracles import (
 UNIT_BOX = Box3(Point3(0, 0, 0), Point3(10, 10, 10))
 
 # Every way parse_building_db rejects a building entry: the `buildings` list
-# as JSON text, and the exact message.  The last case has a degenerate entry 1
-# and a malformed entry 3: the first bad entry in document order is reported.
+# as JSON text, and the exact message.  first-bad-entry-wins has a degenerate
+# entry 1 and a malformed entry 3: the first bad entry in document order is reported.
 OK = '{"min": [0, 0, 0], "max": [1, 1, 1]}'
 DEGENERATE = "degenerate box: min corner must be strictly below max corner on every axis, got "
 ENTRY_REJECTIONS = [
@@ -61,7 +61,43 @@ ENTRY_REJECTIONS = [
     ("below-ground", '[{"min": [0, 0, -0.5], "max": [1, 1, 1]}]', "building 0: box base height must be >= 0, got -0.5"),
     ("first-bad-entry-wins", f'[{OK}, {{"min": [5, 5, 0], "max": [5, 6, 1]}}, {OK}, {{"min": [0, 0, 0]}}]',
      f"building 1: {DEGENERATE}min=(5, 5, 0) max=(5, 6, 1)"),
+    ("degenerate-second-entry", f'[{OK}, {{"min": [5, 5, 0], "max": [5, 6, 1]}}]',
+     f"building 1: {DEGENERATE}min=(5, 5, 0) max=(5, 6, 1)"),
 ]
+# The rejections of a whole document, as JSON text, and the exact message.
+LITERAL = '{"name": "x", "buildings": [{"min": [0, 0, %s], "max": [1, 1, 1]}]}'
+DOCUMENT_REJECTIONS = [
+    ("malformed-json", "{not json",
+     "invalid building DB document: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("non-object", "[1, 2]", "building DB document must be a JSON object"),
+    ("missing-name", '{"buildings": []}', "building DB document requires a text 'name' field"),
+    ("missing-buildings", '{"name": "x"}', "building DB document requires a 'buildings' list"),
+    ("NaN-literal", LITERAL % "NaN", "non-finite numeric literal 'NaN' in building DB"),
+    ("Infinity-literal", LITERAL % "Infinity", "non-finite numeric literal 'Infinity' in building DB"),
+    ("-Infinity-literal", LITERAL % "-Infinity", "non-finite numeric literal '-Infinity' in building DB"),
+    ("bool-origin", '{"name": "x", "origin": {"lat": true, "lon": false}, "buildings": []}',
+     "'origin' must be an object with numeric lat/lon"),
+]
+# both tables by row name: the document and the message
+REJECTIONS = {name: ('{"name": "x", "buildings": %s}' % buildings, message) for name, buildings, message in ENTRY_REJECTIONS}
+REJECTIONS.update({name: (text, message) for name, text, message in DOCUMENT_REJECTIONS})
+
+
+def rejected(name):
+    """Check that parse_building_db rejects the document of REJECTIONS row ``name`` with its exact message."""
+    text, message = REJECTIONS[name]
+    with pytest.raises(BuildingDBError) as exc:
+        parse_building_db(text)
+    assert str(exc.value) == message
+
+
+def rejection_test(*names):
+    """A test of the named REJECTIONS rows; the one-off tests that the tables absorbed keep their ids this way."""
+    def test(self):
+        for name in names:
+            rejected(name)
+    return test
+
 
 SMALL = st.one_of(st.integers(-1000, 1000), st.floats(-1000, 1000))
 # integers and floats around 2**53 and 2**63, where neighbouring integers share one float
@@ -197,59 +233,26 @@ class TestParsing:
         doc = {"name": "o", "origin": {"lat": 40.73, "lon": -74.0}, "buildings": []}
         assert parse_building_db(json.dumps(doc)).origin_latlon == (40.73, -74.0)
 
-    def test_rejects_malformed_json(self):
-        with pytest.raises(BuildingDBError):
-            parse_building_db("{not json")
-
-    def test_rejects_non_object(self):
-        with pytest.raises(BuildingDBError):
-            parse_building_db("[1, 2]")
-
-    def test_rejects_missing_fields(self):
-        with pytest.raises(BuildingDBError):
-            parse_building_db('{"buildings": []}')
-        with pytest.raises(BuildingDBError):
-            parse_building_db('{"name": "x"}')
-
-    def test_rejects_nan_and_infinity_literals(self):
-        base = '{"name": "x", "buildings": [{"min": [0, 0, %s], "max": [1, 1, 1]}]}'
-        for literal in ("NaN", "Infinity", "-Infinity"):
-            with pytest.raises(BuildingDBError):
-                parse_building_db(base % literal)
-
-    def test_rejects_overflowing_float(self):
-        # 1e999 parses to inf without touching the constant hook
-        text = '{"name": "x", "buildings": [{"min": [0, 0, 0], "max": [1e999, 1, 1]}]}'
-        with pytest.raises(BuildingDBError):
-            parse_building_db(text)
-
-    def test_degenerate_box_names_index(self):
-        doc = {
-            "name": "x",
-            "buildings": [
-                {"min": [0, 0, 0], "max": [1, 1, 1]},
-                {"min": [5, 5, 0], "max": [5, 6, 1]},
-            ],
-        }
-        with pytest.raises(BuildingDBError, match="building 1"):
-            parse_building_db(json.dumps(doc))
-
-    def test_negative_base_height_rejected(self):
-        doc = {"name": "x", "buildings": [{"min": [0, 0, -0.5], "max": [1, 1, 1]}]}
-        with pytest.raises(BuildingDBError):
-            parse_building_db(json.dumps(doc))
-
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "db.json"
         path.write_text('{"name": "f", "buildings": []}')
         assert load_building_db(path).name == "f"
 
-    @pytest.mark.parametrize("buildings, message", [case[1:] for case in ENTRY_REJECTIONS],
-                             ids=[case[0] for case in ENTRY_REJECTIONS])
-    def test_entry_rejection_message(self, buildings, message):
-        with pytest.raises(BuildingDBError) as exc:
-            parse_building_db('{"name": "x", "buildings": %s}' % buildings)
-        assert str(exc.value) == message
+    @pytest.mark.parametrize("name", [case[0] for case in ENTRY_REJECTIONS])
+    def test_entry_rejection_message(self, name):
+        rejected(name)
+
+    @pytest.mark.parametrize("name", [case[0] for case in DOCUMENT_REJECTIONS])
+    def test_document_rejection_message(self, name):
+        rejected(name)
+
+    test_rejects_malformed_json = rejection_test("malformed-json")
+    test_rejects_non_object = rejection_test("non-object")
+    test_rejects_missing_fields = rejection_test("missing-name", "missing-buildings")
+    test_rejects_nan_and_infinity_literals = rejection_test("NaN-literal", "Infinity-literal", "-Infinity-literal")
+    test_rejects_overflowing_float = rejection_test("overflowing-float")  # 1e999 is inf without the constant hook
+    test_degenerate_box_names_index = rejection_test("degenerate-second-entry")
+    test_negative_base_height_rejected = rejection_test("below-ground")
 
     @settings(max_examples=300, deadline=None)
     @given(building_documents())
