@@ -87,8 +87,8 @@ def _model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(pathloss.PRESETS), help="published parameter set")
     parser.add_argument("--nlos", choices=["close-in", "floating"], default="close-in",
                         help="NLOS model family")
-    parser.add_argument("--dbp", type=float, default=27.0, help="LOS probability breakpoint, m")
-    parser.add_argument("--alpha", type=float, default=71.0, help="LOS probability decay, m")
+    parser.add_argument("--dbp", type=float, default=pathloss.DEFAULT_P_LOS_PARAMS.d_bp_m, help="LOS probability breakpoint, m")
+    parser.add_argument("--alpha", type=float, default=pathloss.DEFAULT_P_LOS_PARAMS.alpha_m, help="LOS probability decay, m")
     parser.add_argument("--frequency", type=float, help="carrier frequency in Hz (explicit models)")
     parser.add_argument("--los-exponent", type=float, help="LOS close-in exponent")
     parser.add_argument("--los-sigma", type=float, help="LOS shadowing spread, dB")
@@ -212,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True, help="building DB JSON document")
     p.add_argument("--tx", required=True, help="transmitter position as x,y,z in meters")
     _grid_args(p)
-    p.add_argument("--n-points", type=int, default=100, help="circle positions per radius")
-    p.add_argument("--rx-height", type=float, default=1.5, help="receiver height, m")
+    p.add_argument("--n-points", type=int, default=los_probability.DEFAULT_N_POINTS, help="circle positions per radius")
+    p.add_argument("--rx-height", type=float, default=los_probability.DEFAULT_RX_HEIGHT_M, help="receiver height, m")
     p.add_argument("--interior-nlos", action="store_true",
                    help="count in-building circle positions as NLOS instead of dropping them")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")

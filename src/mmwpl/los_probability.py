@@ -8,6 +8,7 @@ curves by exhaustive mean-squared-error search.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,39 +152,6 @@ def _circle_los(db: BuildingDB, tx: Point3, radii: np.ndarray, n_points: int,
         return np.where(n_exterior > 0, n_los / denominator, np.nan)
 
 
-def los_probability_at_radius(
-    db: BuildingDB,
-    tx: Point3,
-    radius_m: float,
-    n_points: int = DEFAULT_N_POINTS,
-    rx_height_m: float = DEFAULT_RX_HEIGHT_M,
-    interior_counts_as_nlos: bool = False,
-) -> float | None:
-    """Fraction of circle positions with line of sight to the transmitter.
-
-    ``n_points`` receiver positions are spread evenly around a circle of the
-    given radius centered on the transmitter's ground position, at height
-    ``rx_height_m``, starting on the +x axis.  Positions strictly inside a
-    building are dropped from both numerator and denominator; pass
-    ``interior_counts_as_nlos=True`` to keep them in the denominator as NLOS
-    instead.
-
-    Returns None when every position is interior (the probability is
-    undefined at that radius).
-
-    Raises:
-        PointInsideBuildingError: when the transmitter is inside a building.
-        ValueError: on a non-positive or infinite radius, a non-finite or negative
-            receiver height, a transmitter below ground (z < 0), or fewer
-            than 4 or more than MAX_GRID_POINTS points.
-    """
-    if not 0 < radius_m < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius_m:g}")
-    radii = np.array([float(radius_m)])
-    p = _circle_los(db, tx, radii, n_points, rx_height_m, interior_counts_as_nlos)[0]
-    return None if np.isnan(p) else float(p)
-
-
 def los_probability_curve(
     db: BuildingDB,
     tx: Point3,
@@ -196,8 +164,16 @@ def los_probability_curve(
 ) -> LosProbabilityCurve:
     """Sweep circle radii and collect the LOS probability at each.
 
-    Each radius is sampled as in los_probability_at_radius; radii where the
-    probability is undefined are masked invalid.
+    At each radius, ``n_points`` receiver positions are spread evenly around a
+    circle centered on the transmitter's ground position, at height
+    ``rx_height_m``, starting on the +x axis.  Positions strictly inside a
+    building are dropped from both counts, or counted as NLOS with
+    ``interior_counts_as_nlos=True``; a radius with none outside is invalid.  One
+    radius ``r`` alone is ``los_probability_curve(db, tx, r, r, 1.0)``.
+
+    Raises:
+        PointInsideBuildingError: when the transmitter is inside a building.
+        ValueError: on a bad grid (see radius_grid), receiver height or point count, or a transmitter below ground.
     """
     radii = radius_grid(r_min, r_max, step)
     p = _circle_los(db, tx, radii, n_points, rx_height_m, interior_counts_as_nlos)
@@ -391,18 +367,21 @@ def _table(header: str, *columns) -> str:
 def _rows(text: str, header: str, what: str) -> "list[list[str]]":
     """The fields of each row under ``header``, blank lines skipped; ``what`` names the table in errors.
 
-    Rows are counted against MAX_GRID_POINTS before any is split.
+    Rows are counted against MAX_GRID_POINTS in one lazy pass, before any line is copied out of ``text``.
 
     Raises:
         ValueError: on a wrong header, too many rows or a row whose field count differs from the header's.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != header:
+    # one match per non-blank line: \S is not str.isspace, and the class holds the str.splitlines boundaries
+    lines = re.finditer(r"\S[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*", text)
+    first = next(lines, None)
+    if first is None or first.group().strip() != header:
         raise ValueError(f"{what} CSV must start with header '{header}'")
-    if len(lines) - 1 > MAX_GRID_POINTS:
-        raise ValueError(f"{what} CSV must hold at most {MAX_GRID_POINTS} rows, got {len(lines) - 1}")
+    n_rows = sum(1 for _ in lines)
+    if n_rows > MAX_GRID_POINTS:
+        raise ValueError(f"{what} CSV must hold at most {MAX_GRID_POINTS} rows, got {n_rows}")
     width = header.count(",") + 1
-    rows = [ln.split(",") for ln in lines[1:]]
+    rows = [ln.split(",") for ln in text.splitlines() if ln.strip()][1:]
     for fields in rows:
         if len(fields) != width:
             raise ValueError(f"malformed {what} CSV row: {','.join(fields)!r}")

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .los_probability import LosProbParams, p_los_model
+from .los_probability import NYC_SITE_LOS_PARAMS, LosProbParams, p_los_model
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
 # The close-in model is anchored at this fixed free-space reference distance.
 REFERENCE_DISTANCE_M = 1.0
 
-DEFAULT_P_LOS_PARAMS = LosProbParams(27.0, 71.0)
+DEFAULT_P_LOS_PARAMS = NYC_SITE_LOS_PARAMS["all"]
 
 
 def fspl_at_reference(frequency_hz: float) -> float:
@@ -148,10 +148,10 @@ def _scalar_or_array(values, d_m):
     return float(values) if np.ndim(d_m) == 0 else values
 
 
-def _finite(values: np.ndarray, d: np.ndarray, what: str) -> np.ndarray:
-    """``values`` when all are finite, else a ValueError naming the first distance where one is not."""
+def _finite_mean(values: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Mean path loss ``values`` when all are finite, else a ValueError naming the first distance where one is not."""
     if not np.isfinite(values).all():
-        raise ValueError(f"{what} is not finite at {d[~np.isfinite(values)][0]:g} m")
+        raise ValueError(f"mean path loss is not finite at {d[~np.isfinite(values)][0]:g} m")
     return values
 
 
@@ -172,7 +172,7 @@ def mean_pl_close_in(model: CloseInModel, d_m):
     if not np.all(d >= REFERENCE_DISTANCE_M):  # NaN fails too
         raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = _finite(_log_distance_mean(model, d), d, "mean path loss")
+        mean = _finite_mean(_log_distance_mean(model, d), d)
     return _scalar_or_array(mean, d_m)
 
 
@@ -187,7 +187,7 @@ def mean_pl_floating(model: FloatingInterceptModel, d_m):
         raise ValueError("distances must be positive")
     lo, hi = model.valid_range_m
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _finite(_log_distance_mean(model, d), d, "mean path loss")
+        out = _finite_mean(_log_distance_mean(model, d), d)
     extrapolated = (d < lo) | (d > hi)
     if d.ndim == 0:
         return float(out), bool(extrapolated)
@@ -200,11 +200,14 @@ def _hybrid(model: HybridModel, d_m):
     if not np.all(d >= REFERENCE_DISTANCE_M):  # NaN fails too
         raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
     p = np.asarray(p_los_model(d, model.p_los))
+    s_los, s_nlos = p * model.los.shadow_std_db, (1.0 - p) * model.nlos.shadow_std_db
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite branch mean makes the mean non-finite
         mean = p * _log_distance_mean(model.los, d) + (1.0 - p) * _log_distance_mean(model.nlos, d)
         # np.square, not ** 2: libm pow on a Python float can differ in the last bit
-        var = np.square(p * model.los.shadow_std_db) + np.square((1.0 - p) * model.nlos.shadow_std_db)
-    return p, _finite(mean, d, "mean path loss"), _finite(np.sqrt(var), d, "shadowing spread")
+        sigma = np.sqrt(np.square(s_los) + np.square(s_nlos))
+    if not np.isfinite(sigma).all():  # the squares overflowed: np.hypot there only, it can differ in the last bit
+        sigma = np.where(np.isfinite(sigma), sigma, np.hypot(s_los, s_nlos))  # <= s_los + s_nlos: finite
+    return p, _finite_mean(mean, d), sigma
 
 
 def mean_pl_hybrid(model: HybridModel, d_m):

@@ -246,9 +246,6 @@ class TestParsing:
     def test_document_rejection_message(self, name):
         rejected(name)
 
-    test_rejects_malformed_json = rejection_test("malformed-json")
-    test_rejects_non_object = rejection_test("non-object")
-    test_rejects_missing_fields = rejection_test("missing-name", "missing-buildings")
     test_rejects_nan_and_infinity_literals = rejection_test("NaN-literal", "Infinity-literal", "-Infinity-literal")
     test_rejects_overflowing_float = rejection_test("overflowing-float")  # 1e999 is inf without the constant hook
     test_degenerate_box_names_index = rejection_test("degenerate-second-entry")

@@ -20,7 +20,6 @@ from mmwpl.los_probability import (
     curve_from_csv,
     curve_to_csv,
     fit_p_los,
-    los_probability_at_radius,
     los_probability_curve,
     mean_curve,
     p_los_model,
@@ -44,6 +43,12 @@ SLAB_EXPECTED = {
     150.0: (53 / 98, 98),
     200.0: (51 / 98, 98),
 }
+
+
+def circle_row(db, tx, radius, **kwargs):
+    """(p_los, valid) at one radius: the only row of the curve on the grid radius, radius, 1.0."""
+    curve = los_probability_curve(db, tx, radius, radius, 1.0, **kwargs)
+    return curve.p_los[0], curve.valid[0]
 
 
 def flat_curve(radii, value=1.0):
@@ -79,11 +84,11 @@ class TestRadiusGrid:
 
 class TestCircleSampling:
     def test_empty_db_certain_los(self):
-        assert los_probability_at_radius(BuildingDB("e", ()), SLAB_TX, 50.0) == 1.0
+        assert circle_row(BuildingDB("e", ()), SLAB_TX, 50.0)[0] == 1.0
 
     def test_slab_scene_matches_oracle(self):
         for radius, (expected, n_ext) in SLAB_EXPECTED.items():
-            got = los_probability_at_radius(SLAB_DB, SLAB_TX, radius)
+            got = circle_row(SLAB_DB, SLAB_TX, radius)[0]
             assert got == expected, f"radius {radius}: got {got}, oracle {expected}"
             # re-derive with the independent oracle as well
             frac, ext, _ = circle_los_fraction(
@@ -96,10 +101,8 @@ class TestCircleSampling:
 
     def test_interior_denominator_toggle(self):
         # at 100 m, 4 of the 100 positions sit inside the slab
-        default = los_probability_at_radius(SLAB_DB, SLAB_TX, 100.0)
-        as_nlos = los_probability_at_radius(
-            SLAB_DB, SLAB_TX, 100.0, interior_counts_as_nlos=True
-        )
+        default = circle_row(SLAB_DB, SLAB_TX, 100.0)[0]
+        as_nlos = circle_row(SLAB_DB, SLAB_TX, 100.0, interior_counts_as_nlos=True)[0]
         assert default == 53 / 96
         assert as_nlos == 53 / 100
 
@@ -110,46 +113,46 @@ class TestCircleSampling:
             Box3(Point3(-5, -6, 0), Point3(5, -5, 40)),
             Box3(Point3(-5, 5, 0), Point3(5, 6, 40)),
         ))
-        assert los_probability_at_radius(wall, Point3(0, 0, 7), 50.0) == 0.0
+        assert circle_row(wall, Point3(0, 0, 7), 50.0)[0] == 0.0
 
     def test_all_positions_interior_is_undefined(self):
         giant = BuildingDB("g", (Box3(Point3(-100, -100, 0), Point3(100, 100, 40)),))
-        assert los_probability_at_radius(giant, Point3(0, 0, 50), 20.0) is None
+        assert not circle_row(giant, Point3(0, 0, 50), 20.0)[1]
 
     def test_tx_inside_building_raises(self):
         db = BuildingDB("b", (Box3(Point3(-5, -5, 0), Point3(5, 5, 30)),))
         with pytest.raises(PointInsideBuildingError) as info:
-            los_probability_at_radius(db, Point3(0, 0, 7), 50.0)
+            circle_row(db, Point3(0, 0, 7), 50.0)
         assert info.value.building_index == 0
 
     def test_rejects_bad_radius_and_points(self):
         with pytest.raises(ValueError):
-            los_probability_at_radius(SLAB_DB, SLAB_TX, 0.0)
-        with pytest.raises(ValueError, match="radius must be positive and finite, got inf"):
-            los_probability_at_radius(SLAB_DB, SLAB_TX, np.inf)
+            circle_row(SLAB_DB, SLAB_TX, 0.0)
+        with pytest.raises(ValueError, match="r_min and step must be finite"):
+            circle_row(SLAB_DB, SLAB_TX, np.inf)
         with pytest.raises(ValueError):
-            los_probability_at_radius(SLAB_DB, SLAB_TX, 50.0, n_points=3)
+            circle_row(SLAB_DB, SLAB_TX, 50.0, n_points=3)
 
     @pytest.mark.parametrize("height", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_rx_height(self, height):
         with pytest.raises(ValueError, match="rx_height_m"):
-            los_probability_at_radius(SLAB_DB, SLAB_TX, 50.0, rx_height_m=height)
+            circle_row(SLAB_DB, SLAB_TX, 50.0, rx_height_m=height)
         with pytest.raises(ValueError, match="rx_height_m"):
             los_probability_curve(SLAB_DB, SLAB_TX, rx_height_m=height)
 
     def test_rejects_below_ground_endpoints(self):
         with pytest.raises(ValueError, match="rx_height_m must be >= 0"):
-            los_probability_at_radius(SLAB_DB, SLAB_TX, 50.0, rx_height_m=-5.0)
+            circle_row(SLAB_DB, SLAB_TX, 50.0, rx_height_m=-5.0)
         with pytest.raises(ValueError, match="rx_height_m must be >= 0"):
             los_probability_curve(SLAB_DB, SLAB_TX, rx_height_m=-1e-9)
         with pytest.raises(ValueError, match="tx z must be >= 0"):
             los_probability_curve(SLAB_DB, Point3(0.0, 0.0, -3.0))
         # ground level itself is valid
-        assert los_probability_at_radius(SLAB_DB, Point3(0.0, 0.0, 0.0), 50.0, rx_height_m=0.0) is not None
+        assert circle_row(SLAB_DB, Point3(0.0, 0.0, 0.0), 50.0, rx_height_m=0.0)[1]
 
     def test_point_count_capped(self):
         with pytest.raises(ValueError, match="n_points"):
-            los_probability_at_radius(SLAB_DB, SLAB_TX, 50.0, n_points=MAX_GRID_POINTS + 1)
+            circle_row(SLAB_DB, SLAB_TX, 50.0, n_points=MAX_GRID_POINTS + 1)
         with pytest.raises(ValueError, match="n_points"):
             los_probability_curve(SLAB_DB, SLAB_TX, n_points=MAX_GRID_POINTS + 1)
 
@@ -167,8 +170,7 @@ class TestCircleSampling:
 
         rot_db = BuildingDB("rot", tuple(rot_box(b) for b in SLAB_DB.buildings))
         for radius in (25.0, 100.0, 180.0):
-            assert los_probability_at_radius(SLAB_DB, SLAB_TX, radius) == \
-                los_probability_at_radius(rot_db, rot_p(SLAB_TX), radius)
+            assert circle_row(SLAB_DB, SLAB_TX, radius) == circle_row(rot_db, rot_p(SLAB_TX), radius)
 
 
 @st.composite
@@ -217,6 +219,21 @@ class TestOcclusionProperties:
         p = curve.p_los[curve.valid]
         assert np.all((p >= 0.0) & (p <= 1.0))
         assert np.all(np.isnan(curve.p_los[~curve.valid]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(occlusion_scenes(), st.integers(0, 11))
+    def test_one_radius_curve_is_a_row_of_the_grid_curve(self, scene, i):
+        _, more, tx, rx_height = scene
+        for interior_nlos in (False, True):
+            kwargs = dict(n_points=self.GRID["n_points"], rx_height_m=rx_height,
+                          interior_counts_as_nlos=interior_nlos)
+            grid = los_probability_curve(more, tx, self.GRID["r_min"], self.GRID["r_max"],
+                                         self.GRID["step"], **kwargs)
+            r = grid.radii_m[i]
+            one = los_probability_curve(more, tx, r, r, 1.0, **kwargs)
+            assert one.radii_m.tolist() == [r]
+            assert one.p_los.tobytes() == grid.p_los[i:i + 1].tobytes()
+            assert one.valid.tolist() == [grid.valid[i]]
 
 
 class TestCurve:
@@ -687,6 +704,20 @@ class TestCsv:
         # rows are counted before any is parsed: the malformed row past the cap is never read
         with pytest.raises(ValueError, match="curve CSV must hold at most 3 rows, got 4"):
             curve_from_csv("radius_m,p_los,valid\n10,1,1\n20,1,1\n30,1,1\n\nten,bad\n")
+
+    def test_over_cap_rows_are_counted_without_copying_them(self, monkeypatch):
+        monkeypatch.setattr(los_probability, "MAX_GRID_POINTS", 1000)
+        text = "radius_m,p_los,valid\n" + "10,0.5,1\n" * 200_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                curve_from_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "curve CSV must hold at most 1000 rows, got 200000"
+        # a list of the lines alone takes several times the text
+        assert peak < len(text)
 
     def test_rejects_malformed_rows(self):
         head = "radius_m,p_los,valid\n"
