@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fitting, link_analysis, los_probability, pathloss
+from . import fitting, los_probability, pathloss
 from .geometry import Point3, PointInsideBuildingError, load_building_db
 
 EXIT_OK = 0
@@ -180,7 +180,7 @@ def cmd_fit(args) -> int:
 
 def cmd_outage(args) -> int:
     model = _build_hybrid(args)
-    spec = link_analysis.OutageSpec(args.threshold)
+    spec = pathloss.OutageSpec(args.threshold)
     distances = _distance_grid(args)
     if args.monte_carlo is not None:
         if not 1 <= args.monte_carlo <= los_probability.MAX_GRID_POINTS:
@@ -190,14 +190,14 @@ def cmd_outage(args) -> int:
             raise ValueError("--monte-carlo requires --seed for reproducibility")
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    outage = link_analysis.outage_probability(model, distances, spec)
+    outage = pathloss.outage_probability(model, distances, spec)
     columns = [distances, 1.0 - outage, outage]
     if args.monte_carlo is None:
         return _emit(args.out, los_probability._table("d_m,coverage,outage", *columns))
     # distances in grid order on one generator, through two reused buffers of
     # N draws: the bytes of one sample_pl call per distance, without its allocations
     rng = np.random.default_rng(args.seed)
-    columns.append(link_analysis.outage_monte_carlo(model, distances, spec, rng, args.monte_carlo))
+    columns.append(pathloss.outage_monte_carlo(model, distances, spec, rng, args.monte_carlo))
     return _emit(args.out, los_probability._table("d_m,coverage,outage,outage_mc", *columns))
 
 

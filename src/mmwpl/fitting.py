@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .los_probability import _rows, _table
-from .pathloss import CloseInModel, FloatingInterceptModel, fspl_at_reference
+from .pathloss import REFERENCE_DISTANCE_M, CloseInModel, FloatingInterceptModel, fspl_at_reference
 
 CONDITIONS = ("LOS", "NLOS")
 
@@ -30,8 +30,8 @@ class PathLossSample:
     condition: str
 
     def __post_init__(self):
-        if not (self.distance_m >= 1.0 and math.isfinite(self.distance_m)):
-            raise ValueError(f"distance_m must be >= 1 m, got {self.distance_m!r}")
+        if not (self.distance_m >= REFERENCE_DISTANCE_M and math.isfinite(self.distance_m)):
+            raise ValueError(f"distance_m must be >= {REFERENCE_DISTANCE_M:g} m, got {self.distance_m!r}")
         if not math.isfinite(self.path_loss_db):
             raise ValueError(f"path_loss_db must be finite, got {self.path_loss_db!r}")
         if self.condition not in CONDITIONS:

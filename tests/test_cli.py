@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from mmwpl import demo, fitting, link_analysis, los_probability, pathloss
+from mmwpl import demo, fitting, los_probability, pathloss
 from mmwpl.cli import main
 from mmwpl.geometry import Point3
 
@@ -280,11 +280,11 @@ class TestOutage:
         # one sample_pl call per distance, in grid order, on one generator
         assert main(self.BASE + ["--monte-carlo", "1000", "--seed", "3"]) == 0
         model = pathloss.hybrid_from_preset("28GHz-NYC")
-        spec = link_analysis.OutageSpec(130.0)
+        spec = pathloss.OutageSpec(130.0)
         rng = np.random.default_rng(3)
         lines = ["d_m,coverage,outage,outage_mc"]
         for d in (50.0, 100.0, 150.0):
-            outage = link_analysis.outage_probability(model, d, spec)
+            outage = pathloss.outage_probability(model, d, spec)
             mc = np.mean(pathloss.sample_pl(model, d, rng, size=1000) > 130.0)
             lines.append(",".join(format(v, ".6g") for v in (d, 1.0 - outage, outage, mc)))
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
@@ -515,6 +515,9 @@ CONTRACT = [
      2, "mean path loss is not finite at 1 m", EMPTY),
     ("pathloss-sigma-overflow", "pathloss --frequency 28e9 --los-exponent 2.1 --los-sigma 1e200 --nlos-exponent 3.4 --nlos-sigma 9.7",
      0, None, "65b813729c438d56de7e9ae0e8f43b8186c55787c559f0836e765160d6dff5be"),
+    # sigma_db 8.23783e-171: the branch spreads are never squared, so the spread does not underflow to 0
+    ("pathloss-sigma-underflow", "pathloss --frequency 28e9 --los-exponent 2.1 --los-sigma 1e-170 --nlos-exponent 3.4 --nlos-sigma 1e-170 --rmin 100 --rmax 100",
+     0, None, "524d97d4e8980ba1ea656f99346d4e3af2f143f373acf0c6436635b5abf99ce7"),
     ("fit-close-in", "fit {tmp}/samples.csv --model close-in --condition NLOS --frequency 28e9",
      0, None, "ecefd33078e89819036440eaad4d6a9d470bd93f328abf8baf23688782b89b18"),
     ("fit-close-in-los", "fit {tmp}/samples.csv --model close-in --condition LOS --frequency 28e9",
@@ -611,6 +614,11 @@ CONTRACT = [
      2, "r_min and step must be finite, got r_min=10 step=inf", EMPTY),
     ("outage-sigma-overflow", "outage --threshold 130 --frequency 28e9 --los-exponent 2.1 --los-sigma 1e200 --nlos-exponent 3.4 --nlos-sigma 9.7 --monte-carlo 10 --seed 1",
      0, None, "077d9117d47bd45d40ee70e57bba07b3fe13aff8d71a40da5184b65f06928e58"),
+    # (threshold - mean) / sigma overflows to inf: a certain outcome, not a warning
+    ("outage-z-overflow", "outage --threshold 1e300 --frequency 28e9 --los-exponent 2.1 --los-sigma 1e-10 --nlos-exponent 3.4 --nlos-sigma 1e-10 --rmin 100 --rmax 100",
+     0, None, "6a154c91a7de670c832630624f649899235933336df0e2bc82c379286a82f290"),
+    ("outage-sigma-subnormal", "outage --threshold 130 --frequency 28e9 --los-exponent 2.1 --los-sigma 1e-320 --nlos-exponent 3.4 --nlos-sigma 1e-320 --rmin 100 --rmax 100",
+     0, None, "6a154c91a7de670c832630624f649899235933336df0e2bc82c379286a82f290"),
     # on the 50, 100, 150 m grid
     ("outage-grid-monte-carlo-no-seed", "outage --preset 28GHz-NYC --threshold 130 --rmin 50 --rmax 150 --step 50 --monte-carlo 1000",
      2, "--monte-carlo requires --seed for reproducibility", EMPTY),

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwpl.link_analysis import OutageSpec, coverage_curve, outage_monte_carlo, outage_probability
 from mmwpl.los_probability import MAX_GRID_POINTS, p_los_model
 from mmwpl.pathloss import (
     CloseInModel,
     HybridModel,
+    OutageSpec,
+    coverage_curve,
     hybrid_from_preset,
     mean_pl_close_in,
     mean_pl_floating,
     mean_pl_hybrid,
+    outage_monte_carlo,
+    outage_probability,
     sample_pl,
     shadow_sigma_hybrid,
 )

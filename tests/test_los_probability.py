@@ -300,6 +300,8 @@ class TestCurve:
             LosProbabilityCurve(np.array([10.0, 10.0]), np.array([1.0, 1.0]), np.ones(2, bool))
         with pytest.raises(ValueError):
             LosProbabilityCurve(np.array([10.0, 20.0]), np.array([1.0, 1.5]), np.ones(2, bool))
+        with pytest.raises(ValueError, match="^radii_m, p_los and valid must be 1-D arrays of equal length$"):
+            LosProbabilityCurve(np.array([10.0, 20.0]), np.array([1.0]), np.ones(2, bool))
         # out-of-range value behind an invalid mask is tolerated
         LosProbabilityCurve(np.array([10.0, 20.0]), np.array([1.0, np.nan]), np.array([True, False]))
 

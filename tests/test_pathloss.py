@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmwpl.los_probability import LosProbParams, p_los_model
@@ -192,6 +192,28 @@ class TestShadowSigma:
         p = p_los_model(150.0, M28.p_los)
         expected = 5.0 * math.sqrt(p * p + (1 - p) * (1 - p))
         assert np.isclose(shadow_sigma_hybrid(model, 150.0), expected)
+
+    # branch spreads anywhere in float range, subnormals included: the spread
+    # neither overflows nor underflows, so it is at least the larger weighted
+    # branch spread and at most the larger branch spread
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 1.7e308),
+        st.floats(0.0, 1.7e308),
+        st.floats(0.0, 1.7e308, exclude_min=True),
+        st.floats(0.0, 1.7e308, exclude_min=True),
+        st.booleans(),
+        st.floats(1.0, 1e12),
+    )
+    @example(1e-170, 1e-170, 27.0, 71.0, True, 100.0)
+    @example(1.7e308, 1.7e308, 27.0, 71.0, True, 100.0)
+    def test_spread_stays_between_weighted_branch_and_branch(self, s_los, s_nlos, d_bp, alpha, squared, d):
+        params = LosProbParams(d_bp, alpha, squared)
+        model = HybridModel(CloseInModel(28e9, 2.1, s_los), CloseInModel(28e9, 3.4, s_nlos), params)
+        p = p_los_model(d, params)
+        sigma = shadow_sigma_hybrid(model, d)
+        assert math.isfinite(sigma)
+        assert max(p * s_los, (1.0 - p) * s_nlos) <= sigma <= max(s_los, s_nlos)
 
 
 class TestSampling:
