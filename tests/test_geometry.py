@@ -240,6 +240,28 @@ class TestParsing:
     def test_document_rejection_message(self, name):
         rejected(name)
 
+    def test_rejects_overflowing_float(self):
+        # a literal past float range is rejected wherever it stands: a corner, either sign, and the origin
+        rejected("overflowing-float")
+        rejected("origin-overflowing-float")
+        with pytest.raises(BuildingDBError, match=r"^building 0 'min': coordinates must be finite numbers, got -inf$"):
+            parse_building_db('{"name": "x", "buildings": [{"min": [0, 0, -1e999], "max": [1, 1, 1]}]}')
+
+    def test_degenerate_box_names_index(self):
+        # the message names the degenerate entry's own index, whatever follows it
+        for index in range(3):
+            entries = [OK] * index + ['{"min": [0, 0, 0], "max": [0, 1, 1]}', OK]
+            with pytest.raises(BuildingDBError) as exc:
+                parse_building_db('{"name": "x", "buildings": [%s]}' % ", ".join(entries))
+            assert str(exc.value) == f"building {index}: {DEGENERATE}min=(0, 0, 0) max=(0, 1, 1)"
+
+    def test_negative_base_height_rejected(self):
+        # the ground is z = 0: any negative base is rejected, a base of -0.0 is the ground
+        rejected("below-ground")
+        with pytest.raises(BuildingDBError, match=r"^building 0: box base height must be >= 0, got -1e-300$"):
+            parse_building_db('{"name": "x", "buildings": [{"min": [0, 0, -1e-300], "max": [1, 1, 1]}]}')
+        assert len(parse_building_db('{"name": "x", "buildings": [{"min": [0, 0, -0.0], "max": [1, 1, 1]}]}')) == 1
+
     @settings(max_examples=300, deadline=None)
     @given(building_documents())
     def test_parser_matches_reference(self, text):
