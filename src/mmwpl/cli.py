@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fitting, los_probability, pathloss
+from . import los_probability, pathloss
 from .geometry import Point3, PointInsideBuildingError, load_building_db
 
 EXIT_OK = 0
@@ -157,7 +157,7 @@ def cmd_pathloss(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    samples = _load(args.samples, fitting.samples_from_csv)
+    samples = _load(args.samples, pathloss.samples_from_csv)
     if args.model == "floating" and args.frequency is not None:
         raise ValueError("--frequency applies to --model close-in only")
     if args.model == "close-in":
@@ -169,9 +169,9 @@ def cmd_fit(args) -> int:
     subset = [s for s in samples if s.condition == args.condition]
     try:
         if args.model == "close-in":
-            name, fitted = "close-in", fitting.fit_close_in(subset, args.frequency)
+            name, fitted = "close-in", pathloss.fit_close_in(subset, args.frequency)
         else:
-            name, fitted = "floating-intercept", fitting.fit_floating(subset)
+            name, fitted = "floating-intercept", pathloss.fit_floating(subset)
     except ValueError as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
     doc = {"model": name, **asdict(fitted)}
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a path loss model to measured scatter")
     p.add_argument("samples", help="samples CSV file")
     p.add_argument("--model", choices=["close-in", "floating"], required=True)
-    p.add_argument("--condition", choices=list(fitting.CONDITIONS), required=True,
+    p.add_argument("--condition", choices=list(pathloss.CONDITIONS), required=True,
                    help="which labeled subset to fit")
     p.add_argument("--frequency", type=float, help="carrier frequency in Hz (close-in only)")
     p.add_argument("--out", help="output JSON path (stdout when omitted)")

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from mmwpl import los_probability
-from mmwpl.fitting import (
+from mmwpl.pathloss import (
     PathLossSample,
     fit_close_in,
     fit_floating,
+    fspl_at_reference,
     samples_from_csv,
     samples_to_csv,
 )
-from mmwpl.pathloss import fspl_at_reference
 
 
 def synth(distances, pl_values, condition="NLOS"):
@@ -132,7 +132,7 @@ class TestCsv:
         assert [s.condition for s in samples] == ["LOS", "NLOS"]
 
     def test_unmeasurable_rows_skipped(self):
-        text = self.HEADER + "10,95,LOS\n150,,NLOS\n180,nan,NLOS\n20,105,NLOS\n"
+        text = self.HEADER + "10,95,LOS\n150,,NLOS\n180,nan,NLOS\n190,-nan,NLOS\n195,+NaN,LOS\n20,105,NLOS\n"
         samples = samples_from_csv(text)
         assert len(samples) == 2
         assert [s.distance_m for s in samples] == [10.0, 20.0]
