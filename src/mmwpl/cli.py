@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import los_probability, pathloss
-from .geometry import Point3, PointInsideBuildingError, load_building_db
+from .geometry import Point3, PointInsideBuildingError, _read_text, load_building_db
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -56,9 +56,9 @@ def _emit(out: str | None, text: str) -> int:
 
 
 def _load(path: str, parse):
-    """``parse`` applied to the text of the file at ``path``; errors name the file."""
+    """``parse`` applied to the text of the file at ``path`` (at most MAX_INPUT_BYTES); errors name the file."""
     try:
-        return parse(Path(path).read_text())
+        return parse(_read_text(path))
     except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

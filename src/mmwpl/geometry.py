@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +24,11 @@ import numpy as np
 EPSILON = 1e-9
 
 EARTH_RADIUS_M = 6371000.0
+
+# Largest building database parsed, in boxes, and largest input file read, in
+# bytes: a 100,000-box city database is about 7 MB.
+MAX_BUILDINGS = 500_000
+MAX_INPUT_BYTES = 32 * 2**20
 
 
 class BuildingDBError(ValueError):
@@ -234,15 +239,15 @@ def parse_building_db(text: str) -> BuildingDB:
 
     The document is JSON with fields ``name``, optional ``origin`` (a
     ``{"lat": ..., "lon": ...}`` anchor for geographic ingest) and
-    ``buildings``, a list of ``{"min": [x, y, z], "max": [x, y, z]}`` boxes in
-    meters.  Every number must be finite as a float: a non-finite literal,
-    ``1e999`` or an integer beyond float range is rejected.  The corners go
-    straight into the database's corner arrays; a rejection names the first
-    bad building in document order.
+    ``buildings``, a list of at most MAX_BUILDINGS ``{"min": [x, y, z],
+    "max": [x, y, z]}`` boxes in meters.  Every number must be finite as a
+    float: a non-finite literal, ``1e999`` or an integer beyond float range
+    is rejected.  The corners go straight into the database's corner arrays;
+    a rejection names the first bad building in document order.
 
     Raises:
-        BuildingDBError: on malformed JSON, missing fields, out-of-range
-            numbers, degenerate boxes or boxes below ground level.
+        BuildingDBError: on malformed JSON, missing fields, too many boxes,
+            out-of-range numbers, degenerate boxes or boxes below ground level.
     """
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
@@ -254,6 +259,8 @@ def parse_building_db(text: str) -> BuildingDB:
         raise BuildingDBError("building DB document requires a text 'name' field")
     if "buildings" not in doc or not isinstance(doc["buildings"], list):
         raise BuildingDBError("building DB document requires a 'buildings' list")
+    if len(doc["buildings"]) > MAX_BUILDINGS:
+        raise BuildingDBError(f"building DB must hold at most {MAX_BUILDINGS} buildings, got {len(doc['buildings'])}")
 
     origin = None
     if "origin" in doc and doc["origin"] is not None:
@@ -275,9 +282,24 @@ def parse_building_db(text: str) -> BuildingDB:
     return BuildingDB._from_corners(doc["name"], corners, origin)
 
 
+def _read_text(path) -> str:
+    """The text of the file at ``path``, refused before it is read when it holds more than MAX_INPUT_BYTES."""
+    with open(path) as f:
+        size = os.fstat(f.fileno()).st_size
+        if size > MAX_INPUT_BYTES:
+            raise ValueError(f"{path} holds {size} bytes; an input file may hold at most {MAX_INPUT_BYTES}")
+        return f.read()
+
+
 def load_building_db(path) -> BuildingDB:
-    """Read and parse a building database file."""
-    return parse_building_db(Path(path).read_text())
+    """Read and parse a building database file.
+
+    Raises:
+        OSError: when the file cannot be read.
+        ValueError: when it holds more than MAX_INPUT_BYTES, checked before
+            it is read, or its document is rejected (BuildingDBError).
+    """
+    return parse_building_db(_read_text(path))
 
 
 def _canonical_order(starts: np.ndarray, ends: np.ndarray):
@@ -293,28 +315,38 @@ def _canonical_order(starts: np.ndarray, ends: np.ndarray):
 
 
 def _segments_blocked(
-    starts: np.ndarray, ends: np.ndarray, min_array: np.ndarray, max_array: np.ndarray
+    starts: np.ndarray, ends: np.ndarray, min_array: np.ndarray, max_array: np.ndarray,
+    first: np.ndarray | None = None,
 ) -> np.ndarray:
     """True per segment when any box, padded by EPSILON, occludes it; touching counts.
 
     Endpoints are C-contiguous ``(3, n)`` rows of x, y and z, or a ``(3, 1)``
     column shared by every segment; boxes are ``(n_boxes, 3)`` corners.  Each
-    box is one slab test over the three rows.
+    box is one slab test over the three rows.  ``first``, when given, holds
+    one offset per box: box ``i`` is tested only against the segments from
+    ``first[i]`` on, the caller having shown that it cannot block the others.
     """
     starts, ends = _canonical_order(starts, ends)
     deltas = ends - starts
     parallel = deltas == 0.0
+    rows = (starts, deltas, parallel)
     blocked = np.zeros(starts.shape[1], dtype=bool)
-    # a parallel axis divides by zero; its t values are masked out below
+    offsets = repeat(0) if first is None else first.tolist()
+    # a parallel axis divides by zero; its t values are masked out below.  The
+    # loop body stays inline: a function per box frees every temporary at once,
+    # and the allocator's page faults then cost about half again on long rows
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo, hi in zip(min_array - EPSILON, max_array + EPSILON):
-            lo, hi = lo[:, None], hi[:, None]
-            t1 = (lo - starts) / deltas
-            t2 = (hi - starts) / deltas
-            near = np.where(parallel, 0.0, np.minimum(t1, t2)).max(axis=0, initial=0.0)
-            far = np.where(parallel, 1.0, np.maximum(t1, t2)).min(axis=0, initial=1.0)
-            within = (~parallel | ((starts >= lo) & (starts <= hi))).all(axis=0)
-            blocked |= within & (near <= far)
+        for f, lo, hi in zip(offsets, min_array[:, :, None] - EPSILON, max_array[:, :, None] + EPSILON):
+            s, d, p = (row[:, f:] for row in rows) if f else rows
+            t1 = (lo - s) / d
+            t2 = (hi - s) / d
+            near = np.where(p, 0.0, np.minimum(t1, t2)).max(axis=0, initial=0.0)
+            far = np.where(p, 1.0, np.maximum(t1, t2)).min(axis=0, initial=1.0)
+            within = (~p | ((s >= lo) & (s <= hi))).all(axis=0)
+            if f:
+                blocked[f:] |= within & (near <= far)
+            else:
+                blocked |= within & (near <= far)
     return blocked
 
 
@@ -337,16 +369,20 @@ def _strictly_inside(points: np.ndarray, box_min: np.ndarray, box_max: np.ndarra
     return ((points > box_min + EPSILON) & (points < box_max - EPSILON)).all(axis=0)
 
 
+def _rows_inside(rows: np.ndarray, min_array: np.ndarray, max_array: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Mask over the points of ``(3, n)`` rows strictly inside some box, box ``i`` tested from point ``first[i]`` on."""
+    inside = np.zeros(rows.shape[1], dtype=bool)
+    for f, box_min, box_max in zip(first.tolist(), min_array[:, :, None], max_array[:, :, None]):
+        inside[f:] |= _strictly_inside(rows[:, f:], box_min, box_max)
+    return inside
+
+
 def points_strictly_inside(db: BuildingDB, points: np.ndarray) -> np.ndarray:
     """Boolean mask over points (n, 3) that lie strictly inside some building.
 
     The test runs on (3, n) rows: the transpose of C-contiguous rows costs no copy.
     """
-    rows = np.ascontiguousarray(points.T)
-    inside = np.zeros(rows.shape[1], dtype=bool)
-    for box_min, box_max in zip(db.min_array, db.max_array):
-        inside |= _strictly_inside(rows, box_min[:, None], box_max[:, None])
-    return inside
+    return _rows_inside(np.ascontiguousarray(points.T), db.min_array, db.max_array, np.zeros(len(db), dtype=int))
 
 
 def find_containing_building(db: BuildingDB, p: Point3) -> int | None:

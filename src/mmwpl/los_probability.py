@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BuildingDB, Point3, _check_endpoint, _segments_blocked, points_strictly_inside
+from .geometry import BuildingDB, Point3, _check_endpoint, _rows_inside, _segments_blocked
 
 DEFAULT_N_POINTS = 100
 DEFAULT_RX_HEIGHT_M = 1.5
@@ -122,6 +122,13 @@ def _circle_los(db: BuildingDB, tx: Point3, radii: np.ndarray, n_points: int,
     of _RAYS_PER_BLOCK rays, as ``(3, n)`` rows of x, y and z against the
     transmitter's ``(3, 1)`` column, and counts are gathered per radius.
     Transmitter and receivers must be at or above ground (z >= 0).
+
+    A box's reach is its footprint's horizontal distance from the
+    transmitter's ground point, less a margin.  A receiver at horizontal
+    radius r, and its segment to the transmitter, lie in the disc of radius
+    r, so no box of reach above r can hold the receiver or block the
+    segment: boxes that reach no radius are cropped, and each other box is
+    tested only against the rays of a block whose radii it reaches.
     """
     if not 4 <= n_points <= MAX_GRID_POINTS:
         raise ValueError(f"n_points must be between 4 and {MAX_GRID_POINTS}, got {n_points}")
@@ -129,7 +136,15 @@ def _circle_los(db: BuildingDB, tx: Point3, radii: np.ndarray, n_points: int,
         raise ValueError(f"rx_height_m must be finite, got {rx_height_m!r}")
     if rx_height_m < 0:
         raise ValueError(f"rx_height_m must be >= 0 (ground level), got {rx_height_m:g}")
-    _check_endpoint(db, tx, "tx")
+    _check_endpoint(db, tx, "tx")  # on every box, so an error names the box's index in the document
+
+    ground = np.array([tx.x, tx.y])
+    gap = np.maximum(np.maximum(db.min_array[:, :2] - ground, ground - db.max_array[:, :2]), 0.0)
+    # the 1e-6 m margin is far above the EPSILON padding (under 1.5e-9 m across
+    # a footprint) and the rounding of coordinates within 1e7 m of the origin
+    reach = np.hypot(gap[:, 0], gap[:, 1]) - 1e-6
+    kept = reach <= radii[-1]
+    reach, box_min, box_max = reach[kept], db.min_array[kept], db.max_array[kept]
 
     angles = 2.0 * np.pi * np.arange(n_points) / n_points
     cos, sin = np.cos(angles), np.sin(angles)
@@ -140,11 +155,12 @@ def _circle_los(db: BuildingDB, tx: Point3, radii: np.ndarray, n_points: int,
         which, k = np.divmod(np.arange(start, min(start + _RAYS_PER_BLOCK, n_rays)), n_points)
         r = radii[which]
         rx = np.stack((tx.x + r * cos[k], tx.y + r * sin[k], np.full(which.size, float(rx_height_m))))
-        exterior = ~points_strictly_inside(db, rx.T)
+        exterior = ~_rows_inside(rx, box_min, box_max, np.searchsorted(r, reach))
         # np.compress keeps the rows C-contiguous; rx[:, exterior] would
         # not, and the kernel runs about 6x slower on it
         rx, which = np.compress(exterior, rx, axis=1), which[exterior]
-        los = ~_segments_blocked(tx.to_array()[:, None], rx, db.min_array, db.max_array)
+        first = np.searchsorted(radii[which], reach)
+        los = ~_segments_blocked(tx.to_array()[:, None], rx, box_min, box_max, first)
         n_exterior += np.bincount(which, minlength=radii.size)
         n_los += np.bincount(which[los], minlength=radii.size)
     denominator = n_points if interior_counts_as_nlos else n_exterior
@@ -364,22 +380,30 @@ def _table(header: str, *columns) -> str:
     return "\n".join([header, *map(",".join, zip(*map(_cells, columns)))]) + "\n"
 
 
+# the line boundaries of str.splitlines
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# one match per non-blank line: \S is not str.isspace
+_NON_BLANK_LINE = re.compile(f"\\S[^{_LINE_BREAKS}]*")
+
+
 def _rows(text: str, header: str, what: str) -> "list[list[str]]":
     """The fields of each row under ``header``, blank lines skipped; ``what`` names the table in errors.
 
-    Rows are counted against MAX_GRID_POINTS in one lazy pass, before any line is copied out of ``text``.
+    Rows are counted against MAX_GRID_POINTS before any line is copied out of
+    ``text``: the line breaks bound the row count from above, and only a text
+    whose bound passes the cap has its rows counted in one lazy pass.
 
     Raises:
         ValueError: on a wrong header, too many rows or a row whose field count differs from the header's.
     """
-    # one match per non-blank line: \S is not str.isspace, and the class holds the str.splitlines boundaries
-    lines = re.finditer(r"\S[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*", text)
+    lines = _NON_BLANK_LINE.finditer(text)
     first = next(lines, None)
     if first is None or first.group().strip() != header:
         raise ValueError(f"{what} CSV must start with header '{header}'")
-    n_rows = sum(1 for _ in lines)
-    if n_rows > MAX_GRID_POINTS:
-        raise ValueError(f"{what} CSV must hold at most {MAX_GRID_POINTS} rows, got {n_rows}")
+    if sum(map(text.count, _LINE_BREAKS)) > MAX_GRID_POINTS:
+        n_rows = sum(1 for _ in lines)
+        if n_rows > MAX_GRID_POINTS:
+            raise ValueError(f"{what} CSV must hold at most {MAX_GRID_POINTS} rows, got {n_rows}")
     width = header.count(",") + 1
     rows = [ln.split(",") for ln in text.splitlines() if ln.strip()][1:]
     for fields in rows:

@@ -16,7 +16,7 @@ import pytest
 
 from mmwpl import demo, los_probability, pathloss
 from mmwpl.cli import main
-from mmwpl.geometry import Point3
+from mmwpl.geometry import MAX_INPUT_BYTES, Point3
 
 POOLED = los_probability.LosProbParams(27.0, 71.0)
 
@@ -99,9 +99,6 @@ class TestLosProb:
 
     test_missing_output_directory_is_input_error = contract_test("los-prob-out-missing-dir")
     test_tx_inside_building_is_input_error = contract_test("los-prob-tx-inside-building")
-    test_missing_db_file = contract_test("los-prob-missing-db")
-    test_malformed_db = contract_test("los-prob-malformed-db")
-    test_bad_tx_string = contract_test("los-prob-tx-two-parts")
     test_oversized_inputs_are_input_errors = contract_test("los-prob-step-tiny", "los-prob-n-points-over-cap")
     test_non_finite_rx_height_is_input_error = contract_test(
         "los-prob-tower-rx-height-nan", "los-prob-tower-rx-height-inf", "los-prob-tower-rx-height-minus-inf",
@@ -343,6 +340,8 @@ def write_contract_inputs(tmp_path):
     (tmp_path / "huge-origin.json").write_text(f'{{"name": "h", "origin": {{"lat": {huge}, "lon": 0}}, "buildings": []}}')
     (tmp_path / "bool-origin.json").write_text('{"name": "b", "origin": {"lat": true, "lon": false}, "buildings": []}')
     (tmp_path / "subdir").mkdir(exist_ok=True)
+    with open(tmp_path / "oversized", "wb") as f:  # sparse: no byte of it is written
+        f.truncate(MAX_INPUT_BYTES + 1)
     synth_curve_csv(tmp_path / "curve.csv")
     synth_curve_csv(tmp_path / "curve36.csv", los_probability.LosProbParams(36.0, 71.0))
     (tmp_path / "bad.csv").write_text("radius_m,p_los,valid\nten,0.5,1\n")
@@ -389,6 +388,8 @@ CONTRACT = [
      2, "[Errno 2] No such file or directory: '<tmp>/nope.json'", EMPTY),
     ("los-prob-db-directory", "los-prob --db {tmp}/subdir --tx 0,0,10",
      2, "[Errno 21] Is a directory: '<tmp>/subdir'", EMPTY),
+    ("los-prob-db-over-byte-cap", "los-prob --db {tmp}/oversized --tx 0,0,10",
+     2, "<tmp>/oversized holds 33554433 bytes; an input file may hold at most 33554432", EMPTY),
     ("los-prob-malformed-db", "los-prob --db {tmp}/bad.json --tx 0,0,10",
      2, "invalid building DB document: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)", EMPTY),
     ("los-prob-db-huge-corner", "los-prob --db {tmp}/huge-corner.json --tx 0,0,10",
@@ -451,6 +452,8 @@ CONTRACT = [
      2, "<tmp>/nope.csv: [Errno 2] No such file or directory: '<tmp>/nope.csv'", EMPTY),
     ("fit-plos-directory", "fit-plos {tmp}/subdir",
      2, "<tmp>/subdir: [Errno 21] Is a directory: '<tmp>/subdir'", EMPTY),
+    ("fit-plos-over-byte-cap", "fit-plos {tmp}/curve.csv {tmp}/oversized",
+     2, "<tmp>/oversized: <tmp>/oversized holds 33554433 bytes; an input file may hold at most 33554432", EMPTY),
     ("fit-plos-malformed-row", "fit-plos {tmp}/bad.csv",
      2, "<tmp>/bad.csv: malformed curve CSV row: 'ten,0.5,1'", EMPTY),
     ("fit-plos-zero-radius", "fit-plos {tmp}/zero-radius.csv",
@@ -528,6 +531,8 @@ CONTRACT = [
      2, "cannot write <tmp>/missing/fit.json: No such file or directory", EMPTY),
     ("fit-missing-file", "fit {tmp}/nope.csv --model floating --condition NLOS",
      2, "<tmp>/nope.csv: [Errno 2] No such file or directory: '<tmp>/nope.csv'", EMPTY),
+    ("fit-over-byte-cap", "fit {tmp}/oversized --model floating --condition NLOS",
+     2, "<tmp>/oversized: <tmp>/oversized holds 33554433 bytes; an input file may hold at most 33554432", EMPTY),
     ("fit-wrong-header", "fit {tmp}/curve.csv --model floating --condition NLOS",
      2, "<tmp>/curve.csv: samples CSV must start with header 'd_m,pl_db,condition'", EMPTY),
     ("fit-malformed-row", "fit {tmp}/short-distance.csv --model floating --condition NLOS",

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mmwpl import demo
+from mmwpl import demo, geometry
 from mmwpl.geometry import (
     EPSILON,
+    MAX_BUILDINGS,
     Box3,
     BuildingDB,
     BuildingDBError,
@@ -79,6 +80,9 @@ DOCUMENT_REJECTIONS = [
      "'origin' must be an object with numeric lat/lon"),
     ("origin-overflowing-float", '{"name": "x", "origin": {"lat": 1e999, "lon": 0}, "buildings": []}',
      "'origin' lat/lon must be finite"),
+    # counted before any entry is looked at: these are not even objects
+    ("too-many-buildings", '{"name": "x", "buildings": [%s]}' % ",".join(["0"] * (MAX_BUILDINGS + 1)),
+     f"building DB must hold at most {MAX_BUILDINGS} buildings, got {MAX_BUILDINGS + 1}"),
 ]
 # both tables by row name: the document and the message
 REJECTIONS = {name: ('{"name": "x", "buildings": %s}' % buildings, message) for name, buildings, message in ENTRY_REJECTIONS}
@@ -231,6 +235,23 @@ class TestParsing:
         path = tmp_path / "db.json"
         path.write_text('{"name": "f", "buildings": []}')
         assert load_building_db(path).name == "f"
+
+    def test_file_size_capped(self, tmp_path, monkeypatch):
+        path = tmp_path / "db.json"
+        path.write_text('{"name": "f", "buildings": []}')
+        cap = path.stat().st_size
+        monkeypatch.setattr(geometry, "MAX_INPUT_BYTES", cap)
+        assert load_building_db(path).name == "f"
+        path.write_text('{"name": "f", "buildings": [] }')
+        with pytest.raises(ValueError) as exc:
+            load_building_db(path)
+        assert str(exc.value) == f"{path} holds {cap + 1} bytes; an input file may hold at most {cap}"
+
+    def test_box_count_capped(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_BUILDINGS", 2)
+        assert len(parse_building_db('{"name": "x", "buildings": [%s, %s]}' % (OK, OK))) == 2
+        with pytest.raises(BuildingDBError, match=r"^building DB must hold at most 2 buildings, got 3$"):
+            parse_building_db('{"name": "x", "buildings": [%s, %s, %s]}' % (OK, OK, OK))
 
     @pytest.mark.parametrize("name", [case[0] for case in ENTRY_REJECTIONS])
     def test_entry_rejection_message(self, name):

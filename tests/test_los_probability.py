@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 from mmwpl import demo
 from mmwpl import los_probability
-from mmwpl.geometry import Box3, BuildingDB, Point3, PointInsideBuildingError, find_containing_building
+from mmwpl.geometry import (
+    Box3,
+    BuildingDB,
+    Point3,
+    PointInsideBuildingError,
+    _segments_blocked,
+    find_containing_building,
+    points_strictly_inside,
+)
 from mmwpl.los_probability import (
     MAX_GRID_POINTS,
     NYC_SITE_LOS_PARAMS,
@@ -194,8 +202,71 @@ def occlusion_scenes(draw):
     return db, more, tx, draw(st.sampled_from([0.0, 1.5, 10.0]))
 
 
+def uncropped_curve(db, tx, radii, n_points, rx_height, interior_nlos):
+    """p_los on the receiver positions of _circle_los, traced in one block against every box with no offsets."""
+    which, k = np.divmod(np.arange(radii.size * n_points), n_points)
+    angles = 2.0 * np.pi * np.arange(n_points) / n_points
+    r = radii[which]
+    rx = np.stack((tx.x + r * np.cos(angles)[k], tx.y + r * np.sin(angles)[k], np.full(which.size, rx_height)))
+    exterior = ~points_strictly_inside(db, rx.T)
+    rx, which = np.compress(exterior, rx, axis=1), which[exterior]
+    los = ~_segments_blocked(tx.to_array()[:, None], rx, db.min_array, db.max_array)
+    n_exterior = np.bincount(which, minlength=radii.size)
+    n_los = np.bincount(which[los], minlength=radii.size)
+    with np.errstate(invalid="ignore"):
+        return np.where(n_exterior > 0, n_los / (n_points if interior_nlos else n_exterior), np.nan)
+
+
+@st.composite
+def cull_scenes(draw):
+    """Boxes on both sides of each culled radius, a transmitter clear of them and a receiver height.
+
+    Beside random boxes, each edge box has its footprint's nearest point, to
+    the transmitter's ground point, exactly on the last radius (60 m), on
+    another grid radius, 2e-6 m either side of a grid radius (twice the
+    crop's margin: a receiver just inside the box, or a segment just short
+    of it), or 0.5e-9 m beyond 60 m, where only the EPSILON padding reaches
+    a segment; that point is a face's middle or a corner.
+    """
+    tx = Point3(draw(st.integers(-30, 30)), draw(st.integers(-30, 30)),
+                draw(st.sampled_from([1.5, 7.0, 10.0, 50.0])))
+    boxes = []
+    for _ in range(draw(st.integers(0, 3))):
+        x0, y0 = draw(st.integers(-80, 79)), draw(st.integers(-80, 79))
+        boxes.append(((x0, y0, 0), (draw(st.integers(x0 + 1, 80)), draw(st.integers(y0 + 1, 80)),
+                                    draw(st.sampled_from([1.5, 10, 40])))))
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.sampled_from([60.0, 60.0 + 0.5e-9, 5.0 * draw(st.integers(1, 11)) + draw(
+            st.sampled_from([0.0, -2e-6, 2e-6]))]))
+        sx, sy = draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1]))
+        w, h = draw(st.integers(1, 20)), draw(st.sampled_from([1.5, 10, 40]))
+        if draw(st.booleans()):  # a corner at (0.6 d, 0.8 d) from the transmitter, up to signs
+            cx, cy = tx.x + sx * 0.6 * d, tx.y + sy * 0.8 * d
+            xs, ys = sorted((cx, cx + sx * w)), sorted((cy, cy + sy * w))
+        elif draw(st.booleans()):  # a face at x = tx.x +- d, across the transmitter's y
+            xs, ys = sorted((tx.x + sx * d, tx.x + sx * (d + w))), (tx.y - w, tx.y + w)
+        else:  # a face at y = tx.y +- d, across the transmitter's x
+            xs, ys = (tx.x - w, tx.x + w), sorted((tx.y + sy * d, tx.y + sy * (d + w)))
+        boxes.append(((xs[0], ys[0], 0), (xs[1], ys[1], h)))
+    order = draw(st.permutations(range(len(boxes))))
+    db = BuildingDB("cull", tuple(Box3(Point3(*boxes[i][0]), Point3(*boxes[i][1])) for i in order))
+    assume(find_containing_building(db, tx) is None)
+    return db, tx, draw(st.sampled_from([0.0, 1.5, 10.0]))
+
+
 class TestOcclusionProperties:
     GRID = dict(r_min=5.0, r_max=60.0, step=5.0, n_points=16)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cull_scenes())
+    def test_culled_curve_equals_the_uncropped_trace(self, scene):
+        db, tx, rx_height = scene
+        radii = radius_grid(self.GRID["r_min"], self.GRID["r_max"], self.GRID["step"])
+        for interior_nlos in (False, True):
+            curve = los_probability_curve(db, tx, rx_height_m=rx_height,
+                                          interior_counts_as_nlos=interior_nlos, **self.GRID)
+            reference = uncropped_curve(db, tx, radii, self.GRID["n_points"], rx_height, interior_nlos)
+            assert curve.p_los.tobytes() == reference.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(occlusion_scenes())
@@ -289,6 +360,14 @@ class TestCurve:
 
         # ten times the rays, about the same working set
         assert peak(0.1) < 1.5 * peak(1.0)
+
+    def test_tx_inside_names_its_box_whatever_the_crop_drops(self):
+        # boxes 0 and 1 lie far beyond r_max and are cropped; box 2 holds the transmitter
+        far = (Box3(Point3(500, 500, 0), Point3(510, 510, 30)), Box3(Point3(-900, 0, 0), Point3(-890, 10, 30)))
+        db = BuildingDB("b", far + (Box3(Point3(-5, -5, 0), Point3(5, 5, 30)),))
+        with pytest.raises(PointInsideBuildingError) as info:
+            los_probability_curve(db, Point3(0, 0, 7), r_max=50.0)
+        assert info.value.building_index == 2
 
     def test_tx_inside_raises_before_sweeping(self):
         db = BuildingDB("b", (Box3(Point3(-5, -5, 0), Point3(5, 5, 30)),))
@@ -706,6 +785,14 @@ class TestCsv:
         # rows are counted before any is parsed: the malformed row past the cap is never read
         with pytest.raises(ValueError, match="curve CSV must hold at most 3 rows, got 4"):
             curve_from_csv("radius_m,p_los,valid\n10,1,1\n20,1,1\n30,1,1\n\nten,bad\n")
+
+    def test_blank_lines_past_the_cap_still_parse(self, monkeypatch):
+        # more line breaks than the cap allows rows, but only 3 rows that are not blank
+        monkeypatch.setattr(los_probability, "MAX_GRID_POINTS", 3)
+        for text in ("radius_m,p_los,valid\n10,1,1\n\n \n\t\n20,1,1\n\n30,0.5,1\n",
+                     "radius_m,p_los,valid\r\n10,1,1\r\n20,1,1\r\n30,0.5,1\r\n"):
+            assert sum(map(text.count, los_probability._LINE_BREAKS)) > 3
+            assert curve_from_csv(text).p_los.tolist() == [1.0, 1.0, 0.5]
 
     def test_over_cap_rows_are_counted_without_copying_them(self, monkeypatch):
         monkeypatch.setattr(los_probability, "MAX_GRID_POINTS", 1000)
