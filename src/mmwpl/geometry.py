@@ -316,35 +316,36 @@ def _canonical_order(starts: np.ndarray, ends: np.ndarray):
 
 def _segments_blocked(
     starts: np.ndarray, ends: np.ndarray, min_array: np.ndarray, max_array: np.ndarray,
-    first: np.ndarray | None = None,
+    ranges: np.ndarray | None = None,
 ) -> np.ndarray:
     """True per segment when any box, padded by EPSILON, occludes it; touching counts.
 
     Endpoints are C-contiguous ``(3, n)`` rows of x, y and z, or a ``(3, 1)``
     column shared by every segment; boxes are ``(n_boxes, 3)`` corners.  Each
-    box is one slab test over the three rows.  ``first``, when given, holds
-    one offset per box: box ``i`` is tested only against the segments from
-    ``first[i]`` on, the caller having shown that it cannot block the others.
+    box is one slab test over the three rows.  ``ranges``, when given, holds
+    one ``[start, stop)`` pair of segment indices per box, shape
+    ``(n_boxes, 2)``: box ``i`` is tested only against those segments, the
+    caller having shown that it cannot block the others.
     """
     starts, ends = _canonical_order(starts, ends)
     deltas = ends - starts
     parallel = deltas == 0.0
     rows = (starts, deltas, parallel)
     blocked = np.zeros(starts.shape[1], dtype=bool)
-    offsets = repeat(0) if first is None else first.tolist()
+    spans = repeat(None) if ranges is None else map(slice, *ranges.T.tolist())
     # a parallel axis divides by zero; its t values are masked out below.  The
     # loop body stays inline: a function per box frees every temporary at once,
     # and the allocator's page faults then cost about half again on long rows
     with np.errstate(divide="ignore", invalid="ignore"):
-        for f, lo, hi in zip(offsets, min_array[:, :, None] - EPSILON, max_array[:, :, None] + EPSILON):
-            s, d, p = (row[:, f:] for row in rows) if f else rows
+        for span, lo, hi in zip(spans, min_array[:, :, None] - EPSILON, max_array[:, :, None] + EPSILON):
+            s, d, p = (row[:, span] for row in rows) if span else rows
             t1 = (lo - s) / d
             t2 = (hi - s) / d
             near = np.where(p, 0.0, np.minimum(t1, t2)).max(axis=0, initial=0.0)
             far = np.where(p, 1.0, np.maximum(t1, t2)).min(axis=0, initial=1.0)
             within = (~p | ((s >= lo) & (s <= hi))).all(axis=0)
-            if f:
-                blocked[f:] |= within & (near <= far)
+            if span:
+                blocked[span] |= within & (near <= far)
             else:
                 blocked |= within & (near <= far)
     return blocked
@@ -369,11 +370,17 @@ def _strictly_inside(points: np.ndarray, box_min: np.ndarray, box_max: np.ndarra
     return ((points > box_min + EPSILON) & (points < box_max - EPSILON)).all(axis=0)
 
 
-def _rows_inside(rows: np.ndarray, min_array: np.ndarray, max_array: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Mask over the points of ``(3, n)`` rows strictly inside some box, box ``i`` tested from point ``first[i]`` on."""
+def _rows_inside(rows: np.ndarray, min_array: np.ndarray, max_array: np.ndarray,
+                 ranges: np.ndarray | None = None) -> np.ndarray:
+    """Mask over the points of ``(3, n)`` rows strictly inside some box.
+
+    ``ranges``, when given, holds one ``[start, stop)`` pair of point indices
+    per box, as in ``_segments_blocked``: box ``i`` is tested only on those points.
+    """
     inside = np.zeros(rows.shape[1], dtype=bool)
-    for f, box_min, box_max in zip(first.tolist(), min_array[:, :, None], max_array[:, :, None]):
-        inside[f:] |= _strictly_inside(rows[:, f:], box_min, box_max)
+    spans = repeat(slice(None)) if ranges is None else map(slice, *ranges.T.tolist())
+    for span, box_min, box_max in zip(spans, min_array[:, :, None], max_array[:, :, None]):
+        inside[span] |= _strictly_inside(rows[:, span], box_min, box_max)
     return inside
 
 
@@ -382,7 +389,7 @@ def points_strictly_inside(db: BuildingDB, points: np.ndarray) -> np.ndarray:
 
     The test runs on (3, n) rows: the transpose of C-contiguous rows costs no copy.
     """
-    return _rows_inside(np.ascontiguousarray(points.T), db.min_array, db.max_array, np.zeros(len(db), dtype=int))
+    return _rows_inside(np.ascontiguousarray(points.T), db.min_array, db.max_array)
 
 
 def find_containing_building(db: BuildingDB, p: Point3) -> int | None:

@@ -97,8 +97,6 @@ class TestLosProb:
         assert "No space left on device" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["empty.json"]
 
-    test_missing_output_directory_is_input_error = contract_test("los-prob-out-missing-dir")
-    test_tx_inside_building_is_input_error = contract_test("los-prob-tx-inside-building")
     test_oversized_inputs_are_input_errors = contract_test("los-prob-step-tiny", "los-prob-n-points-over-cap")
     test_non_finite_rx_height_is_input_error = contract_test(
         "los-prob-tower-rx-height-nan", "los-prob-tower-rx-height-inf", "los-prob-tower-rx-height-minus-inf",
@@ -106,7 +104,6 @@ class TestLosProb:
     test_below_ground_is_input_error = contract_test(
         "los-prob-tx-below-ground", "los-prob-tower-rx-height-negative",
         ids=["args0-tx z must be >= 0", "args1-rx_height_m must be >= 0"])
-    test_ground_level_receivers_allowed = contract_test("los-prob-ground-level-receivers")
 
 
 class TestFitPlos:

@@ -203,7 +203,7 @@ def occlusion_scenes(draw):
 
 
 def uncropped_curve(db, tx, radii, n_points, rx_height, interior_nlos):
-    """p_los on the receiver positions of _circle_los, traced in one block against every box with no offsets."""
+    """p_los on the receiver positions of _circle_los, traced in one block against every box with no ranges."""
     which, k = np.divmod(np.arange(radii.size * n_points), n_points)
     angles = 2.0 * np.pi * np.arange(n_points) / n_points
     r = radii[which]
@@ -219,14 +219,25 @@ def uncropped_curve(db, tx, radii, n_points, rx_height, interior_nlos):
 
 @st.composite
 def cull_scenes(draw):
-    """Boxes on both sides of each culled radius, a transmitter clear of them and a receiver height.
+    """Boxes on both sides of each culled radius and sector edge, a transmitter clear of them and a receiver height.
 
-    Beside random boxes, each edge box has its footprint's nearest point, to
-    the transmitter's ground point, exactly on the last radius (60 m), on
-    another grid radius, 2e-6 m either side of a grid radius (twice the
-    crop's margin: a receiver just inside the box, or a segment just short
-    of it), or 0.5e-9 m beyond 60 m, where only the EPSILON padding reaches
-    a segment; that point is a face's middle or a corner.
+    Beside random boxes, each edge box is one of these, its sides 1 to 20 m:
+
+    - a box whose footprint's nearest point, to the transmitter's ground
+      point, is exactly on the last radius (60 m), on another grid radius,
+      2e-6 m either side of a grid radius (twice the crop's margin: a
+      receiver just inside the box, or a segment just short of it), or
+      0.5e-9 m beyond 60 m, where only the EPSILON padding reaches a
+      segment; that point is a face's middle or a corner;
+    - a box across the +x or -x axis from the ground point, one side
+      possibly on the axis, so that its sector wraps past angle 0 or spans
+      angle pi;
+    - a box with a corner exactly in a direction that is a multiple of 45
+      degrees from the ground point, which is a receiver's direction for 4
+      and 16 points, or 0.5e-9 m across it, where only the EPSILON padding
+      reaches the receiver's segment;
+    - a box whose footprint holds the ground point: under the transmitter,
+      or with the transmitter on one of its faces.
     """
     tx = Point3(draw(st.integers(-30, 30)), draw(st.integers(-30, 30)),
                 draw(st.sampled_from([1.5, 7.0, 10.0, 50.0])))
@@ -236,17 +247,34 @@ def cull_scenes(draw):
         boxes.append(((x0, y0, 0), (draw(st.integers(x0 + 1, 80)), draw(st.integers(y0 + 1, 80)),
                                     draw(st.sampled_from([1.5, 10, 40])))))
     for _ in range(draw(st.integers(1, 4))):
-        d = draw(st.sampled_from([60.0, 60.0 + 0.5e-9, 5.0 * draw(st.integers(1, 11)) + draw(
-            st.sampled_from([0.0, -2e-6, 2e-6]))]))
         sx, sy = draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1]))
         w, h = draw(st.integers(1, 20)), draw(st.sampled_from([1.5, 10, 40]))
-        if draw(st.booleans()):  # a corner at (0.6 d, 0.8 d) from the transmitter, up to signs
-            cx, cy = tx.x + sx * 0.6 * d, tx.y + sy * 0.8 * d
-            xs, ys = sorted((cx, cx + sx * w)), sorted((cy, cy + sy * w))
-        elif draw(st.booleans()):  # a face at x = tx.x +- d, across the transmitter's y
-            xs, ys = sorted((tx.x + sx * d, tx.x + sx * (d + w))), (tx.y - w, tx.y + w)
-        else:  # a face at y = tx.y +- d, across the transmitter's x
-            xs, ys = (tx.x - w, tx.x + w), sorted((tx.y + sy * d, tx.y + sy * (d + w)))
+        kind = draw(st.sampled_from(["radius", "axis", "direction", "ground"]))
+        if kind == "radius":
+            d = draw(st.sampled_from([60.0, 60.0 + 0.5e-9, 5.0 * draw(st.integers(1, 11)) + draw(
+                st.sampled_from([0.0, -2e-6, 2e-6]))]))
+            if draw(st.booleans()):  # a corner at (0.6 d, 0.8 d) from the transmitter, up to signs
+                cx, cy = tx.x + sx * 0.6 * d, tx.y + sy * 0.8 * d
+                xs, ys = sorted((cx, cx + sx * w)), sorted((cy, cy + sy * w))
+            elif draw(st.booleans()):  # a face at x = tx.x +- d, across the transmitter's y
+                xs, ys = sorted((tx.x + sx * d, tx.x + sx * (d + w))), (tx.y - w, tx.y + w)
+            else:  # a face at y = tx.y +- d, across the transmitter's x
+                xs, ys = (tx.x - w, tx.x + w), sorted((tx.y + sy * d, tx.y + sy * (d + w)))
+        elif kind == "axis":  # y from tx.y - b to tx.y + a, or mirrored, at x = tx.x +- d
+            d, a, b = draw(st.integers(1, 65)), draw(st.integers(0, w)), draw(st.integers(1, w))
+            xs, ys = sorted((tx.x + sx * d, tx.x + sx * (d + w))), sorted((tx.y + sy * a, tx.y - sy * b))
+        elif kind == "direction":  # a corner at (d, d), (d, 0) or (0, d) from the transmitter, up to signs
+            d, off = draw(st.integers(1, 60)), draw(st.sampled_from([0.0, 0.5e-9, -0.5e-9]))
+            cx, cy = draw(st.sampled_from([(tx.x + sx * d + off, tx.y + sy * d), (tx.x + sx * d, tx.y + off),
+                                           (tx.x + off, tx.y + sy * d)]))
+            ax, ay = draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1]))
+            xs, ys = sorted((cx, cx + ax * w)), sorted((cy, cy + ay * draw(st.integers(1, 20))))
+        else:  # x from tx.x - a to tx.x + b and y from tx.y - c to tx.y + e
+            a, c = draw(st.integers(0, w)), draw(st.integers(0, w))
+            b, e = draw(st.integers(0 if a else 1, w)), draw(st.integers(0 if c else 1, w))
+            xs, ys = (tx.x - a, tx.x + b), (tx.y - c, tx.y + e)
+            if 0 not in (a, b, c, e):  # the transmitter is on no side face: it is on or above the roof
+                h = min(h, tx.z)
         boxes.append(((xs[0], ys[0], 0), (xs[1], ys[1], h)))
     order = draw(st.permutations(range(len(boxes))))
     db = BuildingDB("cull", tuple(Box3(Point3(*boxes[i][0]), Point3(*boxes[i][1])) for i in order))
@@ -254,18 +282,31 @@ def cull_scenes(draw):
     return db, tx, draw(st.sampled_from([0.0, 1.5, 10.0]))
 
 
+def box_scene(tx, *boxes):
+    """A cull scene of the given (min corner, max corner) boxes, with receivers at 1.5 m."""
+    return BuildingDB("edge", tuple(Box3(Point3(*lo), Point3(*hi)) for lo, hi in boxes)), tx, 1.5
+
+
 class TestOcclusionProperties:
     GRID = dict(r_min=5.0, r_max=60.0, step=5.0, n_points=16)
 
     @settings(max_examples=200, deadline=None)
-    @given(cull_scenes())
-    def test_culled_curve_equals_the_uncropped_trace(self, scene):
+    @given(cull_scenes(), st.sampled_from([4, 7, 16]))
+    # a sector that wraps past angle 0, a corner on the 45 degree receiver
+    # direction of 16 points and one 0.5e-9 m beside the 90 degree direction,
+    # a transmitter above a low box over its ground point, and one on a box face
+    @example(box_scene(Point3(0, 0, 7), ((20, -5, 0), (30, 5, 40))), 7)
+    @example(box_scene(Point3(0, 0, 7), ((1, 10, 0), (10, 20, 40))), 16)
+    @example(box_scene(Point3(0, 0, 7), ((-10, 10, 0), (-0.5e-9, 20, 40))), 16)
+    @example(box_scene(Point3(0, 0, 7), ((-5, -5, 0), (5, 5, 1.5))), 4)
+    @example(box_scene(Point3(0, 0, 7), ((0, -5, 0), (10, 5, 20)), ((-30, 0, 0), (-20, 10, 10))), 16)
+    def test_culled_curve_equals_the_uncropped_trace(self, scene, n_points):
         db, tx, rx_height = scene
-        radii = radius_grid(self.GRID["r_min"], self.GRID["r_max"], self.GRID["step"])
+        grid = dict(self.GRID, n_points=n_points)
+        radii = radius_grid(grid["r_min"], grid["r_max"], grid["step"])
         for interior_nlos in (False, True):
-            curve = los_probability_curve(db, tx, rx_height_m=rx_height,
-                                          interior_counts_as_nlos=interior_nlos, **self.GRID)
-            reference = uncropped_curve(db, tx, radii, self.GRID["n_points"], rx_height, interior_nlos)
+            curve = los_probability_curve(db, tx, rx_height_m=rx_height, interior_counts_as_nlos=interior_nlos, **grid)
+            reference = uncropped_curve(db, tx, radii, n_points, rx_height, interior_nlos)
             assert curve.p_los.tobytes() == reference.tobytes()
 
     @settings(max_examples=100, deadline=None)
