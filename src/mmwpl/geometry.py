@@ -387,7 +387,7 @@ def _rows_inside(rows: np.ndarray, min_array: np.ndarray, max_array: np.ndarray,
 def points_strictly_inside(db: BuildingDB, points: np.ndarray) -> np.ndarray:
     """Boolean mask over points (n, 3) that lie strictly inside some building.
 
-    The test runs on (3, n) rows: the transpose of C-contiguous rows costs no copy.
+    The test runs on C-contiguous (3, n) rows, so C-contiguous points are copied, transposed.
     """
     return _rows_inside(np.ascontiguousarray(points.T), db.min_array, db.max_array)
 
@@ -410,6 +410,60 @@ def _check_endpoint(db: BuildingDB, p: Point3, name: str) -> None:
     idx = find_containing_building(db, p)
     if idx is not None:
         raise PointInsideBuildingError(p, idx)
+
+
+def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
+    """``trace(rx, angles) -> (exterior, los)`` for receivers around ``tx``, testing each box only where it can matter.
+
+    ``rx`` is ``(3, n)`` rows of receivers within ``r_max`` of the
+    transmitter's ground point and ``angles`` their directions from it,
+    ascending, in [0, 2 pi).  ``exterior`` masks the receivers outside every
+    box, and ``los`` the exterior ones whose segment no box blocks.
+
+    A receiver and its segment lie on the ray at the receiver's angle, within
+    ``r_max`` of the ground point, so a box acts on them only where that ray
+    meets its footprint grown by 1e-6 m: a margin far above the EPSILON
+    padding (under 1.5e-9 m) and the rounding of coordinates within 1e7 m of
+    the origin.  Boxes whose grown footprint lies beyond ``r_max`` are
+    cropped.  Each other box is tested only on the run of ``angles`` in its
+    sector: the interval of its grown footprint's corner angles, split where
+    it wraps past 0, or every angle when that footprint holds the ground
+    point.  arctan2 and the nominal angles round by a few 1e-16 rad; a slack
+    of 1e-12 rad on each side of a sector covers that.
+    """
+    _check_endpoint(db, tx, "tx")  # on every box, so an error names the box's index in the document
+    ground = np.array([tx.x, tx.y])
+    gap = np.maximum(np.maximum(db.min_array[:, :2] - ground, ground - db.max_array[:, :2]), 0.0)
+    kept = np.hypot(gap[:, 0], gap[:, 1]) - 1e-6 <= r_max
+    box_min, box_max = db.min_array[kept], db.max_array[kept]
+
+    # the low and high x and y of each grown footprint from the ground point, and the axes it straddles
+    grown = np.stack((box_min[:, :2] - 1e-6, box_max[:, :2] + 1e-6)) - ground
+    straddles = (grown[0] <= 0.0) & (grown[1] >= 0.0)
+    dx, dy = grown.T
+    # corner angles in [-pi, pi], or in [0, 2 pi) for a footprint across the -x axis: no sector is cut
+    corners = np.arctan2(dy[:, :, None], dx[:, None, :])
+    corners[straddles[:, 1] & (dx[:, 1] < 0.0)] %= 2.0 * np.pi
+    sectors = np.stack((corners.min(axis=(1, 2)) - 1e-12, corners.max(axis=(1, 2)) + 1e-12), axis=-1)
+    sectors[straddles.all(axis=1)] = 0.0, 2.0 * np.pi
+    # each sector shifted by -2 pi, 0 and 2 pi and clipped to the circle: two pieces where it wraps past 0
+    pieces = np.clip(sectors + 2.0 * np.pi * np.arange(-1, 2)[:, None, None], 0.0, 2.0 * np.pi).reshape(-1, 2)
+    nonempty = pieces[:, 0] < pieces[:, 1]
+    pieces, box_min, box_max = (x[nonempty] for x in (pieces, np.tile(box_min, (3, 1)), np.tile(box_max, (3, 1))))
+
+    def sectors_in(angles):
+        # the corners of each piece's box and its [start, stop) run in angles, for the pieces that hold a ray
+        spans = np.searchsorted(angles, pieces)
+        live = spans[:, 0] < spans[:, 1]
+        return box_min[live], box_max[live], spans[live]
+
+    def trace(rx, angles):
+        exterior = ~_rows_inside(rx, *sectors_in(angles))
+        # np.compress keeps the rows C-contiguous; on rx[:, exterior] the kernel runs about 6x slower
+        rx, angles = np.compress(exterior, rx, axis=1), angles[exterior]
+        return exterior, ~_segments_blocked(tx.to_array()[:, None], rx, *sectors_in(angles))
+
+    return trace
 
 
 def is_los(db: BuildingDB, tx: Point3, rx: Point3) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BuildingDB, Point3, _check_endpoint, _rows_inside, _segments_blocked
+from .geometry import BuildingDB, Point3, _sector_tracer
 
 DEFAULT_N_POINTS = 100
 DEFAULT_RX_HEIGHT_M = 1.5
@@ -118,24 +118,8 @@ def _circle_los(db: BuildingDB, tx: Point3, radii: np.ndarray, n_points: int,
                 rx_height_m: float, interior_counts_as_nlos: bool) -> np.ndarray:
     """LOS fraction on the circle of each radius; NaN where every position is interior.
 
-    The angle-major sequence of all receiver positions, flat index
-    ``k * radii.size + i`` for angle ``k`` and radius ``i``, is traced in
-    blocks of _RAYS_PER_BLOCK rays, as ``(3, n)`` rows of x, y and z against
-    the transmitter's ``(3, 1)`` column, and counts are gathered per radius.
-    Transmitter and receivers must be at or above ground (z >= 0).
-
-    A receiver at horizontal radius r, and its segment to the transmitter,
-    lie on the ray at the receiver's angle from the transmitter's ground
-    point, within r of that point.  A box can hold the receiver or block
-    the segment only where that ray meets the box's footprint grown by a
-    1e-6 m margin, which covers the EPSILON padding and rounding.  So boxes
-    whose reach, the footprint's distance from the ground point less the
-    margin, is above the largest radius are cropped, and each other box is
-    tested only against the rays of its angular sector: the angles of its
-    grown footprint's corners, widened by one index on each side, split in
-    two where they wrap past angle 0, or every angle when the grown
-    footprint holds the ground point.  In angle-major order a sector is one
-    range of flat indices, found in each block by np.searchsorted.
+    The grid's receivers, at or above ground like the transmitter, go to the sector tracer of ``tx``
+    in angle-major blocks of at most _RAYS_PER_BLOCK rays, with their nominal angles ``2 pi k / n_points``.
     """
     if not 4 <= n_points <= MAX_GRID_POINTS:
         raise ValueError(f"n_points must be between 4 and {MAX_GRID_POINTS}, got {n_points}")
@@ -143,62 +127,23 @@ def _circle_los(db: BuildingDB, tx: Point3, radii: np.ndarray, n_points: int,
         raise ValueError(f"rx_height_m must be finite, got {rx_height_m!r}")
     if rx_height_m < 0:
         raise ValueError(f"rx_height_m must be >= 0 (ground level), got {rx_height_m:g}")
-    _check_endpoint(db, tx, "tx")  # on every box, so an error names the box's index in the document
-
-    ground = np.array([tx.x, tx.y])
-    gap = np.maximum(np.maximum(db.min_array[:, :2] - ground, ground - db.max_array[:, :2]), 0.0)
-    # the 1e-6 m margin is far above the EPSILON padding (under 1.5e-9 m across
-    # a footprint) and the rounding of coordinates within 1e7 m of the origin
-    reach = np.hypot(gap[:, 0], gap[:, 1]) - 1e-6
-    kept = reach <= radii[-1]
-    box_min, box_max = db.min_array[kept], db.max_array[kept]
-
-    # the low and high x and y of each grown footprint, from the ground point,
-    # and on which axes the footprint straddles the ground point
-    grown = np.stack((box_min[:, :2] - 1e-6, box_max[:, :2] + 1e-6)) - ground
-    straddles = (grown[0] <= 0.0) & (grown[1] >= 0.0)
-    dx, dy = grown.T
-    # corner angles in [-pi, pi], or in [0, 2 pi) for a footprint across the
-    # -x axis from the ground point, so that no sector is cut in the middle
-    corners = np.arctan2(dy[:, :, None], dx[:, None, :])
-    corners[straddles[:, 1] & (dx[:, 1] < 0.0)] %= 2.0 * np.pi
-    scale = n_points / (2.0 * np.pi)
-    first = np.ceil(corners.min(axis=(1, 2)) * scale).astype(np.int64) - 1
-    stop = np.floor(corners.max(axis=(1, 2)) * scale).astype(np.int64) + 2
-    every = straddles.all(axis=1) | (stop - first >= n_points)
-    first[every], stop[every] = 0, n_points
-    # a sector that wraps past angle 0 is its range shifted by -n_points, 0
-    # and n_points, each clipped to the circle; empty pieces are dropped
-    pieces = np.clip(np.stack((first, stop), axis=-1) + n_points * np.arange(-1, 2)[:, None, None], 0, n_points)
-    pieces = pieces.reshape(-1, 2)
-    nonempty = pieces[:, 0] < pieces[:, 1]
-    bounds = pieces[nonempty] * radii.size
-    box_min, box_max = (np.tile(corner, (3, 1))[nonempty] for corner in (box_min, box_max))
-
-    def sectors_in(flat):
-        # the corners of each sector's box and its [start, stop) positions in
-        # flat, for the sectors that hold a ray of flat
-        spans = np.searchsorted(flat, bounds)
-        live = spans[:, 0] < spans[:, 1]
-        return box_min[live], box_max[live], spans[live]
-
+    trace = _sector_tracer(db, tx, radii[-1])
     angles = 2.0 * np.pi * np.arange(n_points) / n_points
     cos, sin = np.cos(angles), np.sin(angles)
-    n_exterior = np.zeros(radii.size, dtype=np.int64)
-    n_los = np.zeros(radii.size, dtype=np.int64)
-    n_rays = radii.size * n_points
-    for start in range(0, n_rays, _RAYS_PER_BLOCK):
-        flat = np.arange(start, min(start + _RAYS_PER_BLOCK, n_rays))
-        k, which = np.divmod(flat, radii.size)
-        r = radii[which]
-        rx = np.stack((tx.x + r * cos[k], tx.y + r * sin[k], np.full(flat.size, float(rx_height_m))))
-        exterior = ~_rows_inside(rx, *sectors_in(flat))
-        # np.compress keeps the rows C-contiguous; rx[:, exterior] would
-        # not, and the kernel runs about 6x slower on it
-        rx, flat, which = np.compress(exterior, rx, axis=1), flat[exterior], which[exterior]
-        los = ~_segments_blocked(tx.to_array()[:, None], rx, *sectors_in(flat))
-        n_exterior += np.bincount(which, minlength=radii.size)
-        n_los += np.bincount(which[los], minlength=radii.size)
+    n_exterior, n_los = np.zeros((2, radii.size), dtype=np.int64)
+    width = min(radii.size, _RAYS_PER_BLOCK)
+    height = _RAYS_PER_BLOCK // width  # a block is up to `width` radii at up to `height` angles
+    for i in range(0, radii.size, width):
+        r = radii[i:i + width]
+        for k in range(0, n_points, height):
+            cut = slice(k, k + height)
+            # built in the call, the rows are the tracer's alone: it frees them once compressed, which saves page faults
+            exterior, los = trace(np.stack((tx.x + cos[cut, None] * r, tx.y + sin[cut, None] * r,
+                                            np.full((cos[cut].size, r.size), float(rx_height_m)))).reshape(3, -1),
+                                  np.repeat(angles[cut], r.size))
+            which = np.tile(np.arange(r.size), cos[cut].size)[exterior]
+            n_exterior[i:i + r.size] += np.bincount(which, minlength=r.size)
+            n_los[i:i + r.size] += np.bincount(which[los], minlength=r.size)
     denominator = n_points if interior_counts_as_nlos else n_exterior
     with np.errstate(invalid="ignore"):
         return np.where(n_exterior > 0, n_los / denominator, np.nan)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,6 +20,7 @@ from mmwpl.geometry import (
     Point3,
     PointInsideBuildingError,
     TxSite,
+    _sector_tracer,
     _segments_blocked,
     find_containing_building,
     is_los,
@@ -468,6 +469,90 @@ class TestKernelMatchesReference:
                            for i in order], dtype=bool).reshape(len(order), len(points))
         for p, hits in zip(points, inside.T):
             assert find_containing_building(db, Point3(*p)) == (int(hits.argmax()) if hits.any() else None)
+
+
+def directions(tx, rx):
+    """The directions of ``(3, n)`` receiver rows from the ground point of ``tx``, in [0, 2 pi)."""
+    angles = np.arctan2(rx[1] - tx.y, rx[0] - tx.x) % (2.0 * np.pi)
+    return np.where(angles < 2.0 * np.pi, angles, 0.0)  # a tiny negative angle rounds up to 2 pi
+
+
+@st.composite
+def tracer_scenes(draw):
+    """Boxes, a transmitter clear of them and ``(3, n)`` receiver rows around it.
+
+    Receivers lie in the directions of footprint corners, on the corners or
+    0.5e-9 m beside them, where only the EPSILON padding reaches a segment;
+    in the middle of a box; on the +x and -x axes from the ground point,
+    where sectors wrap; at the ground point itself, above or below the
+    transmitter; or anywhere.  A box may hold the ground point, with the
+    transmitter on or above its roof.
+    """
+    tx = Point3(draw(st.integers(-10, 10)), draw(st.integers(-10, 10)), draw(st.sampled_from([0.0, 1.5, 7.0, 20.0])))
+    boxes = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            x0, y0 = draw(st.integers(-40, 39)), draw(st.integers(-40, 39))
+            x1, y1 = draw(st.integers(x0 + 1, 40)), draw(st.integers(y0 + 1, 40))
+            z0, z1 = draw(st.sampled_from([(0, 1.5), (0, 10), (0, 40), (1.5, 10), (5, 40)]))
+        else:  # over the ground point, its roof at or below the transmitter
+            x0, y0 = tx.x - draw(st.integers(0, 5)), tx.y - draw(st.integers(0, 5))
+            x1, y1 = draw(st.integers(x0 + 1, tx.x + 5)), draw(st.integers(y0 + 1, tx.y + 5))
+            z0, z1 = 0, draw(st.sampled_from([tx.z, tx.z / 2, 1.0]))
+        assume(z1 > z0)
+        boxes.append(Box3(Point3(x0, y0, z0), Point3(x1, y1, z1)))
+    db = BuildingDB("tracer", boxes)
+    assume(find_containing_building(db, tx) is None)
+    receivers = []
+    for _ in range(draw(st.integers(1, 20))):
+        z = draw(st.sampled_from([0.0, 1.5, 10.0, 40.0]))
+        kind = draw(st.sampled_from(["corner", "middle", "axis", "ground", "anywhere"][0 if boxes else 2:]))
+        if kind == "corner":
+            box = draw(st.sampled_from(boxes))
+            offset = [draw(st.sampled_from([-0.5e-9, 0.0, 0.5e-9])) for _ in range(2)]
+            corner = np.array([draw(st.sampled_from([box.min_corner.x, box.max_corner.x])),
+                               draw(st.sampled_from([box.min_corner.y, box.max_corner.y]))]) + offset
+            x, y = np.array([tx.x, tx.y]) + draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) * (corner - [tx.x, tx.y])
+        elif kind == "middle":
+            box = draw(st.sampled_from(boxes))
+            x, y, z = (np.add(box.min_corner.to_array(), box.max_corner.to_array()) / 2).tolist()
+        elif kind == "axis":
+            x, y = tx.x + draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 60)), tx.y
+        elif kind == "ground":
+            x, y = tx.x, tx.y
+            z = z if z != tx.z else tx.z + 1.0
+        else:
+            x, y = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
+        assume((x, y, z) != (tx.x, tx.y, tx.z))
+        receivers.append((float(x), float(y), z))
+    return db, tx, np.array(receivers).T
+
+
+def tracer_scene(tx, boxes, receivers):
+    """A tracer scene of the given (min corner, max corner) boxes and receiver positions."""
+    return BuildingDB("edge", tuple(Box3(Point3(*lo), Point3(*hi)) for lo, hi in boxes)), tx, np.array(receivers).T
+
+
+class TestSectorTracer:
+    @settings(max_examples=300, deadline=None)
+    @given(tracer_scenes())
+    # a sector that wraps past angle 0, a transmitter on the roof of a box
+    # over its ground point, an interior receiver ahead of a blocked one in
+    # another box's sector, and a receiver 0.5e-9 m beside a box's corner
+    @example(tracer_scene(Point3(0, 0, 7), [((20, -5, 0), (30, 5, 40))], [(40, -10, 1.5)]))
+    @example(tracer_scene(Point3(0, 0, 1.5), [((-5, -5, 0), (5, 5, 1.5))], [(-20, 0, 1.5)]))
+    @example(tracer_scene(Point3(0, 0, 7), [((10, -5, 0), (20, 5, 40)), ((-5, 10, 0), (5, 20, 40))],
+                          [(15, 0, 1.5), (0, 30, 1.5)]))
+    @example(tracer_scene(Point3(0, 0, 7), [((-10, 10, 0), (-0.5e-9, 20, 40))], [(0, 30, 1.5)]))
+    def test_trace_equals_per_receiver_tests(self, scene):
+        db, tx, rx = scene
+        angles = directions(tx, rx)
+        order = np.argsort(angles, kind="stable")
+        rx, angles = np.ascontiguousarray(rx[:, order]), angles[order]
+        exterior, los = _sector_tracer(db, tx, np.hypot(rx[0] - tx.x, rx[1] - tx.y).max())(rx, angles)
+        points = [Point3(*p) for p in rx.T.tolist()]
+        assert exterior.tolist() == [find_containing_building(db, p) is None for p in points]
+        assert los.tolist() == [is_los(db, tx, p) for p, out in zip(points, exterior) if out]
 
 
 class TestPointInBuilding:
