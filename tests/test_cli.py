@@ -136,6 +136,9 @@ class TestFitPlos:
         assert main(["fit-plos", curve]) == 2
         assert capsys.readouterr().err == f"error: {curve}: curve CSV must hold at most 190 rows, got 191\n"
 
+    test_malformed_curve = contract_test("fit-plos-malformed-row")
+    test_mean_of_mismatched_grids_is_input_error = contract_test("fit-plos-mean-mismatched-grid")
+    test_too_few_valid_points_is_numerical_error = contract_test("fit-plos-too-few-valid")
     test_non_positive_radius_is_input_error = contract_test(
         "fit-plos-zero-radius", "fit-plos-negative-radius", ids=["0", "-5"])
 
