@@ -458,10 +458,18 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
         return box_min[live], box_max[live], spans[live]
 
     def trace(rx, angles):
-        exterior = ~_rows_inside(rx, *sectors_in(angles))
-        # np.compress keeps the rows C-contiguous; on rx[:, exterior] the kernel runs about 6x slower
-        rx, angles = np.compress(exterior, rx, axis=1), angles[exterior]
-        return exterior, ~_segments_blocked(tx.to_array()[:, None], rx, *sectors_in(angles))
+        box_min, box_max, spans = sectors_in(angles)
+        exterior = ~_rows_inside(rx, box_min, box_max, spans)
+        # only an exterior receiver in some sector can be blocked, so the kernel sees those alone
+        tested = np.zeros(angles.size, dtype=bool)
+        for start, stop in spans.tolist():
+            tested[start:stop] = True
+        tested &= exterior
+        # np.compress keeps the rows C-contiguous; on rx[:, tested] the kernel runs about 6x slower
+        rx, angles_tested = np.compress(tested, rx, axis=1), angles[tested]
+        blocked = np.zeros(angles.size, dtype=bool)
+        blocked[tested] = _segments_blocked(tx.to_array()[:, None], rx, *sectors_in(angles_tested))
+        return exterior, ~blocked[exterior]
 
     return trace
 

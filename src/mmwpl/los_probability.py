@@ -228,14 +228,35 @@ def p_los_model(d_m, params: LosProbParams):
 # Screened cells within this MSE of the screen's minimum are re-evaluated
 # exactly.  Beyond the breakpoint every monomial (bp*u)^i * e^j of the quartic
 # is at most 1 and t is in [0, 1], so a cell's per-radius terms sum to at most
-# 1+4+6+4+1 in magnitude, plus 2+4+2+1 for the t terms: 25.  Cumulative
-# sums of n_r such terms and Horner's rule then put the screened MSE within
-# about n_r * eps * 25 of the true one (1e-12 for the 191-radius default
-# curve); the exact MSE, pairwise-summed, is closer still.  With both errors
-# below TOL / 2, the exact winner and every cell tied with it are candidates.
-# Past about 90,000 radii the bound reaches TOL / 2 and the tolerance grows
-# with it.
+# 1+4+6+4+1 in magnitude, plus 2+4+2+1 for the t terms: 25.  The screen sums
+# only such terms, each at a radius past its own breakpoint: a pairwise sum
+# of those past the largest breakpoint, then a cumulative sum of the rest.
+# With Horner's rule that puts the screened MSE within about n_r * eps * 25
+# of the true one (1e-12 for the 191-radius default curve); the exact MSE,
+# pairwise-summed, is closer still.  With both errors below TOL / 2, the
+# exact winner and every cell tied with it are candidates.  Past about 90,000
+# radii the bound reaches TOL / 2 and the tolerance grows with it.
+#
+# The coarse pass keeps only the breakpoints whose saturated error, the mean
+# of (1 - t)^2 over the radii at or below them, is at most U + 2 * TOL, where
+# U is the exact MSE of a sub-grid's winner.  The coarse winner w keeps its
+# breakpoint.  At those radii its squared errors are (1 - t)^2 bit for bit
+# and the others are >= 0, and its exact MSE is at most U, the exact MSE of
+# a coarse cell.  So its saturated error exceeds U by no more than the
+# rounding of a cumulative sum and of a mean of n_r values in [0, 1], each
+# within n_r * eps relative: delta <= 3 * n_r * eps in all.  That is below
+# TOL / 16, so delta < TOL / 2 and a margin of 2 * TOL is safe.
 _SCREEN_TOL = 1e-9
+
+
+def _screen_tol(n_r: int) -> float:
+    """TOL for a curve of ``n_r`` valid radii (see _SCREEN_TOL)."""
+    return max(_SCREEN_TOL, 50 * n_r * np.finfo(float).eps)
+
+
+def _saturated_sse(target, split):
+    """Sum of (1 - t)^2 over the first ``split[j]`` radii, for each j."""
+    return np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))[split]
 
 
 def _screened_mse(radii, target, bp_values, alpha_values, split):
@@ -245,30 +266,39 @@ def _screened_mse(radii, target, bp_values, alpha_values, split):
     bracket beyond the breakpoint is bp * u + e, so the squared error summed
     over the radii beyond bp is a quartic in bp whose coefficients are
     suffix sums over the radii.  ``split[j]`` counts the radii at or below
-    ``bp_values[j]``, which add the prefix sum of (1 - t)^2.  The suffix
-    sums are built one coefficient at a time and folded in by Horner's rule,
-    for blocks of alphas that hold about _RAYS_PER_BLOCK values per array.
+    ``bp_values[j]``, which add the prefix sum of (1 - t)^2.  The radii past
+    the largest breakpoint are summed once per alpha; only those at or below
+    it are accumulated, in reverse, onto that sum.  The suffix sums are built
+    one coefficient at a time and folded in by Horner's rule, for blocks of
+    alphas that hold about _RAYS_PER_BLOCK values per array.
     """
     n_r = radii.size
-    beyond = n_r - split
-    below = np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))[split]
+    cut = split.max()
+    below = _saturated_sse(target, split)
 
     def suffix_sums(term):
-        # sums[:, m] is the sum of the last m radii's terms
-        sums = np.zeros((term.shape[0], n_r + 1))
-        np.cumsum(term[:, ::-1], axis=1, out=sums[:, 1:])
-        return sums[:, beyond]
+        # sums[:, m] is the sum of the terms past radius cut plus the last m at or below it
+        sums = np.empty((term.shape[0], cut + 1))
+        sums[:, 0] = term[:, cut:].sum(axis=1)
+        sums[:, 1:] = term[:, :cut][:, ::-1]
+        return np.cumsum(sums, axis=1, out=sums)[:, cut - split]
 
     step = max(1, _RAYS_PER_BLOCK // n_r)
     blocks = []
     for start in range(0, alpha_values.size, step):
-        decay = np.exp(-radii / alpha_values[start:start + step, None])
-        u = (1.0 - decay) / radii
-        q = decay * decay - target
-        table = suffix_sums(u**4)
-        table = table * bp_values + suffix_sums(4.0 * u**3 * decay)
-        table = table * bp_values + suffix_sums(u * u * (4.0 * decay * decay + 2.0 * q))
-        table = table * bp_values + suffix_sums(4.0 * u * decay * q)
+        # e, u * e, u^2 and q = e^2 - t, computed in place where a value is last used
+        e = -radii / alpha_values[start:start + step, None]
+        np.exp(e, out=e)
+        u = 1.0 - e
+        u /= radii
+        ue = u * e
+        uu = np.square(u, out=u)
+        q = np.square(e, out=e)
+        q -= target
+        table = suffix_sums(uu * uu)
+        table = table * bp_values + suffix_sums(4.0 * uu * ue)
+        table = table * bp_values + suffix_sums(4.0 * ue * ue + 2.0 * uu * q)
+        table = table * bp_values + suffix_sums(4.0 * ue * q)
         blocks.append(table * bp_values + suffix_sums(q * q))
     return (np.vstack(blocks) + below) / n_r
 
@@ -287,7 +317,7 @@ def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alph
     # positive radii, fl(bp / r) >= 1 exactly when r <= bp
     split = np.searchsorted(radii, bp_values, side="right")
     screened = _screened_mse(radii, target, bp_values, alpha_values, split)
-    tol = max(_SCREEN_TOL, 50 * radii.size * np.finfo(float).eps)
+    tol = _screen_tol(radii.size)
     cells = []
     for ia, ib in zip(*np.nonzero(screened <= screened.min() + tol)):
         bp, alpha = bp_values[ib], alpha_values[ia]
@@ -297,22 +327,40 @@ def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alph
     return float(bp), float(alpha), float(mse)
 
 
+def _coarse_fit(radii: np.ndarray, target: np.ndarray):
+    """``_mse_grid`` over the coarse grid, screening only the breakpoints that can win.
+
+    The sub-grid is every 8th breakpoint and every 16th alpha; the cut and
+    why it keeps the whole grid's result bit for bit are stated beside
+    _SCREEN_TOL.  The saturated error grows with the breakpoint, so the kept
+    breakpoints are a prefix of the grid.
+    """
+    _, _, upper = _mse_grid(radii, target, _COARSE_GRID[::8], _COARSE_GRID[::16])
+    split = np.searchsorted(radii, _COARSE_GRID, side="right")
+    saturated = _saturated_sse(target, split) / radii.size
+    kept = np.count_nonzero(saturated <= upper + 2 * _screen_tol(radii.size))
+    return _mse_grid(radii, target, _COARSE_GRID[:kept], _COARSE_GRID)
+
+
 def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     """MMSE fit of the squared model to a curve's valid points.
 
     Exhaustive search over integer (d_bp, alpha) pairs from 1 to 200 m,
     followed by a 0.1 m local refinement around the winning cell.  The
-    search is exhaustive in result: a closed-form screen of every cell
-    decides which few cells are evaluated exactly, and the winner is the
-    one a cell-by-cell evaluation would pick (see _mse_grid); the screen's
-    memory does not grow with the curve's length.  The refinement window,
-    1 m either side, recenters while its winner lands on a window edge, so
-    optima up to a few meters off the coarse winner are still resolved.  It
-    evaluates at most 16 windows, and a winner still on an edge of the 16th
-    is returned without saying so: a curve whose best alpha lies past 200 m
-    comes back with alpha_m = 216.0, which is 200 m plus 16 steps of 1 m.
-    The refinement is skipped when the coarse fit is already exact.  Returns
-    the parameters and the mean squared error they achieve.
+    search is exhaustive in result: a closed-form screen decides which few
+    cells are evaluated exactly, and the winner is the one a cell-by-cell
+    evaluation would pick (see _mse_grid); the screen's memory does not
+    grow with the curve's length.  The coarse screen skips the breakpoints
+    whose radii at or below them alone already err more than a sampled
+    cell's exact MSE (see _coarse_fit), which cannot change the winner.  The
+    refinement window, 1 m either side, recenters while its winner lands on
+    a window edge, so optima up to a few meters off the coarse winner are
+    still resolved.  It evaluates at most 16 windows, and a winner still on
+    an edge of the 16th is returned without saying so: a curve whose best
+    alpha lies past 200 m comes back with alpha_m = 216.0, which is 200 m
+    plus 16 steps of 1 m.  The refinement is skipped when the coarse fit is
+    already exact.  Returns the parameters and the mean squared error they
+    achieve.
 
     Raises:
         ValueError: with fewer than 2 valid curve points.
@@ -322,7 +370,7 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     if radii.size < 2:
         raise ValueError("fit requires at least 2 valid curve points")
 
-    bp, alpha, mse = _mse_grid(radii, target, _COARSE_GRID, _COARSE_GRID)
+    bp, alpha, mse = _coarse_fit(radii, target)
     for _ in range(16):
         if mse == 0.0:
             break

@@ -772,6 +772,69 @@ class TestMseGrid:
         assert len(cells) <= 2
 
 
+@st.composite
+def coarse_curves(draw):
+    """Valid radii and targets for the coarse pass, on the default grid or from 0.01 m to 5000 m."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 400))
+    kind = draw(st.sampled_from(["noisy", "uniform", "quantised", "exact", "past-grid", "ones"]))
+    # a saturated curve within 200 m ties thousands of cells at mse 0, each
+    # evaluated exactly; TestFit covers it through fit_p_los
+    if kind == "ones" or draw(st.booleans()):
+        # up to 5000 m, past the largest breakpoint, so the screen sums a tail past its cut
+        radii = np.unique(np.append(np.exp(rng.uniform(np.log(0.01), np.log(5000.0), n - 1)), 5000.0))
+    else:
+        radii = np.arange(10.0, 201.0)[np.sort(rng.choice(191, min(n, 191), replace=False))]
+    assume(radii.size >= 2)
+    if kind == "ones":
+        return radii, np.ones(radii.size)
+    if kind in ("uniform", "quantised"):
+        target = rng.uniform(0.0, 1.0, radii.size)
+        return radii, np.round(target, 2) if kind == "quantised" else target
+    bp = draw(st.integers(10, 2000)) / 10
+    alpha = draw(st.integers(3000, 6000) if kind == "past-grid" else st.integers(10, 2000)) / 10
+    target = p_los_model(radii, LosProbParams(bp, alpha))
+    return radii, target if kind == "exact" else rng.binomial(100, target) / 100
+
+
+def screened_breakpoints(monkeypatch, radii, target):
+    """The breakpoint count of the coarse pass's full-alpha screen."""
+    sizes = []
+    grid = los_probability._mse_grid
+
+    def recording(radii, target, bp_values, alpha_values):
+        if alpha_values.size == COARSE.size:
+            sizes.append(bp_values.size)
+        return grid(radii, target, bp_values, alpha_values)
+
+    monkeypatch.setattr(los_probability, "_mse_grid", recording)
+    los_probability._coarse_fit(radii, target)
+    (size,) = sizes
+    return size
+
+
+class TestCoarsePrune:
+    @settings(max_examples=50, deadline=None)
+    @given(coarse_curves())
+    @example((np.array([10.0, 20.0]), np.array([1.0, 0.5])))
+    @example((np.array([0.01, 150.0, 5000.0]), np.array([1.0, 0.3, 0.0])))
+    @example((np.geomspace(0.01, 5000.0, 300), np.ones(300)))
+    def test_pruned_pass_equals_the_whole_grid(self, curve):
+        radii, target = curve
+        got = los_probability._coarse_fit(radii, target)
+        assert hex_triple(got) == hex_triple(los_probability._mse_grid(radii, target, COARSE, COARSE))
+
+    def test_saturated_curve_prunes_nothing(self, monkeypatch):
+        radii = np.geomspace(0.01, 5000.0, 300)
+        assert screened_breakpoints(monkeypatch, radii, np.ones(radii.size)) == COARSE.size
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_noisy_curve_screens_under_half_the_breakpoints(self, seed, monkeypatch):
+        radii = np.arange(10.0, 201.0)
+        target = np.random.default_rng(seed).binomial(100, p_los_model(radii, POOLED)) / 100
+        assert screened_breakpoints(monkeypatch, radii, target) < COARSE.size // 2
+
+
 class TestCsv:
     def test_round_trip_preserves_values(self):
         radii = np.array([10.0, 20.0, 30.0])
