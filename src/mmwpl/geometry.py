@@ -1,8 +1,8 @@
 """3-D urban scene geometry: axis-aligned building boxes and line-of-sight tests.
 
 All coordinates are local Cartesian meters with the ground plane at z = 0.
-Building databases loaded from geographic coordinates are projected onto a
-local tangent plane around a caller-supplied origin.
+A database may carry a geographic origin, which parsing only stores;
+latlon_to_local projects coordinates onto the tangent plane around it.
 """
 
 from __future__ import annotations

@@ -237,15 +237,15 @@ def p_los_model(d_m, params: LosProbParams):
 # exact winner and every cell tied with it are candidates.  Past about 90,000
 # radii the bound reaches TOL / 2 and the tolerance grows with it.
 #
-# The coarse pass keeps only the breakpoints whose saturated error, the mean
-# of (1 - t)^2 over the radii at or below them, is at most U + 2 * TOL, where
-# U is the exact MSE of a sub-grid's winner.  The coarse winner w keeps its
+# A search keeps only the breakpoints whose saturated error, the mean of
+# (1 - t)^2 over the radii at or below them, is at most U + 2 * TOL, where U
+# is the exact MSE of any cell of the grid searched.  The winner w keeps its
 # breakpoint.  At those radii its squared errors are (1 - t)^2 bit for bit
-# and the others are >= 0, and its exact MSE is at most U, the exact MSE of
-# a coarse cell.  So its saturated error exceeds U by no more than the
-# rounding of a cumulative sum and of a mean of n_r values in [0, 1], each
-# within n_r * eps relative: delta <= 3 * n_r * eps in all.  That is below
-# TOL / 16, so delta < TOL / 2 and a margin of 2 * TOL is safe.
+# and the others are >= 0, and its exact MSE is at most U.  So its saturated
+# error exceeds U by no more than the rounding of a cumulative sum and of a
+# mean of n_r values in [0, 1], each within n_r * eps relative: delta <=
+# 3 * n_r * eps in all.  That is below TOL / 16, so delta < TOL / 2 and a
+# margin of 2 * TOL is safe.
 _SCREEN_TOL = 1e-9
 
 
@@ -254,27 +254,22 @@ def _screen_tol(n_r: int) -> float:
     return max(_SCREEN_TOL, 50 * n_r * np.finfo(float).eps)
 
 
-def _saturated_sse(target, split):
-    """Sum of (1 - t)^2 over the first ``split[j]`` radii, for each j."""
-    return np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))[split]
-
-
-def _screened_mse(radii, target, bp_values, alpha_values, split):
+def _screened_mse(radii, target, bp_values, alpha_values, split, saturated):
     """MSE of every (alpha, d_bp) cell in closed form, shape (n_alpha, n_bp).
 
     For a fixed alpha, with e = exp(-r / alpha) and u = (1 - e) / r, the
     bracket beyond the breakpoint is bp * u + e, so the squared error summed
     over the radii beyond bp is a quartic in bp whose coefficients are
     suffix sums over the radii.  ``split[j]`` counts the radii at or below
-    ``bp_values[j]``, which add the prefix sum of (1 - t)^2.  The radii past
-    the largest breakpoint are summed once per alpha; only those at or below
-    it are accumulated, in reverse, onto that sum.  The suffix sums are built
-    one coefficient at a time and folded in by Horner's rule, for blocks of
-    alphas that hold about _RAYS_PER_BLOCK values per array.
+    ``bp_values[j]``, and ``saturated[j]`` is the sum of (1 - t)^2 over them.
+    The radii past the largest breakpoint are summed once per alpha; only
+    those at or below it are accumulated, in reverse, onto that sum.  The
+    suffix sums are built one coefficient at a time and folded in by
+    Horner's rule, for blocks of alphas that hold about _RAYS_PER_BLOCK
+    values per array.
     """
     n_r = radii.size
     cut = split.max()
-    below = _saturated_sse(target, split)
 
     def suffix_sums(term):
         # sums[:, m] is the sum of the terms past radius cut plus the last m at or below it
@@ -300,46 +295,40 @@ def _screened_mse(radii, target, bp_values, alpha_values, split):
         table = table * bp_values + suffix_sums(4.0 * ue * ue + 2.0 * uu * q)
         table = table * bp_values + suffix_sums(4.0 * ue * q)
         blocks.append(table * bp_values + suffix_sums(q * q))
-    return (np.vstack(blocks) + below) / n_r
+    return (np.vstack(blocks) + saturated) / n_r
 
 
-def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alpha_values: np.ndarray):
+def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alpha_values: np.ndarray,
+              upper: float):
     """Best (d_bp, alpha, mse) over the cross product of candidate values.
 
-    ``radii`` must be positive and strictly increasing, and both candidate
-    arrays sorted ascending.  Every cell is first screened in closed form
-    in blocks of alphas (_screened_mse); the cells whose screened MSE lies
-    within _SCREEN_TOL of the smallest are then evaluated exactly with
-    p_los_model.  The winner is the least (mse, d_bp, alpha): ties resolve
-    to the smallest d_bp, then the smallest alpha.
+    ``radii`` must be positive and strictly increasing, both candidate
+    arrays sorted ascending, and ``upper`` the exact MSE of any cell of the
+    grid, or inf.  Only the breakpoints that can win are screened (see
+    _SCREEN_TOL), and of those at or past the last radius only the first.
+    The cells within TOL of the screen's least MSE (_screened_mse) are then
+    evaluated exactly with p_los_model.  The winner is the least (mse, d_bp,
+    alpha): ties resolve to the smallest d_bp, then the smallest alpha.
     """
+    n_r = radii.size
+    tol = _screen_tol(n_r)
+    # every breakpoint at or past the last radius gives the model 1 at every radius: keep the first
+    bp_values = bp_values[:np.searchsorted(bp_values, radii[-1]) + 1]
     # the radii at or below each breakpoint, where p_los_model saturates: for
     # positive radii, fl(bp / r) >= 1 exactly when r <= bp
     split = np.searchsorted(radii, bp_values, side="right")
-    screened = _screened_mse(radii, target, bp_values, alpha_values, split)
-    tol = _screen_tol(radii.size)
+    saturated = np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))[split]
+    kept = np.count_nonzero(saturated / n_r <= upper + 2 * tol)
+    screened = _screened_mse(radii, target, bp_values[:kept], alpha_values, split[:kept], saturated[:kept])
     cells = []
     for ia, ib in zip(*np.nonzero(screened <= screened.min() + tol)):
+        if ia and split[ib] == n_r:
+            continue  # the same model as at alpha_values[0], and a candidate there too
         bp, alpha = bp_values[ib], alpha_values[ia]
         err = p_los_model(radii, LosProbParams(bp, alpha)) - target
         cells.append((np.mean(err * err), bp, alpha))
     mse, bp, alpha = min(cells)
     return float(bp), float(alpha), float(mse)
-
-
-def _coarse_fit(radii: np.ndarray, target: np.ndarray):
-    """``_mse_grid`` over the coarse grid, screening only the breakpoints that can win.
-
-    The sub-grid is every 8th breakpoint and every 16th alpha; the cut and
-    why it keeps the whole grid's result bit for bit are stated beside
-    _SCREEN_TOL.  The saturated error grows with the breakpoint, so the kept
-    breakpoints are a prefix of the grid.
-    """
-    _, _, upper = _mse_grid(radii, target, _COARSE_GRID[::8], _COARSE_GRID[::16])
-    split = np.searchsorted(radii, _COARSE_GRID, side="right")
-    saturated = _saturated_sse(target, split) / radii.size
-    kept = np.count_nonzero(saturated <= upper + 2 * _screen_tol(radii.size))
-    return _mse_grid(radii, target, _COARSE_GRID[:kept], _COARSE_GRID)
 
 
 def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
@@ -349,18 +338,18 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     followed by a 0.1 m local refinement around the winning cell.  The
     search is exhaustive in result: a closed-form screen decides which few
     cells are evaluated exactly, and the winner is the one a cell-by-cell
-    evaluation would pick (see _mse_grid); the screen's memory does not
-    grow with the curve's length.  The coarse screen skips the breakpoints
-    whose radii at or below them alone already err more than a sampled
-    cell's exact MSE (see _coarse_fit), which cannot change the winner.  The
-    refinement window, 1 m either side, recenters while its winner lands on
-    a window edge, so optima up to a few meters off the coarse winner are
-    still resolved.  It evaluates at most 16 windows, and a winner still on
-    an edge of the 16th is returned without saying so: a curve whose best
-    alpha lies past 200 m comes back with alpha_m = 216.0, which is 200 m
-    plus 16 steps of 1 m.  The refinement is skipped when the coarse fit is
-    already exact.  Returns the parameters and the mean squared error they
-    achieve.
+    evaluation would pick (see _mse_grid); the screen's memory does not grow
+    with the curve's length.  Every search skips the breakpoints that cannot
+    beat a cell of its grid whose exact MSE is known: the winner of every
+    8th breakpoint and 16th alpha for the integer grid, the center of a
+    refinement window.  The refinement window, 1 m either side, recenters
+    while its winner lands on a window edge, so optima up to a few meters
+    off the coarse winner are still resolved.  It evaluates at most 16
+    windows, and a winner still on an edge of the 16th is returned without
+    saying so: a curve whose best alpha lies past 200 m comes back with
+    alpha_m = 216.0, which is 200 m plus 16 steps of 1 m.  The refinement is
+    skipped when the coarse fit is already exact.  Returns the parameters
+    and the mean squared error they achieve.
 
     Raises:
         ValueError: with fewer than 2 valid curve points.
@@ -370,7 +359,8 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     if radii.size < 2:
         raise ValueError("fit requires at least 2 valid curve points")
 
-    bp, alpha, mse = _coarse_fit(radii, target)
+    _, _, upper = _mse_grid(radii, target, _COARSE_GRID[::8], _COARSE_GRID[::16], np.inf)
+    bp, alpha, mse = _mse_grid(radii, target, _COARSE_GRID, _COARSE_GRID, upper)
     for _ in range(16):
         if mse == 0.0:
             break
@@ -378,8 +368,8 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
         fine_alpha = np.round(alpha + _WINDOW_M, 6)
         fine_bp = fine_bp[fine_bp > 0]
         fine_alpha = fine_alpha[fine_alpha > 0]
-        # the window contains its own center, so the mse never degrades here
-        bp, alpha, mse = _mse_grid(radii, target, fine_bp, fine_alpha)
+        # the window contains its own center, whose exact MSE is mse: the mse never degrades here
+        bp, alpha, mse = _mse_grid(radii, target, fine_bp, fine_alpha, mse)
         on_edge = bp in (fine_bp[0], fine_bp[-1]) or alpha in (fine_alpha[0], fine_alpha[-1])
         if not on_edge:
             break
@@ -411,30 +401,34 @@ def _table(header: str, *columns) -> str:
 
 # the line boundaries of str.splitlines
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-# one match per non-blank line: \S is not str.isspace
-_NON_BLANK_LINE = re.compile(f"\\S[^{_LINE_BREAKS}]*")
+# one match per line that is not empty, as str.splitlines splits them
+_LINE = re.compile(f"[^{_LINE_BREAKS}]+")
+
+
+def _lines(text: str):
+    """The lines of ``text`` that are not blank, copied out one at a time."""
+    return filter(str.strip, (m.group() for m in _LINE.finditer(text)))
 
 
 def _rows(text: str, header: str, what: str) -> "list[list[str]]":
     """The fields of each row under ``header``, blank lines skipped; ``what`` names the table in errors.
 
-    Rows are counted against MAX_GRID_POINTS before any line is copied out of
-    ``text``: the line breaks bound the row count from above, and only a text
-    whose bound passes the cap has its rows counted in one lazy pass.
+    Rows are counted against MAX_GRID_POINTS before they are kept: the line
+    breaks bound the row count from above, and only a text whose bound
+    passes the cap has its rows counted in one lazy pass.
 
     Raises:
         ValueError: on a wrong header, too many rows or a row whose field count differs from the header's.
     """
-    lines = _NON_BLANK_LINE.finditer(text)
-    first = next(lines, None)
-    if first is None or first.group().strip() != header:
+    lines = _lines(text)
+    if next(lines, "").strip() != header:
         raise ValueError(f"{what} CSV must start with header '{header}'")
     if sum(map(text.count, _LINE_BREAKS)) > MAX_GRID_POINTS:
-        n_rows = sum(1 for _ in lines)
+        n_rows = sum(1 for _ in _lines(text)) - 1
         if n_rows > MAX_GRID_POINTS:
             raise ValueError(f"{what} CSV must hold at most {MAX_GRID_POINTS} rows, got {n_rows}")
     width = header.count(",") + 1
-    rows = [ln.split(",") for ln in text.splitlines() if ln.strip()][1:]
+    rows = [ln.split(",") for ln in lines]
     for fields in rows:
         if len(fields) != width:
             raise ValueError(f"malformed {what} CSV row: {','.join(fields)!r}")

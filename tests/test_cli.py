@@ -164,9 +164,6 @@ class TestPathloss:
         assert main(argv) == 0
         assert capsys.readouterr().out == from_preset
 
-    test_preset_and_explicit_conflict = contract_test("pathloss-preset-and-explicit")
-    test_incomplete_explicit_model = contract_test("pathloss-incomplete-explicit")
-    test_floating_family_needs_line_parameters = contract_test("pathloss-floating-no-line-float-exponent")
     test_distance_below_reference_is_input_error = contract_test("pathloss-rmin-below-reference")
     test_oversized_grid_is_input_error = contract_test("pathloss-step-tiny")
     test_frequency_with_overflowing_fspl_is_input_error = contract_test(

@@ -680,6 +680,36 @@ def hex_triple(fit):
     return tuple(float(v).hex() for v in fit)
 
 
+def cell_mse(radii, target, bp, alpha):
+    """The exact MSE of one cell, evaluated as _mse_grid evaluates it."""
+    err = p_los_model(radii, LosProbParams(bp, alpha)) - target
+    return np.mean(err * err)
+
+
+def screen(radii, target, bp_values, alpha_values, split=None):
+    """_screened_mse of every cell, with the split and saturated sums _mse_grid hands it."""
+    if split is None:
+        split = np.searchsorted(radii, bp_values, side="right")
+    saturated = np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))[split]
+    return los_probability._screened_mse(radii, target, bp_values, alpha_values, split, saturated)
+
+
+def exact_cells(monkeypatch):
+    """A list that gains the parameters of each cell the fit evaluates exactly from now on."""
+    cells = []
+    model = los_probability.p_los_model
+
+    def counting_model(d_m, params):
+        cells.append(params)
+        return model(d_m, params)
+
+    monkeypatch.setattr(los_probability, "p_los_model", counting_model)
+    return cells
+
+
+ONES_91 = (np.arange(10.0, 101.0), np.ones(91))
+
+
 @st.composite
 def fit_problems(draw):
     """Radii, targets and candidate grids for _mse_grid, with many exact ties."""
@@ -715,14 +745,16 @@ class TestMseGrid:
     # the screen's rounding ranks a slightly worse alpha first, and only the
     # tolerance keeps alpha = 1 a candidate
     @example((np.array([0.5, 1000.0]), np.array([1.0, 1e-6]), COARSE, COARSE))
+    # every breakpoint from 100 m on fits exactly, at every alpha
+    @example((*ONES_91, COARSE, COARSE))
     def test_matches_exhaustive_reference(self, problem):
-        got = los_probability._mse_grid(*problem)
+        got = los_probability._mse_grid(*problem, np.inf)
         assert hex_triple(got) == hex_triple(mse_grid_reference(*problem))
 
     @staticmethod
     def assert_screen_within_bound(radii, target, alpha_values=COARSE):
         split = np.count_nonzero(COARSE[:, None] / radii >= 1.0, axis=1)
-        screened = los_probability._screened_mse(radii, target, COARSE, alpha_values, split)
+        screened = screen(radii, target, COARSE, alpha_values, split)
         exact = mse_table_reference(radii, target, COARSE, alpha_values)
         # the bound stated beside _SCREEN_TOL, which must stay far below TOL / 2
         bound = 25 * radii.size * np.finfo(float).eps
@@ -748,39 +780,29 @@ class TestMseGrid:
     def test_any_block_size_gives_identical_screen(self, monkeypatch):
         radii = np.arange(10.0, 201.0)
         target = np.random.default_rng(3).binomial(100, p_los_model(radii, POOLED)) / 100
-        split = np.searchsorted(radii, COARSE, side="right")
-        whole = los_probability._screened_mse(radii, target, COARSE, COARSE, split)
+        whole = screen(radii, target, COARSE, COARSE)
         assert whole.shape == (COARSE.size, COARSE.size)
         for block in (1, 7 * radii.size, 10**9):
             monkeypatch.setattr(los_probability, "_RAYS_PER_BLOCK", block)
-            got = los_probability._screened_mse(radii, target, COARSE, COARSE, split)
+            got = screen(radii, target, COARSE, COARSE)
             assert got.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("scene,interior_nlos", sorted(GOLDEN_FITS))
     def test_coarse_pass_evaluates_few_cells_exactly(self, scene, interior_nlos, monkeypatch):
-        cells = []
-        model = los_probability.p_los_model
-
-        def counting_model(d_m, params):
-            cells.append(params)
-            return model(d_m, params)
-
-        monkeypatch.setattr(los_probability, "p_los_model", counting_model)
+        cells = exact_cells(monkeypatch)
         curve = scene_curve(scene, interior_nlos)
         radii, target = curve.radii_m[curve.valid], curve.p_los[curve.valid]
-        los_probability._mse_grid(radii, target, COARSE, COARSE)
+        los_probability._mse_grid(radii, target, COARSE, COARSE, np.inf)
         assert len(cells) <= 2
 
 
 @st.composite
 def coarse_curves(draw):
-    """Valid radii and targets for the coarse pass, on the default grid or from 0.01 m to 5000 m."""
+    """Valid radii and targets for a fit, on the default grid or from 0.01 m to 5000 m."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 400))
     kind = draw(st.sampled_from(["noisy", "uniform", "quantised", "exact", "past-grid", "ones"]))
-    # a saturated curve within 200 m ties thousands of cells at mse 0, each
-    # evaluated exactly; TestFit covers it through fit_p_los
-    if kind == "ones" or draw(st.booleans()):
+    if draw(st.booleans()):
         # up to 5000 m, past the largest breakpoint, so the screen sums a tail past its cut
         radii = np.unique(np.append(np.exp(rng.uniform(np.log(0.01), np.log(5000.0), n - 1)), 5000.0))
     else:
@@ -797,42 +819,78 @@ def coarse_curves(draw):
     return radii, target if kind == "exact" else rng.binomial(100, target) / 100
 
 
-def screened_breakpoints(monkeypatch, radii, target):
-    """The breakpoint count of the coarse pass's full-alpha screen."""
-    sizes = []
-    grid = los_probability._mse_grid
+@st.composite
+def bounded_searches(draw):
+    """A curve, a grid and the cell of the grid whose exact MSE bounds the search.
 
-    def recording(radii, target, bp_values, alpha_values):
+    The cell is None for the winner of the sub-grid fit_p_los bounds the
+    coarse pass with; a refinement window's own cell is its center.
+    """
+    radii, target = draw(coarse_curves())
+    kind = draw(st.sampled_from(["sub-grid", "window", "any cell"]))
+    if kind == "sub-grid":
+        return radii, target, COARSE, COARSE, None
+    center = tuple(draw(st.integers(10, 2000)) / 10 for _ in range(2))
+    grid = tuple(map(window, center)) if kind == "window" or draw(st.booleans()) else (COARSE, COARSE)
+    cell = center if kind == "window" else tuple(draw(st.sampled_from(values)) for values in grid)
+    return radii, target, *grid, cell
+
+
+def screened_breakpoints(monkeypatch, radii, target):
+    """The breakpoint count of the full-alpha screen of fit_p_los's coarse pass."""
+    sizes = []
+    screened_mse = los_probability._screened_mse
+
+    def recording(radii, target, bp_values, alpha_values, *sums):
         if alpha_values.size == COARSE.size:
             sizes.append(bp_values.size)
-        return grid(radii, target, bp_values, alpha_values)
+        return screened_mse(radii, target, bp_values, alpha_values, *sums)
 
-    monkeypatch.setattr(los_probability, "_mse_grid", recording)
-    los_probability._coarse_fit(radii, target)
+    monkeypatch.setattr(los_probability, "_screened_mse", recording)
+    fit_p_los(LosProbabilityCurve(radii, target, np.ones(radii.size, bool)))
     (size,) = sizes
     return size
 
 
 class TestCoarsePrune:
     @settings(max_examples=50, deadline=None)
-    @given(coarse_curves())
-    @example((np.array([10.0, 20.0]), np.array([1.0, 0.5])))
-    @example((np.array([0.01, 150.0, 5000.0]), np.array([1.0, 0.3, 0.0])))
-    @example((np.geomspace(0.01, 5000.0, 300), np.ones(300)))
-    def test_pruned_pass_equals_the_whole_grid(self, curve):
-        radii, target = curve
-        got = los_probability._coarse_fit(radii, target)
-        assert hex_triple(got) == hex_triple(los_probability._mse_grid(radii, target, COARSE, COARSE))
+    @given(bounded_searches())
+    @example((np.array([10.0, 20.0]), np.array([1.0, 0.5]), COARSE, COARSE, None))
+    @example((np.array([0.01, 150.0, 5000.0]), np.array([1.0, 0.3, 0.0]), COARSE, COARSE, None))
+    @example((np.geomspace(0.01, 5000.0, 300), np.ones(300), COARSE, COARSE, None))
+    @example((*ONES_91, COARSE, COARSE, None))
+    @example((*ONES_91, COARSE, COARSE, (37.0, 5.0)))
+    @example((*ONES_91, window(100.0), window(1.0), (100.0, 1.0)))
+    @example((np.array([51.0, 74.0]), np.ones(2), window(74.5), window(3.0), (74.5, 3.0)))
+    def test_pruned_pass_equals_the_whole_grid(self, search):
+        radii, target, bp_values, alpha_values, cell = search
+        if cell is None:
+            upper = los_probability._mse_grid(radii, target, COARSE[::8], COARSE[::16], np.inf)[2]
+        else:
+            assert cell[0] in bp_values and cell[1] in alpha_values
+            upper = cell_mse(radii, target, *cell)
+        got = los_probability._mse_grid(radii, target, bp_values, alpha_values, upper)
+        assert hex_triple(got) == hex_triple(los_probability._mse_grid(radii, target, bp_values, alpha_values, np.inf))
 
     def test_saturated_curve_prunes_nothing(self, monkeypatch):
         radii = np.geomspace(0.01, 5000.0, 300)
         assert screened_breakpoints(monkeypatch, radii, np.ones(radii.size)) == COARSE.size
+
+    @pytest.mark.parametrize("radii,last_bp", [(ONES_91[0], 100), (np.array([51.0, 74.0]), 74)])
+    def test_breakpoints_past_the_last_radius_are_screened_once(self, radii, last_bp, monkeypatch):
+        assert screened_breakpoints(monkeypatch, radii, np.ones(radii.size)) == last_bp
 
     @pytest.mark.parametrize("seed", range(4))
     def test_noisy_curve_screens_under_half_the_breakpoints(self, seed, monkeypatch):
         radii = np.arange(10.0, 201.0)
         target = np.random.default_rng(seed).binomial(100, p_los_model(radii, POOLED)) / 100
         assert screened_breakpoints(monkeypatch, radii, target) < COARSE.size // 2
+
+    def test_saturated_fit_evaluates_at_most_two_cells_exactly(self, monkeypatch):
+        cells = exact_cells(monkeypatch)
+        params, mse = fit_p_los(flat_curve(ONES_91[0]))
+        assert (params.d_bp_m, params.alpha_m, mse) == (100.0, 1.0, 0.0)
+        assert len(cells) <= 2
 
 
 class TestCsv:
@@ -910,6 +968,19 @@ class TestCsv:
             tracemalloc.stop()
         assert str(info.value) == "curve CSV must hold at most 1000 rows, got 200000"
         # a list of the lines alone takes several times the text
+        assert peak < len(text)
+
+    def test_blank_lines_are_skipped_without_listing_them(self, monkeypatch):
+        # past the cap in line breaks, so the rows are counted too
+        monkeypatch.setattr(los_probability, "MAX_GRID_POINTS", 1000)
+        text = "radius_m,p_los,valid\n" + "\n \r\n\t\u2028\u3000\n" * 200_000 + "10,0.5,1\n"
+        tracemalloc.start()
+        try:
+            curve = curve_from_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.p_los.tolist() == [0.5]
         assert peak < len(text)
 
     def test_rejects_malformed_rows(self):
