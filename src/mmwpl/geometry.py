@@ -370,26 +370,16 @@ def _strictly_inside(points: np.ndarray, box_min: np.ndarray, box_max: np.ndarra
     return ((points > box_min + EPSILON) & (points < box_max - EPSILON)).all(axis=0)
 
 
-def _rows_inside(rows: np.ndarray, min_array: np.ndarray, max_array: np.ndarray,
-                 ranges: np.ndarray | None = None) -> np.ndarray:
-    """Mask over the points of ``(3, n)`` rows strictly inside some box.
-
-    ``ranges``, when given, holds one ``[start, stop)`` pair of point indices
-    per box, as in ``_segments_blocked``: box ``i`` is tested only on those points.
-    """
-    inside = np.zeros(rows.shape[1], dtype=bool)
-    spans = repeat(slice(None)) if ranges is None else map(slice, *ranges.T.tolist())
-    for span, box_min, box_max in zip(spans, min_array[:, :, None], max_array[:, :, None]):
-        inside[span] |= _strictly_inside(rows[:, span], box_min, box_max)
-    return inside
-
-
 def points_strictly_inside(db: BuildingDB, points: np.ndarray) -> np.ndarray:
     """Boolean mask over points (n, 3) that lie strictly inside some building.
 
     The test runs on C-contiguous (3, n) rows, so C-contiguous points are copied, transposed.
     """
-    return _rows_inside(np.ascontiguousarray(points.T), db.min_array, db.max_array)
+    rows = np.ascontiguousarray(points.T)
+    inside = np.zeros(rows.shape[1], dtype=bool)
+    for box_min, box_max in zip(db.min_array[:, :, None], db.max_array[:, :, None]):
+        inside |= _strictly_inside(rows, box_min, box_max)
+    return inside
 
 
 def find_containing_building(db: BuildingDB, p: Point3) -> int | None:
@@ -429,7 +419,9 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
     sector: the interval of its grown footprint's corner angles, split where
     it wraps past 0, or every angle when that footprint holds the ground
     point.  arctan2 and the nominal angles round by a few 1e-16 rad; a slack
-    of 1e-12 rad on each side of a sector covers that.
+    of 1e-12 rad on each side of a sector covers that.  One pass over the
+    sectors finds the receivers inside a box and marks those a sector
+    covers; only the covered exterior ones, compressed, get the slab test.
     """
     _check_endpoint(db, tx, "tx")  # on every box, so an error names the box's index in the document
     ground = np.array([tx.x, tx.y])
@@ -459,11 +451,12 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
 
     def trace(rx, angles):
         box_min, box_max, spans = sectors_in(angles)
-        exterior = ~_rows_inside(rx, box_min, box_max, spans)
-        # only an exterior receiver in some sector can be blocked, so the kernel sees those alone
-        tested = np.zeros(angles.size, dtype=bool)
-        for start, stop in spans.tolist():
+        inside, tested = np.zeros((2, angles.size), dtype=bool)
+        for (start, stop), lo, hi in zip(spans.tolist(), box_min[:, :, None], box_max[:, :, None]):
+            inside[start:stop] |= _strictly_inside(rx[:, start:stop], lo, hi)
             tested[start:stop] = True
+        exterior = ~inside
+        # only an exterior receiver in some sector can be blocked, so the kernel sees those alone
         tested &= exterior
         # np.compress keeps the rows C-contiguous; on rx[:, tested] the kernel runs about 6x slower
         rx, angles_tested = np.compress(tested, rx, axis=1), angles[tested]

@@ -339,10 +339,11 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     search is exhaustive in result: a closed-form screen decides which few
     cells are evaluated exactly, and the winner is the one a cell-by-cell
     evaluation would pick (see _mse_grid); the screen's memory does not grow
-    with the curve's length.  Every search skips the breakpoints that cannot
-    beat a cell of its grid whose exact MSE is known: the winner of every
-    8th breakpoint and 16th alpha for the integer grid, the center of a
-    refinement window.  The refinement window, 1 m either side, recenters
+    with the curve's length.  The integer grid's search skips the
+    breakpoints that cannot beat the winner of every 8th breakpoint and 16th
+    alpha.  A refinement window is searched whole: its breakpoints lie within
+    1 m of its center, whose MSE as a bound cut none of them on the
+    benchmark's curves.  The refinement window, 1 m either side, recenters
     while its winner lands on a window edge, so optima up to a few meters
     off the coarse winner are still resolved.  It evaluates at most 16
     windows, and a winner still on an edge of the 16th is returned without
@@ -368,8 +369,8 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
         fine_alpha = np.round(alpha + _WINDOW_M, 6)
         fine_bp = fine_bp[fine_bp > 0]
         fine_alpha = fine_alpha[fine_alpha > 0]
-        # the window contains its own center, whose exact MSE is mse: the mse never degrades here
-        bp, alpha, mse = _mse_grid(radii, target, fine_bp, fine_alpha, mse)
+        # unbounded: the center's MSE as a bound cut no window's breakpoint on the benchmark's curves
+        bp, alpha, mse = _mse_grid(radii, target, fine_bp, fine_alpha, np.inf)
         on_edge = bp in (fine_bp[0], fine_bp[-1]) or alpha in (fine_alpha[0], fine_alpha[-1])
         if not on_edge:
             break

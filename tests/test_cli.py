@@ -164,8 +164,6 @@ class TestPathloss:
         assert main(argv) == 0
         assert capsys.readouterr().out == from_preset
 
-    test_distance_below_reference_is_input_error = contract_test("pathloss-rmin-below-reference")
-    test_oversized_grid_is_input_error = contract_test("pathloss-step-tiny")
     test_frequency_with_overflowing_fspl_is_input_error = contract_test(
         "pathloss-frequency-fspl-overflow", "outage-frequency-fspl-overflow", ids=["command0", "command1"])
 
@@ -222,7 +220,6 @@ class TestFit:
         ids=["0", "-28e9", "nan", "inf"])
     test_frequency_with_floating_is_input_error = contract_test(
         "fit-nlos-frequency-with-floating", "fit-nlos-frequency-nan-with-floating", ids=["28e9", "nan"])
-    test_frequency_with_overflowing_fspl_is_input_error = contract_test("fit-nlos-frequency-fspl-overflow")
 
 
 class TestOutage:
