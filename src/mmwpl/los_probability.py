@@ -24,8 +24,8 @@ CURVE_CSV_HEADER = "radius_m,p_los,valid"
 # before anything is allocated.
 MAX_GRID_POINTS = 1_000_000
 
-# Rays traced together per block, and values per array in a block of the fit
-# screen; bounds a curve's and a fit's working memory whatever the grid size.
+# Rays traced together per block, and values per array in a block of a fit's
+# screen or exact cells; bounds a curve's and a fit's working memory whatever the grid size.
 # The default 191-radius, 100-point curve is one block.
 _RAYS_PER_BLOCK = 32768
 
@@ -200,6 +200,19 @@ def mean_curve(curves: "list[LosProbabilityCurve]") -> LosProbabilityCurve:
     return LosProbabilityCurve(base.copy(), total / counts, np.ones_like(base, dtype=bool))
 
 
+def _bracket(d, bp, alpha):
+    """The unsquared model at distances ``d``, breakpoints ``bp`` and decay constants ``alpha``, broadcast."""
+    # A tiny d overflows the ratio (then inf * 0 is NaN in the unused branch)
+    # and a tiny alpha overflows d / alpha (then decay is 0): the values are
+    # still right, since np.where takes the saturated branch for the first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = bp / d
+        decay = np.exp(-d / alpha)
+        # explicit saturation keeps the value exactly 1.0 below the breakpoint
+        # instead of trusting (1 - decay) + decay to round back to 1
+        return np.where(ratio >= 1.0, 1.0, ratio * (1.0 - decay) + decay)
+
+
 def p_los_model(d_m, params: LosProbParams):
     """Evaluate the analytic LOS probability model at distance(s) d_m.
 
@@ -210,19 +223,9 @@ def p_los_model(d_m, params: LosProbParams):
     d = np.asarray(d_m, dtype=float)
     if not np.all(d > 0):  # NaN fails too
         raise ValueError("distances must be positive")
-    # A tiny d overflows the ratio (then inf * 0 is NaN in the unused branch)
-    # and a tiny alpha overflows d / alpha (then decay is 0): the values are
-    # still right, since np.where takes the saturated branch for the first.
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = params.d_bp_m / d
-        decay = np.exp(-d / params.alpha_m)
-        # explicit saturation keeps the value exactly 1.0 below the breakpoint
-        # instead of trusting (1 - decay) + decay to round back to 1
-        bracket = np.where(ratio >= 1.0, 1.0, ratio * (1.0 - decay) + decay)
+    bracket = _bracket(d, params.d_bp_m, params.alpha_m)
     out = bracket * bracket if params.squared else bracket
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 # Screened cells within this MSE of the screen's minimum are re-evaluated
@@ -247,11 +250,6 @@ def p_los_model(d_m, params: LosProbParams):
 # 3 * n_r * eps in all.  That is below TOL / 16, so delta < TOL / 2 and a
 # margin of 2 * TOL is safe.
 _SCREEN_TOL = 1e-9
-
-
-def _screen_tol(n_r: int) -> float:
-    """TOL for a curve of ``n_r`` valid radii (see _SCREEN_TOL)."""
-    return max(_SCREEN_TOL, 50 * n_r * np.finfo(float).eps)
 
 
 def _screened_mse(radii, target, bp_values, alpha_values, split, saturated):
@@ -307,28 +305,31 @@ def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alph
     grid, or inf.  Only the breakpoints that can win are screened (see
     _SCREEN_TOL), and of those at or past the last radius only the first.
     The cells within TOL of the screen's least MSE (_screened_mse) are then
-    evaluated exactly with p_los_model.  The winner is the least (mse, d_bp,
-    alpha): ties resolve to the smallest d_bp, then the smallest alpha.
+    evaluated exactly, together, in blocks of rows.  The winner is the least
+    (mse, d_bp, alpha): ties resolve to the smallest d_bp, then alpha.
     """
     n_r = radii.size
-    tol = _screen_tol(n_r)
+    tol = max(_SCREEN_TOL, 50 * n_r * np.finfo(float).eps)
     # every breakpoint at or past the last radius gives the model 1 at every radius: keep the first
     bp_values = bp_values[:np.searchsorted(bp_values, radii[-1]) + 1]
-    # the radii at or below each breakpoint, where p_los_model saturates: for
+    # the radii at or below each breakpoint, where the model saturates: for
     # positive radii, fl(bp / r) >= 1 exactly when r <= bp
     split = np.searchsorted(radii, bp_values, side="right")
     saturated = np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))[split]
     kept = np.count_nonzero(saturated / n_r <= upper + 2 * tol)
     screened = _screened_mse(radii, target, bp_values[:kept], alpha_values, split[:kept], saturated[:kept])
-    cells = []
-    for ia, ib in zip(*np.nonzero(screened <= screened.min() + tol)):
-        if ia and split[ib] == n_r:
-            continue  # the same model as at alpha_values[0], and a candidate there too
-        bp, alpha = bp_values[ib], alpha_values[ia]
-        err = p_los_model(radii, LosProbParams(bp, alpha)) - target
-        cells.append((np.mean(err * err), bp, alpha))
-    mse, bp, alpha = min(cells)
-    return float(bp), float(alpha), float(mse)
+    ia, ib = np.nonzero(screened <= screened.min() + tol)
+    # past the last radius, a later alpha gives the same model as alpha_values[0], a candidate there too
+    keep = (ia == 0) | (split[ib] < n_r)
+    bp, alpha = bp_values[ib[keep]], alpha_values[ia[keep]]
+    step = max(1, _RAYS_PER_BLOCK // n_r)
+    mse = np.empty(bp.size)
+    for start in range(0, bp.size, step):
+        bracket = _bracket(radii, bp[start:start + step, None], alpha[start:start + step, None])
+        err = bracket * bracket - target
+        mse[start:start + step] = np.mean(err * err, axis=1)
+    best = np.lexsort((alpha, bp, mse))[0]
+    return float(bp[best]), float(alpha[best]), float(mse[best])
 
 
 def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:

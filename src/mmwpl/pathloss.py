@@ -220,6 +220,8 @@ class PathLossSample:
 
 
 def _columns(samples):
+    if len(samples) < 2:
+        raise ValueError("fit requires at least 2 samples")
     d = np.array([s.distance_m for s in samples], dtype=float)
     pl = np.array([s.path_loss_db for s in samples], dtype=float)
     return d, pl
@@ -235,8 +237,6 @@ def fit_close_in(samples: "list[PathLossSample]", frequency_hz: float) -> CloseI
         ValueError: with fewer than 2 samples, when every distance equals
             1 m (zero design variance) or when the sums overflow.
     """
-    if len(samples) < 2:
-        raise ValueError("fit requires at least 2 samples")
     d, pl = _columns(samples)
     a = 10.0 * np.log10(d)
     b = pl - fspl_at_reference(frequency_hz)
@@ -261,8 +261,6 @@ def fit_floating(samples: "list[PathLossSample]") -> FloatingInterceptModel:
         ValueError: with fewer than 2 samples, when all distances coincide
             (rank-deficient design) or when the sums overflow.
     """
-    if len(samples) < 2:
-        raise ValueError("fit requires at least 2 samples")
     d, pl = _columns(samples)
     x = 10.0 * np.log10(d)
     xc = x - x.mean()

@@ -285,13 +285,10 @@ class TestOutage:
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    test_monte_carlo_requires_seed = contract_test("outage-grid-monte-carlo-no-seed")
     test_negative_seed_is_input_error = contract_test(
         "outage-grid-monte-carlo-seed-negative", "outage-grid-seed-negative", ids=["extra0", "extra1"])
-    test_nonpositive_draw_count = contract_test("outage-grid-monte-carlo-zero")
     test_draw_count_capped_before_sampling = contract_test(
         "outage-grid-monte-carlo-over-cap", "outage-grid-monte-carlo-far-over-cap", ids=["1000001", "1000000000000"])
-    test_distance_below_reference_is_input_error = contract_test("outage-rmin-below-reference")
     test_tiny_alpha_runs_without_warning = contract_test("outage-alpha-tiny")
 
 

@@ -681,7 +681,7 @@ def hex_triple(fit):
 
 
 def cell_mse(radii, target, bp, alpha):
-    """The exact MSE of one cell, evaluated as _mse_grid evaluates it."""
+    """The exact MSE of one cell, evaluated on its own: the per-cell reference."""
     err = p_los_model(radii, LosProbParams(bp, alpha)) - target
     return np.mean(err * err)
 
@@ -695,19 +695,27 @@ def screen(radii, target, bp_values, alpha_values, split=None):
 
 
 def exact_cells(monkeypatch):
-    """A list that gains the parameters of each cell the fit evaluates exactly from now on."""
+    """A list that gains the (d_bp, alpha) of each cell the fit evaluates exactly from now on.
+
+    _mse_grid hands the model one column each of breakpoints and decay constants, a cell per row.
+    """
     cells = []
-    model = los_probability.p_los_model
+    bracket = los_probability._bracket
 
-    def counting_model(d_m, params):
-        cells.append(params)
-        return model(d_m, params)
+    def counting_bracket(d, bp, alpha):
+        cells.extend(zip(np.ravel(bp), np.ravel(alpha)))
+        return bracket(d, bp, alpha)
 
-    monkeypatch.setattr(los_probability, "p_los_model", counting_model)
+    monkeypatch.setattr(los_probability, "_bracket", counting_bracket)
     return cells
 
 
 ONES_91 = (np.arange(10.0, 101.0), np.ones(91))
+# past 100 m, exp(-r / alpha) vanishes next to the ratio for every alpha of the
+# window around 1 m: at each breakpoint its 20 alphas give one model bit for bit
+# and tie, and the best breakpoint's 20 are all evaluated exactly
+TIED_RUN = (np.arange(100.0, 201.0), np.round((40.0 / np.arange(100.0, 201.0)) ** 2, 2),
+            window(40.0), window(1.0))
 
 
 @st.composite
@@ -747,6 +755,7 @@ class TestMseGrid:
     @example((np.array([0.5, 1000.0]), np.array([1.0, 1e-6]), COARSE, COARSE))
     # every breakpoint from 100 m on fits exactly, at every alpha
     @example((*ONES_91, COARSE, COARSE))
+    @example(TIED_RUN)
     def test_matches_exhaustive_reference(self, problem):
         got = los_probability._mse_grid(*problem, np.inf)
         assert hex_triple(got) == hex_triple(mse_grid_reference(*problem))
@@ -782,10 +791,13 @@ class TestMseGrid:
         target = np.random.default_rng(3).binomial(100, p_los_model(radii, POOLED)) / 100
         whole = screen(radii, target, COARSE, COARSE)
         assert whole.shape == (COARSE.size, COARSE.size)
+        problems = [(radii, target, COARSE, COARSE), TIED_RUN]
+        fits = [hex_triple(los_probability._mse_grid(*problem, np.inf)) for problem in problems]
         for block in (1, 7 * radii.size, 10**9):
             monkeypatch.setattr(los_probability, "_RAYS_PER_BLOCK", block)
             got = screen(radii, target, COARSE, COARSE)
             assert got.tobytes() == whole.tobytes()
+            assert [hex_triple(los_probability._mse_grid(*problem, np.inf)) for problem in problems] == fits
 
     @pytest.mark.parametrize("scene,interior_nlos", sorted(GOLDEN_FITS))
     def test_coarse_pass_evaluates_few_cells_exactly(self, scene, interior_nlos, monkeypatch):
