@@ -31,8 +31,6 @@ _RAYS_PER_BLOCK = 32768
 
 # Integer search grid for the MMSE fit, meters.
 _COARSE_GRID = np.arange(1.0, 201.0)
-# Offsets of the local refinement window: -1 to 1 m in 0.1 m steps.
-_WINDOW_M = np.round(np.arange(-1.0, 1.05, 0.1), 6)
 
 
 @dataclass(frozen=True)
@@ -114,13 +112,32 @@ def radius_grid(r_min: float, r_max: float, step: float) -> np.ndarray:
     return r_min + step * np.arange(int(count))
 
 
-def _circle_los(db: BuildingDB, tx: Point3, radii: np.ndarray, n_points: int,
-                rx_height_m: float, interior_counts_as_nlos: bool) -> np.ndarray:
-    """LOS fraction on the circle of each radius; NaN where every position is interior.
+def los_probability_curve(
+    db: BuildingDB,
+    tx: Point3,
+    r_min: float = 10.0,
+    r_max: float = 200.0,
+    step: float = 1.0,
+    n_points: int = DEFAULT_N_POINTS,
+    rx_height_m: float = DEFAULT_RX_HEIGHT_M,
+    interior_counts_as_nlos: bool = False,
+) -> LosProbabilityCurve:
+    """Sweep circle radii and collect the LOS probability at each.
 
-    The grid's receivers, at or above ground like the transmitter, go to the sector tracer of ``tx``
-    in angle-major blocks of at most _RAYS_PER_BLOCK rays, with their nominal angles ``2 pi k / n_points``.
+    At each radius, ``n_points`` receiver positions are spread evenly around a
+    circle centered on the transmitter's ground position, at height
+    ``rx_height_m``, starting on the +x axis.  Positions strictly inside a
+    building are dropped from both counts, or counted as NLOS with
+    ``interior_counts_as_nlos=True``; a radius with none outside is invalid.  One
+    radius ``r`` alone is ``los_probability_curve(db, tx, r, r, 1.0)``.  The
+    receivers go to the sector tracer of ``tx`` in angle-major blocks of at
+    most _RAYS_PER_BLOCK rays, with their nominal angles ``2 pi k / n_points``.
+
+    Raises:
+        PointInsideBuildingError: when the transmitter is inside a building.
+        ValueError: on a bad grid (see radius_grid), receiver height or point count, or a transmitter below ground.
     """
+    radii = radius_grid(r_min, r_max, step)
     if not 4 <= n_points <= MAX_GRID_POINTS:
         raise ValueError(f"n_points must be between 4 and {MAX_GRID_POINTS}, got {n_points}")
     if not np.isfinite(rx_height_m):
@@ -146,34 +163,7 @@ def _circle_los(db: BuildingDB, tx: Point3, radii: np.ndarray, n_points: int,
             n_los[i:i + r.size] += np.bincount(which[los], minlength=r.size)
     denominator = n_points if interior_counts_as_nlos else n_exterior
     with np.errstate(invalid="ignore"):
-        return np.where(n_exterior > 0, n_los / denominator, np.nan)
-
-
-def los_probability_curve(
-    db: BuildingDB,
-    tx: Point3,
-    r_min: float = 10.0,
-    r_max: float = 200.0,
-    step: float = 1.0,
-    n_points: int = DEFAULT_N_POINTS,
-    rx_height_m: float = DEFAULT_RX_HEIGHT_M,
-    interior_counts_as_nlos: bool = False,
-) -> LosProbabilityCurve:
-    """Sweep circle radii and collect the LOS probability at each.
-
-    At each radius, ``n_points`` receiver positions are spread evenly around a
-    circle centered on the transmitter's ground position, at height
-    ``rx_height_m``, starting on the +x axis.  Positions strictly inside a
-    building are dropped from both counts, or counted as NLOS with
-    ``interior_counts_as_nlos=True``; a radius with none outside is invalid.  One
-    radius ``r`` alone is ``los_probability_curve(db, tx, r, r, 1.0)``.
-
-    Raises:
-        PointInsideBuildingError: when the transmitter is inside a building.
-        ValueError: on a bad grid (see radius_grid), receiver height or point count, or a transmitter below ground.
-    """
-    radii = radius_grid(r_min, r_max, step)
-    p = _circle_los(db, tx, radii, n_points, rx_height_m, interior_counts_as_nlos)
+        p = np.where(n_exterior > 0, n_los / denominator, np.nan)
     return LosProbabilityCurve(radii, p, ~np.isnan(p))
 
 
@@ -344,14 +334,18 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     breakpoints that cannot beat the winner of every 8th breakpoint and 16th
     alpha.  A refinement window is searched whole: its breakpoints lie within
     1 m of its center, whose MSE as a bound cut none of them on the
-    benchmark's curves.  The refinement window, 1 m either side, recenters
-    while its winner lands on a window edge, so optima up to a few meters
-    off the coarse winner are still resolved.  It evaluates at most 16
-    windows, and a winner still on an edge of the 16th is returned without
-    saying so: a curve whose best alpha lies past 200 m comes back with
-    alpha_m = 216.0, which is 200 m plus 16 steps of 1 m.  The refinement is
-    skipped when the coarse fit is already exact.  Returns the parameters
-    and the mean squared error they achieve.
+    benchmark's curves.  The refinement window, the 0.1 m lattice within 1 m
+    of its center, recenters while its winner lands on a window edge, so
+    optima up to a few meters off the coarse winner are still resolved.
+    Windows are clipped at 0.1 m, so d_bp_m or alpha_m can come back as
+    0.1 m, below the integer grid's 1 m, without saying so.  A winner at its
+    window's own center, which only such a clipped window allows, ends the
+    walk, since the next window would repeat the same search.  The walk
+    evaluates at most 16 windows, and a winner still on an edge of the 16th
+    is returned without saying so: a curve whose best alpha lies past 200 m
+    comes back with alpha_m = 216.0, which is 200 m plus 16 steps of 1 m.
+    The refinement is skipped when the coarse fit is already exact.  Returns
+    the parameters and the mean squared error they achieve.
 
     Raises:
         ValueError: with fewer than 2 valid curve points.
@@ -366,14 +360,13 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     for _ in range(16):
         if mse == 0.0:
             break
-        fine_bp = np.round(bp + _WINDOW_M, 6)
-        fine_alpha = np.round(alpha + _WINDOW_M, 6)
-        fine_bp = fine_bp[fine_bp > 0]
-        fine_alpha = fine_alpha[fine_alpha > 0]
+        center = bp, alpha
+        # the tenths of a meter within 1 m of the center, from 0.1 m up
+        fine_bp, fine_alpha = (np.arange(max(t - 10, 1), t + 11) / 10 for t in (round(10 * bp), round(10 * alpha)))
         # unbounded: the center's MSE as a bound cut no window's breakpoint on the benchmark's curves
         bp, alpha, mse = _mse_grid(radii, target, fine_bp, fine_alpha, np.inf)
         on_edge = bp in (fine_bp[0], fine_bp[-1]) or alpha in (fine_alpha[0], fine_alpha[-1])
-        if not on_edge:
+        if not on_edge or (bp, alpha) == center:
             break
     return LosProbParams(bp, alpha, squared=True), mse
 

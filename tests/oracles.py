@@ -6,7 +6,9 @@ circle classification builds on that.  Slow but unarguable.  The reference
 kernels and the reference building-DB parser at the end are the library's
 former straightforward implementations, kept to check its faster ones for
 exact equality; the parser keeps using the library's Point3 and Box3 checks,
-which are what word its messages.
+which are what word its messages.  The Poisson-box scenes and their
+closed-form LOS probability come from random shape theory (Bai, Vaze and
+Heath, "Analysis of Blockage Effects on Urban Cellular Networks", 2014).
 """
 
 import json
@@ -14,10 +16,17 @@ import math
 
 import numpy as np
 
-from mmwpl.geometry import Box3, BuildingDBError, Point3
+from mmwpl.geometry import Box3, BuildingDB, BuildingDBError, Point3
 
 ORACLE_EPS = 1e-9
 ORACLE_SAMPLES = 10_000
+
+# Poisson-box scenes: box centres per square meter, the uniform range of
+# each footprint side, and the half-width of the square they are dropped in,
+# which reaches past every box that can block a 200 m ray.
+POISSON_BOX_DENSITY = 8.9e-4
+POISSON_BOX_SIDES_M = (10.0, 30.0)
+POISSON_BOX_HALF_WIDTH_M = 240.0
 
 
 def sampled_segment_hits_box(a, b, box_min, box_max, n=ORACLE_SAMPLES, eps=ORACLE_EPS):
@@ -88,6 +97,42 @@ def circle_los_fraction(tx, radius, mins, maxs, n_points=100, rx_height=1.5,
     if n_exterior == 0:
         return None, 0, 0
     return n_los / n_exterior, n_exterior, n_los
+
+
+def poisson_box_scene(seed, tx):
+    """Boxes with Poisson centres around ``tx``'s ground point, all taller than ``tx``.
+
+    Sides ``a`` (along x) and ``b`` (along y) are independent and uniform on
+    POISSON_BOX_SIDES_M; the boxes whose closed footprint holds the ground
+    point are dropped, which conditions the scene on an exterior transmitter.
+    """
+    rng = np.random.default_rng(seed)
+    half = POISSON_BOX_HALF_WIDTH_M
+    n = rng.poisson(POISSON_BOX_DENSITY * (2.0 * half) ** 2)
+    centres = np.array([tx.x, tx.y]) + rng.uniform(-half, half, (n, 2))
+    half_sides = rng.uniform(*POISSON_BOX_SIDES_M, (n, 2)) / 2.0
+    keep = ~np.all(np.abs(centres - [tx.x, tx.y]) <= half_sides, axis=1)
+    roof = tx.z + 20.0
+    return BuildingDB("poisson", tuple(
+        Box3(Point3(x - hx, y - hy, 0.0), Point3(x + hx, y + hy, roof))
+        for (x, y), (hx, hy) in zip(centres[keep], half_sides[keep])
+    ))
+
+
+def poisson_box_p_los(radii, n_points=100):
+    """Expected LOS fraction of a Poisson-box scene's circles, interior positions counted as NLOS.
+
+    A box blocks the ray of length r at angle theta when its centre lies in
+    the segment's Minkowski sum with its footprint, less the footprint
+    around the transmitter: area r * (b |cos theta| + a |sin theta|).  So the
+    ray is clear with probability exp(-density * r * (E[b] |cos| + E[a] |sin|)),
+    averaged here over the curve's own angles 2 pi k / n_points: the exact
+    expectation of the sampled curve.
+    """
+    mean_side = sum(POISSON_BOX_SIDES_M) / 2.0
+    angles = 2.0 * np.pi * np.arange(n_points) / n_points
+    width = mean_side * np.abs(np.cos(angles)) + mean_side * np.abs(np.sin(angles))
+    return np.exp(-POISSON_BOX_DENSITY * np.outer(radii, width)).mean(axis=1)
 
 
 def mse_table_reference(radii, target, bp_values, alpha_values):

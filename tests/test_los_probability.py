@@ -33,7 +33,13 @@ from mmwpl.los_probability import (
     p_los_model,
     radius_grid,
 )
-from oracles import circle_los_fraction, mse_grid_reference, mse_table_reference
+from oracles import (
+    circle_los_fraction,
+    mse_grid_reference,
+    mse_table_reference,
+    poisson_box_p_los,
+    poisson_box_scene,
+)
 
 POOLED = LosProbParams(27.0, 71.0)
 
@@ -203,7 +209,7 @@ def occlusion_scenes(draw):
 
 
 def uncropped_curve(db, tx, radii, n_points, rx_height, interior_nlos):
-    """p_los on the receiver positions of _circle_los, traced in one block against every box with no ranges."""
+    """p_los on the receiver positions of los_probability_curve, traced in one block against every box with no ranges."""
     which, k = np.divmod(np.arange(radii.size * n_points), n_points)
     angles = 2.0 * np.pi * np.arange(n_points) / n_points
     r = radii[which]
@@ -487,6 +493,27 @@ def test_golden_scene_fits(scene, interior_nlos):
     assert got == GOLDEN_FITS[(scene, interior_nlos)]
 
 
+# Poisson-box scenes traced against the closed form: fixed before the first
+# run, never to be re-picked.  |z| <= 4 at every radius is a Bonferroni bound
+# over the 191 radii, and a radius whose scenes all read alike fails, since
+# the closed form lies strictly between 0 and 1 there.
+POISSON_SEEDS = range(60)
+POISSON_Z_BOUND = 4.0
+
+
+def test_traced_poisson_scenes_meet_the_closed_form():
+    tx = Point3(0.0, 0.0, 10.0)
+    curves = np.array([
+        los_probability_curve(poisson_box_scene(seed, tx), tx, interior_counts_as_nlos=True).p_los
+        for seed in POISSON_SEEDS
+    ])
+    exact = poisson_box_p_los(radius_grid(10.0, 200.0, 1.0))
+    spread = curves.std(axis=0, ddof=1)
+    assert np.all(spread > 0)
+    z = (curves.mean(axis=0) - exact) / (spread / np.sqrt(len(POISSON_SEEDS)))
+    assert np.max(np.abs(z)) <= POISSON_Z_BOUND
+
+
 @functools.lru_cache(maxsize=None)
 def scene_curve(scene, interior_nlos):
     return los_probability_curve(
@@ -672,8 +699,8 @@ COARSE = los_probability._COARSE_GRID
 
 def window(center):
     """A 0.1 m refinement window around center, built as fit_p_los builds it."""
-    values = np.round(center + los_probability._WINDOW_M, 6)
-    return values[values > 0]
+    t = round(10 * center)
+    return np.arange(max(t - 10, 1), t + 11) / 10
 
 
 def hex_triple(fit):
@@ -903,6 +930,35 @@ class TestCoarsePrune:
         params, mse = fit_p_los(flat_curve(ONES_91[0]))
         assert (params.d_bp_m, params.alpha_m, mse) == (100.0, 1.0, 0.0)
         assert len(cells) <= 2
+
+
+# the closed-form Poisson-box curve is the d_bp -> 0 limit of the model: its
+# fit ends at the 0.1 m lower edge, float.hex of (d_bp_m, alpha_m, mse)
+LOWER_EDGE_FIT = ("0x1.999999999999ap-4", "0x1.62ccccccccccdp+6", "0x1.be1e129b0de6dp-20")
+
+
+class TestRefinementWalk:
+    def test_window_equals_the_rounded_offsets(self):
+        # the former construction: the center plus -1 to 1 m in 0.1 m steps, rounded, kept above 0
+        offsets = np.round(np.arange(-1.0, 1.05, 0.1), 6)
+        for center in np.arange(1, 2161) / 10:
+            rounded = np.round(center + offsets, 6)
+            assert window(center).tobytes() == rounded[rounded > 0].tobytes(), center
+
+    def test_lower_edge_fit_searches_no_window_twice(self, monkeypatch):
+        searched = []
+        mse_grid = los_probability._mse_grid
+
+        def recording(radii, target, bp_values, alpha_values, upper):
+            searched.append((bp_values.tobytes(), alpha_values.tobytes()))
+            return mse_grid(radii, target, bp_values, alpha_values, upper)
+
+        monkeypatch.setattr(los_probability, "_mse_grid", recording)
+        radii = radius_grid(10.0, 200.0, 1.0)
+        params, mse = fit_p_los(LosProbabilityCurve(radii, poisson_box_p_los(radii), np.ones(radii.size, bool)))
+        assert hex_triple((params.d_bp_m, params.alpha_m, mse)) == LOWER_EDGE_FIT
+        assert len(set(searched)) == len(searched)
+        assert len(searched) <= 6
 
 
 class TestCsv:
