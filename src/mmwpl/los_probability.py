@@ -8,6 +8,7 @@ curves by exhaustive mean-squared-error search.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -25,8 +26,9 @@ CURVE_CSV_HEADER = "radius_m,p_los,valid"
 MAX_GRID_POINTS = 1_000_000
 
 # Rays traced together per block, and values per array in a block of a fit's
-# screen or exact cells; bounds a curve's and a fit's working memory whatever the grid size.
-# The default 191-radius, 100-point curve is one block.
+# exact cells; bounds a curve's and a fit's working memory whatever the grid size.
+# A fit's screen holds a quarter of it per series, which keeps its five series
+# and their sums in cache.  The default 191-radius, 100-point curve is one block.
 _RAYS_PER_BLOCK = 32768
 
 # Integer search grid for the MMSE fit, meters.
@@ -138,6 +140,10 @@ def los_probability_curve(
         ValueError: on a bad grid (see radius_grid), receiver height or point count, or a transmitter below ground.
     """
     radii = radius_grid(r_min, r_max, step)
+    try:
+        n_points = operator.index(n_points)
+    except TypeError:
+        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
     if not 4 <= n_points <= MAX_GRID_POINTS:
         raise ValueError(f"n_points must be between 4 and {MAX_GRID_POINTS}, got {n_points}")
     if not np.isfinite(rx_height_m):
@@ -250,44 +256,84 @@ def _screened_mse(radii, target, bp_values, alpha_values, split, saturated):
     over the radii beyond bp is a quartic in bp whose coefficients are
     suffix sums over the radii.  ``split[j]`` counts the radii at or below
     ``bp_values[j]``, and ``saturated[j]`` is the sum of (1 - t)^2 over them.
-    The radii past the largest breakpoint are summed once per alpha; only
-    those at or below it are accumulated, in reverse, onto that sum.  The
-    suffix sums are built one coefficient at a time and folded in by
-    Horner's rule, for blocks of alphas that hold about _RAYS_PER_BLOCK
-    values per array.
+    The five series of terms share one buffer: the radii past the largest
+    breakpoint are summed once per alpha, those at or below it accumulated
+    in reverse onto that sum, and the suffix sums gathered at every
+    breakpoint, each step once for all five.  The factors 4, 2 and 4 of the
+    middle coefficients are applied after the sums: scaling by a power of two
+    is exact, so that changes no bit unless a term underflows.  Horner's rule
+    then folds them in place, for blocks of alphas that hold about a quarter
+    of _RAYS_PER_BLOCK values per series.
     """
     n_r = radii.size
     cut = split.max()
-
-    def suffix_sums(term):
-        # sums[:, m] is the sum of the terms past radius cut plus the last m at or below it
-        sums = np.empty((term.shape[0], cut + 1))
-        sums[:, 0] = term[:, cut:].sum(axis=1)
-        sums[:, 1:] = term[:, :cut][:, ::-1]
-        return np.cumsum(sums, axis=1, out=sums)[:, cut - split]
-
-    step = max(1, _RAYS_PER_BLOCK // n_r)
-    blocks = []
+    index = cut - split
+    out = np.empty((alpha_values.size, bp_values.size))
+    step = min(alpha_values.size, max(1, _RAYS_PER_BLOCK // (4 * n_r)))
+    # one buffer each for the five series and their sums, reused by every block
+    series_buffer, sums_buffer = np.empty((5, step, n_r)), np.empty((5, step, cut + 1))
     for start in range(0, alpha_values.size, step):
-        # e, u * e, u^2 and q = e^2 - t, computed in place where a value is last used
         e = -radii / alpha_values[start:start + step, None]
         np.exp(e, out=e)
         u = 1.0 - e
         u /= radii
-        ue = u * e
+        k = e.shape[0]
+        series, sums = series_buffer[:, :k], sums_buffer[:, :k]
+        ue = np.multiply(u, e, out=series[1])
         uu = np.square(u, out=u)
         q = np.square(e, out=e)
         q -= target
-        table = suffix_sums(uu * uu)
-        table = table * bp_values + suffix_sums(4.0 * uu * ue)
-        table = table * bp_values + suffix_sums(4.0 * ue * ue + 2.0 * uu * q)
-        table = table * bp_values + suffix_sums(4.0 * ue * q)
-        blocks.append(table * bp_values + suffix_sums(q * q))
-    return (np.vstack(blocks) + saturated) / n_r
+        np.square(uu, out=series[0])
+        np.multiply(ue, 2.0, out=series[2])
+        series[2] *= ue
+        np.multiply(ue, q, out=series[3])
+        np.square(q, out=series[4])
+        ue *= uu
+        uu *= q
+        series[2] += uu
+        # sums[..., m] is the sum of the terms past radius cut plus the last m at or below it
+        np.sum(series[:, :, cut:], axis=2, out=sums[:, :, 0])
+        sums[:, :, 1:] = series[:, :, :cut][:, :, ::-1]
+        table = np.cumsum(sums, axis=2, out=sums)[:, :, index]
+        table[1:4] *= np.array([4.0, 2.0, 4.0])[:, None, None]
+        quartic = table[0]
+        for coefficient in table[1:]:
+            quartic *= bp_values
+            quartic += coefficient
+        out[start:start + step] = quartic
+    out += saturated
+    out /= n_r
+    return out
+
+
+def _search_sums(radii, target):
+    """A curve's screen tolerance and the sums of (1 - t)^2 over its first m radii, m = 0 .. n_r."""
+    tol = max(_SCREEN_TOL, 50 * radii.size * np.finfo(float).eps)
+    return tol, np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))
+
+
+def _candidates(screened, split, n_r, tol):
+    """Row and column indices of the screened cells within tol of the least (see _mse_grid)."""
+    ia, ib = np.nonzero(screened <= screened.min() + tol)
+    # past the last radius, a later alpha gives the same model as the first, a candidate there too
+    keep = (ia == 0) | (split[ib] < n_r)
+    return ia[keep], ib[keep]
+
+
+def _least(radii, target, bp, alpha):
+    """The least (mse, d_bp, alpha) of the cells (bp[k], alpha[k]), evaluated exactly as the rows of blocks."""
+    step = max(1, _RAYS_PER_BLOCK // radii.size)
+    mse = np.empty(bp.size)
+    for start in range(0, bp.size, step):
+        bracket = _bracket(radii, bp[start:start + step, None], alpha[start:start + step, None])
+        err = bracket * bracket - target
+        mse[start:start + step] = np.mean(err * err, axis=1)
+    best = np.lexsort((alpha, bp, mse))[0]
+    return float(bp[best]), float(alpha[best]), float(mse[best])
 
 
 def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alpha_values: np.ndarray,
-              upper: float):
+              upper: float, sums=None):
     """Best (d_bp, alpha, mse) over the cross product of candidate values.
 
     ``radii`` must be positive and strictly increasing, both candidate
@@ -297,29 +343,25 @@ def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alph
     The cells within TOL of the screen's least MSE (_screened_mse) are then
     evaluated exactly, together, in blocks of rows.  The winner is the least
     (mse, d_bp, alpha): ties resolve to the smallest d_bp, then alpha.
+    ``sums`` is the curve's _search_sums, computed here when not given.
     """
     n_r = radii.size
-    tol = max(_SCREEN_TOL, 50 * n_r * np.finfo(float).eps)
+    tol, prefix = sums or _search_sums(radii, target)
     # every breakpoint at or past the last radius gives the model 1 at every radius: keep the first
     bp_values = bp_values[:np.searchsorted(bp_values, radii[-1]) + 1]
     # the radii at or below each breakpoint, where the model saturates: for
     # positive radii, fl(bp / r) >= 1 exactly when r <= bp
     split = np.searchsorted(radii, bp_values, side="right")
-    saturated = np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))[split]
+    saturated = prefix[split]
     kept = np.count_nonzero(saturated / n_r <= upper + 2 * tol)
     screened = _screened_mse(radii, target, bp_values[:kept], alpha_values, split[:kept], saturated[:kept])
-    ia, ib = np.nonzero(screened <= screened.min() + tol)
-    # past the last radius, a later alpha gives the same model as alpha_values[0], a candidate there too
-    keep = (ia == 0) | (split[ib] < n_r)
-    bp, alpha = bp_values[ib[keep]], alpha_values[ia[keep]]
-    step = max(1, _RAYS_PER_BLOCK // n_r)
-    mse = np.empty(bp.size)
-    for start in range(0, bp.size, step):
-        bracket = _bracket(radii, bp[start:start + step, None], alpha[start:start + step, None])
-        err = bracket * bracket - target
-        mse[start:start + step] = np.mean(err * err, axis=1)
-    best = np.lexsort((alpha, bp, mse))[0]
-    return float(bp[best]), float(alpha[best]), float(mse[best])
+    ia, ib = _candidates(screened, split, n_r, tol)
+    return _least(radii, target, bp_values[ib], alpha_values[ia])
+
+
+# How much further in alpha than a window, in tenths of a meter, a strip
+# after the first reaches in the direction the walk last moved (see fit_p_los).
+_STRIP_ALPHA = 40
 
 
 def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
@@ -332,20 +374,31 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     evaluation would pick (see _mse_grid); the screen's memory does not grow
     with the curve's length.  The integer grid's search skips the
     breakpoints that cannot beat the winner of every 8th breakpoint and 16th
-    alpha.  A refinement window is searched whole: its breakpoints lie within
-    1 m of its center, whose MSE as a bound cut none of them on the
-    benchmark's curves.  The refinement window, the 0.1 m lattice within 1 m
-    of its center, recenters while its winner lands on a window edge, so
-    optima up to a few meters off the coarse winner are still resolved.
-    Windows are clipped at 0.1 m, so d_bp_m or alpha_m can come back as
-    0.1 m, below the integer grid's 1 m, without saying so.  A winner at its
-    window's own center, which only such a clipped window allows, ends the
-    walk, since the next window would repeat the same search.  The walk
-    evaluates at most 16 windows, and a winner still on an edge of the 16th
-    is returned without saying so: a curve whose best alpha lies past 200 m
-    comes back with alpha_m = 216.0, which is 200 m plus 16 steps of 1 m.
-    The refinement is skipped when the coarse fit is already exact.  Returns
-    the parameters and the mean squared error they achieve.
+    alpha.  The refinement window, the 0.1 m lattice within 1 m of its
+    center, recenters while its winner lands on a window edge, so optima up
+    to a few meters off the coarse winner are still resolved.  Windows are
+    clipped at 0.1 m, so d_bp_m or alpha_m can come back as 0.1 m, below
+    the integer grid's 1 m, without saying so.  A winner at its window's own
+    center, which only such a clipped window allows, ends the walk, since
+    the next window would repeat the same search.  The walk evaluates at
+    most 16 windows, and a winner still on an edge of the 16th is returned
+    without saying so: a curve whose best alpha lies past 200 m comes back
+    with alpha_m = 216.0, which is 200 m plus 16 steps of 1 m.  The
+    refinement is skipped when the coarse fit is already exact.
+
+    The walk screens strips, not single windows.  The first window is
+    screened alone.  Once the walk has moved, a window outside the last
+    screened table screens a strip 1 m wider than it on each side in d_bp;
+    from the second strip on, a strip also reaches 4 m further in alpha in
+    the direction of the last move.  The windows that follow are read off
+    that table.  A strip is searched whole: a bound by the center's MSE cut
+    no window's breakpoint on the benchmark's curves.  A window's candidates are the cells within the tolerance
+    of its own least screened value.  They are evaluated exactly only when
+    there are several, or when that value is small enough that the fit
+    could be exact; otherwise the one candidate wins, and the final
+    winner's MSE is evaluated once, at the end.  So a fit past the grid
+    walks its 16 windows on 5 screens, not 16.  Returns the parameters and
+    the mean squared error they achieve.
 
     Raises:
         ValueError: with fewer than 2 valid curve points.
@@ -355,19 +408,42 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     if radii.size < 2:
         raise ValueError("fit requires at least 2 valid curve points")
 
-    _, _, upper = _mse_grid(radii, target, _COARSE_GRID[::8], _COARSE_GRID[::16], np.inf)
-    bp, alpha, mse = _mse_grid(radii, target, _COARSE_GRID, _COARSE_GRID, upper)
+    sums = tol, prefix = _search_sums(radii, target)
+    _, _, upper = _mse_grid(radii, target, _COARSE_GRID[::8], _COARSE_GRID[::16], np.inf, sums)
+    bp, alpha, mse = _mse_grid(radii, target, _COARSE_GRID, _COARSE_GRID, upper, sums)
+    # the walk runs on integer tenths of a meter: the center, the last move in alpha, the next strip's reach
+    center, moved, ahead, strip = (round(10 * bp), round(10 * alpha)), None, 0, None
     for _ in range(16):
         if mse == 0.0:
             break
-        center = bp, alpha
-        # the tenths of a meter within 1 m of the center, from 0.1 m up
-        fine_bp, fine_alpha = (np.arange(max(t - 10, 1), t + 11) / 10 for t in (round(10 * bp), round(10 * alpha)))
-        # unbounded: the center's MSE as a bound cut no window's breakpoint on the benchmark's curves
-        bp, alpha, mse = _mse_grid(radii, target, fine_bp, fine_alpha, np.inf)
-        on_edge = bp in (fine_bp[0], fine_bp[-1]) or alpha in (fine_alpha[0], fine_alpha[-1])
-        if not on_edge or (bp, alpha) == center:
+        # the tenths within 1 m of the center, from 0.1 m up
+        (b0, b1), (a0, a1) = ((max(t - 10, 1), t + 10) for t in center)
+        if strip is None or not (lo_b <= b0 and b1 <= hi_b and lo_a <= a0 and a1 <= hi_a):
+            lo_b, hi_b, lo_a, hi_a = b0, b1, a0, a1
+            if moved is not None:
+                lo_b, hi_b = max(b0 - 10, 1), b1 + 10
+                lo_a, hi_a = max(a0 - ahead, 1) if moved < 0 else a0, a1 + ahead if moved > 0 else a1
+                ahead = _STRIP_ALPHA
+            strip_bp, strip_alpha = np.arange(lo_b, hi_b + 1) / 10, np.arange(lo_a, hi_a + 1) / 10
+            split = np.searchsorted(radii, strip_bp, side="right")
+            strip = _screened_mse(radii, target, strip_bp, strip_alpha, split, prefix[split])
+        # the window's breakpoints up to the first at or past the last radius, as _mse_grid keeps them
+        window_bp = strip_bp[b0 - lo_b:b1 - lo_b + 1]
+        cols = slice(b0 - lo_b, b0 - lo_b + min(window_bp.size, np.searchsorted(window_bp, radii[-1]) + 1))
+        rows = slice(a0 - lo_a, a1 - lo_a + 1)
+        ia, ib = _candidates(strip[rows, cols], split[cols], radii.size, tol)
+        bp, alpha = strip_bp[cols][ib], strip_alpha[rows][ia]
+        if ia.size > 1 or strip[rows, cols].min() <= tol:
+            bp, alpha, mse = _least(radii, target, bp, alpha)
+        else:
+            # the one candidate wins, and its MSE exceeds tol / 2 > 0
+            bp, alpha, mse = float(bp[0]), float(alpha[0]), None
+        winner = round(10 * bp), round(10 * alpha)
+        if not (winner[0] in (b0, b1) or winner[1] in (a0, a1)) or winner == center:
             break
+        moved, center = winner[1] - center[1], winner
+    if mse is None:
+        mse = _least(radii, target, np.array([bp]), np.array([alpha]))[2]
     return LosProbParams(bp, alpha, squared=True), mse
 
 

@@ -166,6 +166,30 @@ def mse_grid_reference(radii, target, bp_values, alpha_values):
     return float(best_bp), float(best_alpha), float(best_mse)
 
 
+def fit_reference(radii, target):
+    """The LOS fit by exhaustive search: every cell of every search evaluated exactly.
+
+    The integer grid of 1 to 200 m first, then the refinement walk with its
+    stop rules: at most 16 windows, none once a fit is exact, and none after
+    a window whose winner is off its edges or at its own center.  A window is
+    the 0.1 m lattice within 1 m of its center, from integer tenths, clipped
+    at 0.1 m.  Each search is mse_grid_reference over its whole grid, with no
+    screen and no bound.  Returns (d_bp, alpha, mse).
+    """
+    grid = np.arange(1.0, 201.0)
+    bp, alpha, mse = mse_grid_reference(radii, target, grid, grid)
+    for _ in range(16):
+        if mse == 0.0:
+            break
+        center = bp, alpha
+        fine_bp, fine_alpha = (np.arange(max(round(10 * c) - 10, 1), round(10 * c) + 11) / 10 for c in center)
+        bp, alpha, mse = mse_grid_reference(radii, target, fine_bp, fine_alpha)
+        on_edge = bp in (fine_bp[0], fine_bp[-1]) or alpha in (fine_alpha[0], fine_alpha[-1])
+        if not on_edge or (bp, alpha) == center:
+            break
+    return bp, alpha, mse
+
+
 def _canonical_order_reference(starts, ends):
     swap = ends[:, 0] < starts[:, 0]
     eq = ends[:, 0] == starts[:, 0]

@@ -214,8 +214,6 @@ class TestFit:
     test_bad_frequency_is_input_error = contract_test(
         "fit-nlos-frequency-zero", "fit-nlos-frequency-negative", "fit-nlos-frequency-nan", "fit-nlos-frequency-inf",
         ids=["0", "-28e9", "nan", "inf"])
-    test_frequency_with_floating_is_input_error = contract_test(
-        "fit-nlos-frequency-with-floating", "fit-nlos-frequency-nan-with-floating", ids=["28e9", "nan"])
 
 
 class TestOutage:
@@ -280,11 +278,6 @@ class TestOutage:
                 "--monte-carlo", "100000", "--seed", "7"]
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-    test_negative_seed_is_input_error = contract_test(
-        "outage-grid-monte-carlo-seed-negative", "outage-grid-seed-negative", ids=["extra0", "extra1"])
-    test_draw_count_capped_before_sampling = contract_test(
-        "outage-grid-monte-carlo-over-cap", "outage-grid-monte-carlo-far-over-cap", ids=["1000001", "1000000000000"])
 
 
 class TestEntryPoint:

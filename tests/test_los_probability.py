@@ -35,6 +35,7 @@ from mmwpl.los_probability import (
 )
 from oracles import (
     circle_los_fraction,
+    fit_reference,
     mse_grid_reference,
     mse_table_reference,
     poisson_box_p_los,
@@ -146,6 +147,9 @@ class TestCircleSampling:
             circle_row(SLAB_DB, SLAB_TX, np.inf)
         with pytest.raises(ValueError):
             circle_row(SLAB_DB, SLAB_TX, 50.0, n_points=3)
+        for n_points in (100.0, 100.5):
+            with pytest.raises(ValueError, match="n_points must be an integer"):
+                circle_row(SLAB_DB, SLAB_TX, 50.0, n_points=n_points)
 
     @pytest.mark.parametrize("height", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_rx_height(self, height):
@@ -935,6 +939,30 @@ class TestCoarsePrune:
 # the closed-form Poisson-box curve is the d_bp -> 0 limit of the model: its
 # fit ends at the 0.1 m lower edge, float.hex of (d_bp_m, alpha_m, mse)
 LOWER_EDGE_FIT = ("0x1.999999999999ap-4", "0x1.62ccccccccccdp+6", "0x1.be1e129b0de6dp-20")
+DEFAULT_RADII = radius_grid(10.0, 200.0, 1.0)
+LOWER_EDGE_CURVE = (DEFAULT_RADII, poisson_box_p_los(DEFAULT_RADII))
+# a decay far past the grid, as in the benchmark's boundary fits: the walk
+# ends on the edge of its 16th window, at alpha_m = 216.0
+PAST_GRID_CURVE = (DEFAULT_RADII, np.random.default_rng(0).binomial(
+    100, p_los_model(DEFAULT_RADII, LosProbParams(25.0, 450.0))) / 100)
+
+
+def screens(monkeypatch):
+    """A list that gains the (d_bp, alpha) grid of each screen the fit makes from now on."""
+    searched = []
+    screened_mse = los_probability._screened_mse
+
+    def recording(radii, target, bp_values, alpha_values, *sums):
+        searched.append((bp_values.tobytes(), alpha_values.tobytes()))
+        return screened_mse(radii, target, bp_values, alpha_values, *sums)
+
+    monkeypatch.setattr(los_probability, "_screened_mse", recording)
+    return searched
+
+
+def fit_curve(radii, target):
+    params, mse = fit_p_los(LosProbabilityCurve(radii, target, np.ones(radii.size, bool)))
+    return params.d_bp_m, params.alpha_m, mse
 
 
 class TestRefinementWalk:
@@ -945,20 +973,25 @@ class TestRefinementWalk:
             rounded = np.round(center + offsets, 6)
             assert window(center).tobytes() == rounded[rounded > 0].tobytes(), center
 
+    # a reference fit takes up to about 80 ms: 50 curves keep the property near 2 s
+    @settings(max_examples=50, deadline=None)
+    @given(coarse_curves())
+    @example(LOWER_EDGE_CURVE)
+    @example(PAST_GRID_CURVE)
+    def test_fit_matches_exhaustive_reference(self, curve):
+        assert hex_triple(fit_curve(*curve)) == hex_triple(fit_reference(*curve))
+
     def test_lower_edge_fit_searches_no_window_twice(self, monkeypatch):
-        searched = []
-        mse_grid = los_probability._mse_grid
-
-        def recording(radii, target, bp_values, alpha_values, upper):
-            searched.append((bp_values.tobytes(), alpha_values.tobytes()))
-            return mse_grid(radii, target, bp_values, alpha_values, upper)
-
-        monkeypatch.setattr(los_probability, "_mse_grid", recording)
-        radii = radius_grid(10.0, 200.0, 1.0)
-        params, mse = fit_p_los(LosProbabilityCurve(radii, poisson_box_p_los(radii), np.ones(radii.size, bool)))
-        assert hex_triple((params.d_bp_m, params.alpha_m, mse)) == LOWER_EDGE_FIT
+        searched = screens(monkeypatch)
+        assert hex_triple(fit_curve(*LOWER_EDGE_CURVE)) == LOWER_EDGE_FIT
         assert len(set(searched)) == len(searched)
         assert len(searched) <= 6
+
+    def test_past_grid_fit_screens_its_16_windows_in_strips(self, monkeypatch):
+        searched = screens(monkeypatch)
+        assert fit_curve(*PAST_GRID_CURVE)[1] == 216.0
+        assert len(set(searched)) == len(searched)
+        assert len(searched) <= 7
 
 
 class TestCsv:
