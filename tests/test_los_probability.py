@@ -994,6 +994,38 @@ class TestRefinementWalk:
         assert len(searched) <= 7
 
 
+def fingerprint_curves():
+    """198 seeded binomial curves on the default grid, 66 of each kind, then the lower-edge and past-grid curves.
+
+    The kinds: exact integer parameters, noisy decays within the grid, and
+    noisy decays past 200 m, which walk all 16 windows.
+    """
+    rng = np.random.default_rng(28)
+    for kind in ("exact", "noisy", "past-grid"):
+        for _ in range(66):
+            if kind == "exact":
+                yield DEFAULT_RADII, p_los_model(DEFAULT_RADII, LosProbParams(
+                    float(rng.integers(12, 61)), float(rng.integers(20, 151))))
+                continue
+            alpha = rng.uniform(300.0, 600.0) if kind == "past-grid" else rng.uniform(20.0, 150.0)
+            truth = LosProbParams(rng.uniform(10.0, 60.0), alpha)
+            yield DEFAULT_RADII, rng.binomial(100, p_los_model(DEFAULT_RADII, truth)) / 100
+    yield LOWER_EDGE_CURVE
+    yield PAST_GRID_CURVE
+
+
+# sha256 over float.hex of (d_bp_m, alpha_m, mse) of every fingerprint curve's
+# fit, in order.  Any change to the fitter must leave it bit for bit.
+FIT_FINGERPRINT = "9fbfcdd94a393c1e58d803956a25e8cfd2ebaecc553a92839ca587940dd0cb7b"
+
+
+def test_fits_at_scale_are_bit_identical():
+    h = hashlib.sha256()
+    for curve in fingerprint_curves():
+        h.update(" ".join(hex_triple(fit_curve(*curve))).encode() + b"\n")
+    assert h.hexdigest() == FIT_FINGERPRINT
+
+
 class TestCsv:
     def test_round_trip_preserves_values(self):
         radii = np.array([10.0, 20.0, 30.0])
