@@ -183,9 +183,7 @@ def cmd_outage(args) -> int:
     spec = pathloss.OutageSpec(args.threshold)
     distances = _distance_grid(args)
     if args.monte_carlo is not None:
-        if not 1 <= args.monte_carlo <= los_probability.MAX_GRID_POINTS:
-            raise ValueError("--monte-carlo draw count must be between 1 and "
-                             f"{los_probability.MAX_GRID_POINTS}, got {args.monte_carlo}")
+        pathloss._draw_count(args.monte_carlo, "--monte-carlo draw count")
         if args.seed is None:
             raise ValueError("--monte-carlo requires --seed for reproducibility")
     if args.seed is not None and args.seed < 0:

@@ -238,34 +238,36 @@ def p_los_model(d_m, params: LosProbParams):
 #
 # A search keeps only the breakpoints whose saturated error, the mean of
 # (1 - t)^2 over the radii at or below them, is at most U + 2 * TOL, where U
-# is the exact MSE of any cell of the grid searched.  The winner w keeps its
-# breakpoint.  At those radii its squared errors are (1 - t)^2 bit for bit
-# and the others are >= 0, and its exact MSE is at most U.  So its saturated
-# error exceeds U by no more than the rounding of a cumulative sum and of a
-# mean of n_r values in [0, 1], each within n_r * eps relative: delta <=
-# 3 * n_r * eps in all.  That is below TOL / 16, so delta < TOL / 2 and a
-# margin of 2 * TOL is safe.
+# is at least the exact MSE of some cell c of the grid searched.  The winner
+# w keeps its breakpoint.  At those radii its squared errors are (1 - t)^2
+# bit for bit and the others are >= 0, and its exact MSE is at most c's, so
+# at most U.  So its saturated error exceeds U by no more than the rounding
+# of a cumulative sum and of a mean of n_r values in [0, 1], each within
+# n_r * eps relative: delta <= 3 * n_r * eps in all.  That is below TOL / 16,
+# so delta < TOL / 2 and a margin of 2 * TOL is safe.
 _SCREEN_TOL = 1e-9
 
 
-def _screened_mse(radii, target, bp_values, alpha_values, split, saturated):
+def _screened_mse(radii, target, bp_values, alpha_values, prefix):
     """MSE of every (alpha, d_bp) cell in closed form, shape (n_alpha, n_bp).
 
     For a fixed alpha, with e = exp(-r / alpha) and u = (1 - e) / r, the
     bracket beyond the breakpoint is bp * u + e, so the squared error summed
     over the radii beyond bp is a quartic in bp whose coefficients are
-    suffix sums over the radii.  ``split[j]`` counts the radii at or below
-    ``bp_values[j]``, and ``saturated[j]`` is the sum of (1 - t)^2 over them.
-    The five series of terms share one buffer: the radii past the largest
-    breakpoint are summed once per alpha, those at or below it accumulated
-    in reverse onto that sum, and the suffix sums gathered at every
-    breakpoint, each step once for all five.  The factors 4, 2 and 4 of the
-    middle coefficients are applied after the sums: scaling by a power of two
-    is exact, so that changes no bit unless a term underflows.  Horner's rule
-    then folds them in place, for blocks of alphas that hold about a quarter
-    of _RAYS_PER_BLOCK values per series.
+    suffix sums over the radii; at or below bp, ``prefix`` (_search_sums)
+    sums the error of the saturated model.  The five series of terms share
+    one buffer: the radii past the largest breakpoint are summed once per
+    alpha, those at or below it accumulated in reverse onto that sum, and
+    the suffix sums gathered at every breakpoint, each step once for all
+    five.  The factors 4, 2 and 4 of the middle coefficients are applied
+    after the sums: scaling by a power of two is exact, so that changes no
+    bit unless a term underflows.  Horner's rule then folds them in place,
+    for blocks of alphas that hold about a quarter of _RAYS_PER_BLOCK values
+    per series.
     """
     n_r = radii.size
+    # the radii at or below each breakpoint, where the model saturates: fl(bp / r) >= 1 exactly when r <= bp
+    split = np.searchsorted(radii, bp_values, side="right")
     cut = split.max()
     index = cut - split
     out = np.empty((alpha_values.size, bp_values.size))
@@ -301,7 +303,7 @@ def _screened_mse(radii, target, bp_values, alpha_values, split, saturated):
             quartic *= bp_values
             quartic += coefficient
         out[start:start + step] = quartic
-    out += saturated
+    out += prefix[split]
     out /= n_r
     return out
 
@@ -312,16 +314,8 @@ def _search_sums(radii, target):
     return tol, np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))
 
 
-def _candidates(screened, split, n_r, tol):
-    """Row and column indices of the screened cells within tol of the least (see _mse_grid)."""
-    ia, ib = np.nonzero(screened <= screened.min() + tol)
-    # past the last radius, a later alpha gives the same model as the first, a candidate there too
-    keep = (ia == 0) | (split[ib] < n_r)
-    return ia[keep], ib[keep]
-
-
 def _least(radii, target, bp, alpha):
-    """The least (mse, d_bp, alpha) of the cells (bp[k], alpha[k]), evaluated exactly as the rows of blocks."""
+    """(d_bp, alpha, mse) of the least (mse, d_bp, alpha) of cells (bp[k], alpha[k]), evaluated as rows of blocks."""
     step = max(1, _RAYS_PER_BLOCK // radii.size)
     mse = np.empty(bp.size)
     for start in range(0, bp.size, step):
@@ -332,31 +326,44 @@ def _least(radii, target, bp, alpha):
     return float(bp[best]), float(alpha[best]), float(mse[best])
 
 
-def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alpha_values: np.ndarray,
-              upper: float, sums=None):
-    """Best (d_bp, alpha, mse) over the cross product of candidate values.
+def _winner(radii, target, screened, bp_values, alpha_values, tol):
+    """The winning (d_bp, alpha, mse) of a table screened by _screened_mse; mse is None if not evaluated.
+
+    A breakpoint at or past the last radius gives the model 1 at every
+    radius, whatever alpha: only the first, at its first alpha, is kept.
+    The candidates, the cells within tol of the least screened value, hold
+    the exact winner and every cell tied with it (see _SCREEN_TOL).  They
+    are evaluated exactly only when there are several, or when that value
+    is at most tol; else the one candidate wins, with an MSE above tol / 2.
+    """
+    screened = screened[:, :np.searchsorted(bp_values, radii[-1]) + 1]
+    least = screened.min()
+    ia, ib = np.nonzero(screened <= least + tol)
+    keep = (ia == 0) | (bp_values[ib] < radii[-1])
+    bp, alpha = bp_values[ib[keep]], alpha_values[ia[keep]]
+    if bp.size > 1 or least <= tol:
+        return _least(radii, target, bp, alpha)
+    return float(bp[0]), float(alpha[0]), None
+
+
+def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alpha_values: np.ndarray, sums):
+    """The winner of the cross product of candidate values, as _winner returns it.
 
     ``radii`` must be positive and strictly increasing, both candidate
-    arrays sorted ascending, and ``upper`` the exact MSE of any cell of the
-    grid, or inf.  Only the breakpoints that can win are screened (see
-    _SCREEN_TOL), and of those at or past the last radius only the first.
-    The cells within TOL of the screen's least MSE (_screened_mse) are then
-    evaluated exactly, together, in blocks of rows.  The winner is the least
-    (mse, d_bp, alpha): ties resolve to the smallest d_bp, then alpha.
-    ``sums`` is the curve's _search_sums, computed here when not given.
+    arrays sorted ascending, and ``sums`` the curve's _search_sums.  Only the
+    breakpoints that can win are screened (see _SCREEN_TOL), with U the
+    least screened MSE of every 8th breakpoint and 16th alpha plus TOL: at
+    least the exact MSE of the cell that attains it.
     """
+    tol, prefix = sums
     n_r = radii.size
-    tol, prefix = sums or _search_sums(radii, target)
-    # every breakpoint at or past the last radius gives the model 1 at every radius: keep the first
-    bp_values = bp_values[:np.searchsorted(bp_values, radii[-1]) + 1]
-    # the radii at or below each breakpoint, where the model saturates: for
-    # positive radii, fl(bp / r) >= 1 exactly when r <= bp
-    split = np.searchsorted(radii, bp_values, side="right")
-    saturated = prefix[split]
-    kept = np.count_nonzero(saturated / n_r <= upper + 2 * tol)
-    screened = _screened_mse(radii, target, bp_values[:kept], alpha_values, split[:kept], saturated[:kept])
-    ia, ib = _candidates(screened, split, n_r, tol)
-    return _least(radii, target, bp_values[ib], alpha_values[ia])
+    upper = _screened_mse(radii, target, bp_values[::8], alpha_values[::16], prefix).min() + tol
+    # a breakpoint with m radii at or below it has the saturated error prefix[m] / n_r, growing with m: keep
+    # those below radii[m] for the largest m within the bound, and of those past the last radius the first
+    m = np.searchsorted(prefix / n_r, upper + 2 * tol, side="right") - 1
+    bp_values = bp_values[:np.searchsorted(bp_values, radii[min(m, n_r - 1)]) + (m == n_r)]
+    screened = _screened_mse(radii, target, bp_values, alpha_values, prefix)
+    return _winner(radii, target, screened, bp_values, alpha_values, tol)
 
 
 # How much further in alpha than a window, in tenths of a meter, a strip
@@ -368,37 +375,21 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     """MMSE fit of the squared model to a curve's valid points.
 
     Exhaustive search over integer (d_bp, alpha) pairs from 1 to 200 m,
-    followed by a 0.1 m local refinement around the winning cell.  The
-    search is exhaustive in result: a closed-form screen decides which few
-    cells are evaluated exactly, and the winner is the one a cell-by-cell
-    evaluation would pick (see _mse_grid); the screen's memory does not grow
-    with the curve's length.  The integer grid's search skips the
-    breakpoints that cannot beat the winner of every 8th breakpoint and 16th
-    alpha.  The refinement window, the 0.1 m lattice within 1 m of its
-    center, recenters while its winner lands on a window edge, so optima up
-    to a few meters off the coarse winner are still resolved.  Windows are
-    clipped at 0.1 m, so d_bp_m or alpha_m can come back as 0.1 m, below
-    the integer grid's 1 m, without saying so.  A winner at its window's own
-    center, which only such a clipped window allows, ends the walk, since
-    the next window would repeat the same search.  The walk evaluates at
-    most 16 windows, and a winner still on an edge of the 16th is returned
-    without saying so: a curve whose best alpha lies past 200 m comes back
-    with alpha_m = 216.0, which is 200 m plus 16 steps of 1 m.  The
-    refinement is skipped when the coarse fit is already exact.
-
-    The walk screens strips, not single windows.  The first window is
-    screened alone.  Once the walk has moved, a window outside the last
-    screened table screens a strip 1 m wider than it on each side in d_bp;
-    from the second strip on, a strip also reaches 4 m further in alpha in
-    the direction of the last move.  The windows that follow are read off
-    that table.  A strip is searched whole: a bound by the center's MSE cut
-    no window's breakpoint on the benchmark's curves.  A window's candidates are the cells within the tolerance
-    of its own least screened value.  They are evaluated exactly only when
-    there are several, or when that value is small enough that the fit
-    could be exact; otherwise the one candidate wins, and the final
-    winner's MSE is evaluated once, at the end.  So a fit past the grid
-    walks its 16 windows on 5 screens, not 16.  Returns the parameters and
-    the mean squared error they achieve.
+    followed by a 0.1 m local refinement around the winning cell.  Each
+    search is exhaustive in result: its winner is the least (mse, d_bp,
+    alpha) a cell-by-cell evaluation would pick, so ties resolve to the
+    smallest d_bp, then alpha, and its memory does not grow with the
+    curve's length.  The refinement window, the 0.1 m lattice within 1 m of
+    its center, recenters while its winner lands on a window edge, so optima
+    up to a few meters off the coarse winner are still resolved.  Windows
+    are clipped at 0.1 m, so d_bp_m or alpha_m can come back as 0.1 m,
+    below the integer grid's 1 m, without saying so; a winner at its
+    window's own center, which only a clipped window allows, ends the walk.
+    The walk evaluates at most 16 windows, and a winner still on an edge of
+    the 16th is returned without saying so: a curve whose best alpha lies
+    past 200 m comes back with alpha_m = 216.0, which is 200 m plus 16 steps
+    of 1 m.  The refinement is skipped when the coarse fit is already exact.
+    Returns the parameters and the mean squared error they achieve.
 
     Raises:
         ValueError: with fewer than 2 valid curve points.
@@ -409,9 +400,12 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
         raise ValueError("fit requires at least 2 valid curve points")
 
     sums = tol, prefix = _search_sums(radii, target)
-    _, _, upper = _mse_grid(radii, target, _COARSE_GRID[::8], _COARSE_GRID[::16], np.inf, sums)
-    bp, alpha, mse = _mse_grid(radii, target, _COARSE_GRID, _COARSE_GRID, upper, sums)
-    # the walk runs on integer tenths of a meter: the center, the last move in alpha, the next strip's reach
+    bp, alpha, mse = _mse_grid(radii, target, _COARSE_GRID, _COARSE_GRID, sums)
+    # The walk runs on integer tenths of a meter: the center, the last move in alpha, the next strip's
+    # reach.  It reads each window off the last screened table; the first is screened alone.  Once the
+    # walk has moved, a window off the table screens a strip 1 m wider than it in d_bp, from the second
+    # strip on also _STRIP_ALPHA further in alpha the way it last moved: a fit past the grid walks its
+    # 16 windows on 5 screens.  No bound cuts a strip: none cut a window of the benchmark's curves.
     center, moved, ahead, strip = (round(10 * bp), round(10 * alpha)), None, 0, None
     for _ in range(16):
         if mse == 0.0:
@@ -425,19 +419,9 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
                 lo_a, hi_a = max(a0 - ahead, 1) if moved < 0 else a0, a1 + ahead if moved > 0 else a1
                 ahead = _STRIP_ALPHA
             strip_bp, strip_alpha = np.arange(lo_b, hi_b + 1) / 10, np.arange(lo_a, hi_a + 1) / 10
-            split = np.searchsorted(radii, strip_bp, side="right")
-            strip = _screened_mse(radii, target, strip_bp, strip_alpha, split, prefix[split])
-        # the window's breakpoints up to the first at or past the last radius, as _mse_grid keeps them
-        window_bp = strip_bp[b0 - lo_b:b1 - lo_b + 1]
-        cols = slice(b0 - lo_b, b0 - lo_b + min(window_bp.size, np.searchsorted(window_bp, radii[-1]) + 1))
-        rows = slice(a0 - lo_a, a1 - lo_a + 1)
-        ia, ib = _candidates(strip[rows, cols], split[cols], radii.size, tol)
-        bp, alpha = strip_bp[cols][ib], strip_alpha[rows][ia]
-        if ia.size > 1 or strip[rows, cols].min() <= tol:
-            bp, alpha, mse = _least(radii, target, bp, alpha)
-        else:
-            # the one candidate wins, and its MSE exceeds tol / 2 > 0
-            bp, alpha, mse = float(bp[0]), float(alpha[0]), None
+            strip = _screened_mse(radii, target, strip_bp, strip_alpha, prefix)
+        rows, cols = slice(a0 - lo_a, a1 - lo_a + 1), slice(b0 - lo_b, b1 - lo_b + 1)
+        bp, alpha, mse = _winner(radii, target, strip[rows, cols], strip_bp[cols], strip_alpha[rows], tol)
         winner = round(10 * bp), round(10 * alpha)
         if not (winner[0] in (b0, b1) or winner[1] in (a0, a1)) or winner == center:
             break

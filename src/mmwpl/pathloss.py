@@ -13,6 +13,7 @@ seeded Monte Carlo, as does coverage.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,6 +355,17 @@ def _shadowed(model: HybridModel, p, mean, z_los: np.ndarray, z_nlos: np.ndarray
     return z_los
 
 
+def _draw_count(value, name: str) -> int:
+    """``value`` as a draw count: an integer from 1 to MAX_GRID_POINTS, else ValueError naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 1 <= count <= MAX_GRID_POINTS:
+        raise ValueError(f"{name} must be between 1 and {MAX_GRID_POINTS}, got {count}")
+    return count
+
+
 def sample_pl(model: HybridModel, d_m, rng: np.random.Generator, size: int | None = None):
     """Draw shadowed path loss samples at one distance, dB.
 
@@ -361,9 +373,13 @@ def sample_pl(model: HybridModel, d_m, rng: np.random.Generator, size: int | Non
     draws first) are weighted by P and 1-P and added to the hybrid mean.
     ``size=None`` returns a float; an integer returns that many samples.
     Identical generators give identical output.
+
+    Raises:
+        ValueError: when ``size`` is neither None nor a draw count as
+            outage_monte_carlo's ``draws``, or the distance is below 1 m.
     """
+    shape = () if size is None else (_draw_count(size, "size"),)
     p, mean, _ = _hybrid(model, float(d_m))
-    shape = () if size is None else (int(size),)
     z_los = rng.standard_normal(shape)
     z_nlos = rng.standard_normal(shape)
     out = _shadowed(model, p, mean, z_los, z_nlos)
@@ -412,11 +428,10 @@ def outage_monte_carlo(model: HybridModel, d_m, spec: OutageSpec, rng: np.random
     array in, array out.
 
     Raises:
-        ValueError: when ``draws`` is outside 1..MAX_GRID_POINTS (checked
-            before anything is allocated) or a distance is below 1 m.
+        ValueError: when ``draws`` is not an integer from 1 to MAX_GRID_POINTS
+            (checked before anything is allocated) or a distance is below 1 m.
     """
-    if not 1 <= draws <= MAX_GRID_POINTS:
-        raise ValueError(f"draws must be between 1 and {MAX_GRID_POINTS}, got {draws}")
+    draws = _draw_count(draws, "draws")
     p, mean, _ = _hybrid(model, d_m)
     z_los, z_nlos = np.empty(draws), np.empty(draws)
     above = np.empty(draws, dtype=bool)

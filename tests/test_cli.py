@@ -100,9 +100,6 @@ class TestLosProb:
     test_non_finite_rx_height_is_input_error = contract_test(
         "los-prob-tower-rx-height-nan", "los-prob-tower-rx-height-inf", "los-prob-tower-rx-height-minus-inf",
         ids=["nan", "inf", "-inf"])
-    test_below_ground_is_input_error = contract_test(
-        "los-prob-tx-below-ground", "los-prob-tower-rx-height-negative",
-        ids=["args0-tx z must be >= 0", "args1-rx_height_m must be >= 0"])
 
 
 class TestFitPlos:
@@ -159,9 +156,6 @@ class TestPathloss:
         ]
         assert main(argv) == 0
         assert capsys.readouterr().out == from_preset
-
-    test_frequency_with_overflowing_fspl_is_input_error = contract_test(
-        "pathloss-frequency-fspl-overflow", "outage-frequency-fspl-overflow", ids=["command0", "command1"])
 
 
 class TestFit:

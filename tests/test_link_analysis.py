@@ -181,10 +181,14 @@ class TestMonteCarloOutage:
             tracemalloc.stop()
         assert peak < 3 * 8 * draws, peak
 
-    @pytest.mark.parametrize("draws", [0, -1, MAX_GRID_POINTS + 1, 10**12])
+    @pytest.mark.parametrize("draws", [0, -1, MAX_GRID_POINTS + 1, 10**12, 2.5, 100.0])
     def test_draw_count_checked_before_allocating(self, draws):
-        with pytest.raises(ValueError, match="between 1 and"):
+        # sample_pl's size shares the check: 10**12 draws would ask for 7.28 TiB
+        message = "an integer" if isinstance(draws, float) else "between 1 and"
+        with pytest.raises(ValueError, match=f"^draws must be {message}"):
             outage_monte_carlo(M28, 100.0, OutageSpec(130.0), np.random.default_rng(1), draws)
+        with pytest.raises(ValueError, match=f"^size must be {message}"):
+            sample_pl(M28, 100.0, np.random.default_rng(1), size=draws)
 
     def test_distance_below_reference_rejected(self):
         with pytest.raises(ValueError, match=">= 1 m"):

@@ -711,24 +711,28 @@ def hex_triple(fit):
     return tuple(float(v).hex() for v in fit)
 
 
-def cell_mse(radii, target, bp, alpha):
-    """The exact MSE of one cell, evaluated on its own: the per-cell reference."""
-    err = p_los_model(radii, LosProbParams(bp, alpha)) - target
-    return np.mean(err * err)
+def screen(radii, target, bp_values, alpha_values):
+    """_screened_mse of every cell, with the curve's prefix sums."""
+    return los_probability._screened_mse(radii, target, bp_values, alpha_values,
+                                         los_probability._search_sums(radii, target)[1])
 
 
-def screen(radii, target, bp_values, alpha_values, split=None):
-    """_screened_mse of every cell, with the split and saturated sums _mse_grid hands it."""
-    if split is None:
-        split = np.searchsorted(radii, bp_values, side="right")
-    saturated = np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))[split]
-    return los_probability._screened_mse(radii, target, bp_values, alpha_values, split, saturated)
+def exact_mse(radii, target, bp, alpha):
+    """The exact MSE of one cell, as the fit evaluates it."""
+    return los_probability._least(radii, target, np.array([bp]), np.array([alpha]))[2]
+
+
+def grid_search(radii, target, bp_values, alpha_values):
+    """_mse_grid's winner, with the MSE it leaves to its caller evaluated."""
+    bp, alpha, mse = los_probability._mse_grid(radii, target, bp_values, alpha_values,
+                                               los_probability._search_sums(radii, target))
+    return bp, alpha, exact_mse(radii, target, bp, alpha) if mse is None else mse
 
 
 def exact_cells(monkeypatch):
     """A list that gains the (d_bp, alpha) of each cell the fit evaluates exactly from now on.
 
-    _mse_grid hands the model one column each of breakpoints and decay constants, a cell per row.
+    _least hands the model one column each of breakpoints and decay constants, a cell per row.
     """
     cells = []
     bracket = los_probability._bracket
@@ -788,13 +792,11 @@ class TestMseGrid:
     @example((*ONES_91, COARSE, COARSE))
     @example(TIED_RUN)
     def test_matches_exhaustive_reference(self, problem):
-        got = los_probability._mse_grid(*problem, np.inf)
-        assert hex_triple(got) == hex_triple(mse_grid_reference(*problem))
+        assert hex_triple(grid_search(*problem)) == hex_triple(mse_grid_reference(*problem))
 
     @staticmethod
     def assert_screen_within_bound(radii, target, alpha_values=COARSE):
-        split = np.count_nonzero(COARSE[:, None] / radii >= 1.0, axis=1)
-        screened = screen(radii, target, COARSE, alpha_values, split)
+        screened = screen(radii, target, COARSE, alpha_values)
         exact = mse_table_reference(radii, target, COARSE, alpha_values)
         # the bound stated beside _SCREEN_TOL, which must stay far below TOL / 2
         bound = 25 * radii.size * np.finfo(float).eps
@@ -823,19 +825,19 @@ class TestMseGrid:
         whole = screen(radii, target, COARSE, COARSE)
         assert whole.shape == (COARSE.size, COARSE.size)
         problems = [(radii, target, COARSE, COARSE), TIED_RUN]
-        fits = [hex_triple(los_probability._mse_grid(*problem, np.inf)) for problem in problems]
+        fits = [hex_triple(grid_search(*problem)) for problem in problems]
         for block in (1, 7 * radii.size, 10**9):
             monkeypatch.setattr(los_probability, "_RAYS_PER_BLOCK", block)
             got = screen(radii, target, COARSE, COARSE)
             assert got.tobytes() == whole.tobytes()
-            assert [hex_triple(los_probability._mse_grid(*problem, np.inf)) for problem in problems] == fits
+            assert [hex_triple(grid_search(*problem)) for problem in problems] == fits
 
     @pytest.mark.parametrize("scene,interior_nlos", sorted(GOLDEN_FITS))
     def test_coarse_pass_evaluates_few_cells_exactly(self, scene, interior_nlos, monkeypatch):
         cells = exact_cells(monkeypatch)
         curve = scene_curve(scene, interior_nlos)
         radii, target = curve.radii_m[curve.valid], curve.p_los[curve.valid]
-        los_probability._mse_grid(radii, target, COARSE, COARSE, np.inf)
+        grid_search(radii, target, COARSE, COARSE)
         assert len(cells) <= 2
 
 
@@ -863,20 +865,12 @@ def coarse_curves(draw):
 
 
 @st.composite
-def bounded_searches(draw):
-    """A curve, a grid and the cell of the grid whose exact MSE bounds the search.
-
-    The cell is None for the winner of the sub-grid fit_p_los bounds the
-    coarse pass with; a refinement window's own cell is its center.
-    """
+def grid_searches(draw):
+    """A curve, and the integer grid or a refinement window to search it on."""
     radii, target = draw(coarse_curves())
-    kind = draw(st.sampled_from(["sub-grid", "window", "any cell"]))
-    if kind == "sub-grid":
-        return radii, target, COARSE, COARSE, None
-    center = tuple(draw(st.integers(10, 2000)) / 10 for _ in range(2))
-    grid = tuple(map(window, center)) if kind == "window" or draw(st.booleans()) else (COARSE, COARSE)
-    cell = center if kind == "window" else tuple(draw(st.sampled_from(values)) for values in grid)
-    return radii, target, *grid, cell
+    if draw(st.booleans()):
+        return radii, target, COARSE, COARSE
+    return (radii, target, *(window(draw(st.integers(10, 2000)) / 10) for _ in range(2)))
 
 
 def screened_breakpoints(monkeypatch, radii, target):
@@ -897,23 +891,27 @@ def screened_breakpoints(monkeypatch, radii, target):
 
 class TestCoarsePrune:
     @settings(max_examples=50, deadline=None)
-    @given(bounded_searches())
-    @example((np.array([10.0, 20.0]), np.array([1.0, 0.5]), COARSE, COARSE, None))
-    @example((np.array([0.01, 150.0, 5000.0]), np.array([1.0, 0.3, 0.0]), COARSE, COARSE, None))
-    @example((np.geomspace(0.01, 5000.0, 300), np.ones(300), COARSE, COARSE, None))
-    @example((*ONES_91, COARSE, COARSE, None))
-    @example((*ONES_91, COARSE, COARSE, (37.0, 5.0)))
-    @example((*ONES_91, window(100.0), window(1.0), (100.0, 1.0)))
-    @example((np.array([51.0, 74.0]), np.ones(2), window(74.5), window(3.0), (74.5, 3.0)))
+    @given(grid_searches())
+    @example((np.array([10.0, 20.0]), np.array([1.0, 0.5]), COARSE, COARSE))
+    @example((np.array([0.01, 150.0, 5000.0]), np.array([1.0, 0.3, 0.0]), COARSE, COARSE))
+    @example((np.geomspace(0.01, 5000.0, 300), np.ones(300), COARSE, COARSE))
+    @example((*ONES_91, COARSE, COARSE))
+    @example((*ONES_91, window(100.0), window(1.0)))
+    @example((np.array([51.0, 74.0]), np.ones(2), window(74.5), window(3.0)))
     def test_pruned_pass_equals_the_whole_grid(self, search):
-        radii, target, bp_values, alpha_values, cell = search
-        if cell is None:
-            upper = los_probability._mse_grid(radii, target, COARSE[::8], COARSE[::16], np.inf)[2]
-        else:
-            assert cell[0] in bp_values and cell[1] in alpha_values
-            upper = cell_mse(radii, target, *cell)
-        got = los_probability._mse_grid(radii, target, bp_values, alpha_values, upper)
-        assert hex_triple(got) == hex_triple(los_probability._mse_grid(radii, target, bp_values, alpha_values, np.inf))
+        assert hex_triple(grid_search(*search)) == hex_triple(mse_grid_reference(*search))
+
+    @settings(max_examples=50, deadline=None)
+    @given(coarse_curves())
+    @example(ONES_91)
+    def test_sub_grid_bound_is_at_least_its_cells_exact_mse(self, curve):
+        # the bound _mse_grid cuts its breakpoints by (see _SCREEN_TOL)
+        radii, target = curve
+        bp_values, alpha_values = COARSE[::8], COARSE[::16]
+        screened = screen(radii, target, bp_values, alpha_values)
+        ia, ib = np.unravel_index(np.argmin(screened), screened.shape)
+        tol = los_probability._search_sums(radii, target)[0]
+        assert screened[ia, ib] + tol >= exact_mse(radii, target, bp_values[ib], alpha_values[ia])
 
     def test_saturated_curve_prunes_nothing(self, monkeypatch):
         radii = np.geomspace(0.01, 5000.0, 300)
@@ -922,6 +920,16 @@ class TestCoarsePrune:
     @pytest.mark.parametrize("radii,last_bp", [(ONES_91[0], 100), (np.array([51.0, 74.0]), 74)])
     def test_breakpoints_past_the_last_radius_are_screened_once(self, radii, last_bp, monkeypatch):
         assert screened_breakpoints(monkeypatch, radii, np.ones(radii.size)) == last_bp
+
+    def test_window_past_the_last_radius_evaluates_one_cell(self, monkeypatch):
+        # from 100 m on, every cell of the window fits the flat curve exactly and ties
+        radii, target = ONES_91
+        bp_values, alpha_values = window(100.0), window(1.0)
+        screened = screen(radii, target, bp_values, alpha_values)
+        tol = los_probability._search_sums(radii, target)[0]
+        cells = exact_cells(monkeypatch)
+        assert los_probability._winner(radii, target, screened, bp_values, alpha_values, tol) == (100.0, 0.1, 0.0)
+        assert cells == [(100.0, 0.1)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_noisy_curve_screens_under_half_the_breakpoints(self, seed, monkeypatch):
