@@ -183,7 +183,7 @@ def cmd_outage(args) -> int:
     spec = pathloss.OutageSpec(args.threshold)
     distances = _distance_grid(args)
     if args.monte_carlo is not None:
-        pathloss._draw_count(args.monte_carlo, "--monte-carlo draw count")
+        los_probability._count(args.monte_carlo, "--monte-carlo draw count")
         if args.seed is None:
             raise ValueError("--monte-carlo requires --seed for reproducibility")
     if args.seed is not None and args.seed < 0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ class Point3:
 
     def __post_init__(self):
         for v in (self.x, self.y, self.z):
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not isinstance(v, numbers.Real) or not math.isfinite(v):
                 raise ValueError(f"coordinates must be finite numbers, got {v!r}")
 
     def to_array(self) -> np.ndarray:
@@ -322,32 +323,27 @@ def _segments_blocked(
 
     Endpoints are C-contiguous ``(3, n)`` rows of x, y and z, or a ``(3, 1)``
     column shared by every segment; boxes are ``(n_boxes, 3)`` corners.  Each
-    box is one slab test over the three rows.  ``ranges``, when given, holds
-    one ``[start, stop)`` pair of segment indices per box, shape
-    ``(n_boxes, 2)``: box ``i`` is tested only against those segments, the
-    caller having shown that it cannot block the others.
+    box is one slab test over its view of the rows and of the result: the
+    whole of them, or with ``ranges``, one ``[start, stop)`` pair of segment
+    indices per box, shape ``(n_boxes, 2)``, only the segments it can block.
     """
     starts, ends = _canonical_order(starts, ends)
     deltas = ends - starts
     parallel = deltas == 0.0
-    rows = (starts, deltas, parallel)
     blocked = np.zeros(starts.shape[1], dtype=bool)
-    spans = repeat(None) if ranges is None else map(slice, *ranges.T.tolist())
+    views = repeat((starts, deltas, parallel, blocked)) if ranges is None else (
+        (starts[:, a:b], deltas[:, a:b], parallel[:, a:b], blocked[a:b]) for a, b in ranges.tolist())
     # a parallel axis divides by zero; its t values are masked out below.  The
     # loop body stays inline: a function per box frees every temporary at once,
     # and the allocator's page faults then cost about half again on long rows
     with np.errstate(divide="ignore", invalid="ignore"):
-        for span, lo, hi in zip(spans, min_array[:, :, None] - EPSILON, max_array[:, :, None] + EPSILON):
-            s, d, p = (row[:, span] for row in rows) if span else rows
+        for (s, d, p, out), lo, hi in zip(views, min_array[:, :, None] - EPSILON, max_array[:, :, None] + EPSILON):
             t1 = (lo - s) / d
             t2 = (hi - s) / d
             near = np.where(p, 0.0, np.minimum(t1, t2)).max(axis=0, initial=0.0)
             far = np.where(p, 1.0, np.maximum(t1, t2)).min(axis=0, initial=1.0)
             within = (~p | ((s >= lo) & (s <= hi))).all(axis=0)
-            if span:
-                blocked[span] |= within & (near <= far)
-            else:
-                blocked |= within & (near <= far)
+            out |= within & (near <= far)
     return blocked
 
 

@@ -114,6 +114,17 @@ def radius_grid(r_min: float, r_max: float, step: float) -> np.ndarray:
     return r_min + step * np.arange(int(count))
 
 
+def _count(value, name: str, low: int = 1) -> int:
+    """``value`` as a count: an integer from ``low`` to MAX_GRID_POINTS, else ValueError naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= count <= MAX_GRID_POINTS:
+        raise ValueError(f"{name} must be between {low} and {MAX_GRID_POINTS}, got {count}")
+    return count
+
+
 def los_probability_curve(
     db: BuildingDB,
     tx: Point3,
@@ -140,12 +151,7 @@ def los_probability_curve(
         ValueError: on a bad grid (see radius_grid), receiver height or point count, or a transmitter below ground.
     """
     radii = radius_grid(r_min, r_max, step)
-    try:
-        n_points = operator.index(n_points)
-    except TypeError:
-        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
-    if not 4 <= n_points <= MAX_GRID_POINTS:
-        raise ValueError(f"n_points must be between 4 and {MAX_GRID_POINTS}, got {n_points}")
+    n_points = _count(n_points, "n_points", low=4)
     if not np.isfinite(rx_height_m):
         raise ValueError(f"rx_height_m must be finite, got {rx_height_m!r}")
     if rx_height_m < 0:
@@ -346,24 +352,24 @@ def _winner(radii, target, screened, bp_values, alpha_values, tol):
     return float(bp[0]), float(alpha[0]), None
 
 
-def _mse_grid(radii: np.ndarray, target: np.ndarray, bp_values: np.ndarray, alpha_values: np.ndarray, sums):
-    """The winner of the cross product of candidate values, as _winner returns it.
+def _mse_grid(radii: np.ndarray, target: np.ndarray, sums):
+    """The winner of the integer grid _COARSE_GRID in d_bp and alpha, as _winner returns it.
 
-    ``radii`` must be positive and strictly increasing, both candidate
-    arrays sorted ascending, and ``sums`` the curve's _search_sums.  Only the
-    breakpoints that can win are screened (see _SCREEN_TOL), with U the
-    least screened MSE of every 8th breakpoint and 16th alpha plus TOL: at
-    least the exact MSE of the cell that attains it.
+    ``radii`` must be positive and strictly increasing, and ``sums`` the
+    curve's _search_sums.  Only the breakpoints that can win are screened
+    (see _SCREEN_TOL), with U the least screened MSE of the sub-grid of
+    every 8th breakpoint and 16th alpha plus TOL: at least the exact MSE of
+    the cell that attains it.
     """
     tol, prefix = sums
     n_r = radii.size
-    upper = _screened_mse(radii, target, bp_values[::8], alpha_values[::16], prefix).min() + tol
+    upper = _screened_mse(radii, target, _COARSE_GRID[::8], _COARSE_GRID[::16], prefix).min() + tol
     # a breakpoint with m radii at or below it has the saturated error prefix[m] / n_r, growing with m: keep
     # those below radii[m] for the largest m within the bound, and of those past the last radius the first
     m = np.searchsorted(prefix / n_r, upper + 2 * tol, side="right") - 1
-    bp_values = bp_values[:np.searchsorted(bp_values, radii[min(m, n_r - 1)]) + (m == n_r)]
-    screened = _screened_mse(radii, target, bp_values, alpha_values, prefix)
-    return _winner(radii, target, screened, bp_values, alpha_values, tol)
+    bp_values = _COARSE_GRID[:np.searchsorted(_COARSE_GRID, radii[min(m, n_r - 1)]) + (m == n_r)]
+    screened = _screened_mse(radii, target, bp_values, _COARSE_GRID, prefix)
+    return _winner(radii, target, screened, bp_values, _COARSE_GRID, tol)
 
 
 # How much further in alpha than a window, in tenths of a meter, a strip
@@ -400,7 +406,7 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
         raise ValueError("fit requires at least 2 valid curve points")
 
     sums = tol, prefix = _search_sums(radii, target)
-    bp, alpha, mse = _mse_grid(radii, target, _COARSE_GRID, _COARSE_GRID, sums)
+    bp, alpha, mse = _mse_grid(radii, target, sums)
     # The walk runs on integer tenths of a meter: the center, the last move in alpha, the next strip's
     # reach.  It reads each window off the last screened table; the first is screened alone.  Once the
     # walk has moved, a window off the table screens a strip 1 m wider than it in d_bp, from the second

@@ -13,12 +13,11 @@ seeded Monte Carlo, as does coverage.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .los_probability import MAX_GRID_POINTS, NYC_SITE_LOS_PARAMS, LosProbParams, _rows, _table, p_los_model, radius_grid
+from .los_probability import NYC_SITE_LOS_PARAMS, LosProbParams, _count, _rows, _table, p_los_model, radius_grid
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -355,17 +354,6 @@ def _shadowed(model: HybridModel, p, mean, z_los: np.ndarray, z_nlos: np.ndarray
     return z_los
 
 
-def _draw_count(value, name: str) -> int:
-    """``value`` as a draw count: an integer from 1 to MAX_GRID_POINTS, else ValueError naming ``name``."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if not 1 <= count <= MAX_GRID_POINTS:
-        raise ValueError(f"{name} must be between 1 and {MAX_GRID_POINTS}, got {count}")
-    return count
-
-
 def sample_pl(model: HybridModel, d_m, rng: np.random.Generator, size: int | None = None):
     """Draw shadowed path loss samples at one distance, dB.
 
@@ -376,9 +364,11 @@ def sample_pl(model: HybridModel, d_m, rng: np.random.Generator, size: int | Non
 
     Raises:
         ValueError: when ``size`` is neither None nor a draw count as
-            outage_monte_carlo's ``draws``, or the distance is below 1 m.
+            outage_monte_carlo's ``draws``, or ``d_m`` is not one distance of at least 1 m.
     """
-    shape = () if size is None else (_draw_count(size, "size"),)
+    shape = () if size is None else (_count(size, "size"),)
+    if np.ndim(d_m):
+        raise ValueError(f"sample_pl takes one distance, got shape {np.shape(d_m)}; outage_monte_carlo takes a grid")
     p, mean, _ = _hybrid(model, float(d_m))
     z_los = rng.standard_normal(shape)
     z_nlos = rng.standard_normal(shape)
@@ -431,7 +421,7 @@ def outage_monte_carlo(model: HybridModel, d_m, spec: OutageSpec, rng: np.random
         ValueError: when ``draws`` is not an integer from 1 to MAX_GRID_POINTS
             (checked before anything is allocated) or a distance is below 1 m.
     """
-    draws = _draw_count(draws, "draws")
+    draws = _count(draws, "draws")
     p, mean, _ = _hybrid(model, d_m)
     z_los, z_nlos = np.empty(draws), np.empty(draws)
     above = np.empty(draws, dtype=bool)

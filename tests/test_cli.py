@@ -45,25 +45,6 @@ def close_in_csv(path):
     return str(path)
 
 
-def contract_test(*names, ids=None):
-    """A test that runs the named CONTRACT rows: in turn, or one per case under ``ids``.
-
-    The single-case tests that the contract table absorbed keep their ids this
-    way, while their argv, exit code, message and stdout digest live only in
-    their rows.
-    """
-    if ids is None:
-        def test(self, tmp_path, capsys):
-            for name in names:
-                check_contract_row(name, tmp_path, capsys)
-        return test
-
-    @pytest.mark.parametrize("name", names, ids=ids)
-    def test_case(self, name, tmp_path, capsys):
-        check_contract_row(name, tmp_path, capsys)
-    return test_case
-
-
 class TestLosProb:
     def test_empty_scene_all_los(self, tmp_path, capsys):
         db = write_empty_db(tmp_path / "empty.json")
@@ -96,10 +77,6 @@ class TestLosProb:
         assert main(["los-prob", "--db", db, "--tx", "0,0,10", "--out", out]) == 2
         assert "No space left on device" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["empty.json"]
-
-    test_non_finite_rx_height_is_input_error = contract_test(
-        "los-prob-tower-rx-height-nan", "los-prob-tower-rx-height-inf", "los-prob-tower-rx-height-minus-inf",
-        ids=["nan", "inf", "-inf"])
 
 
 class TestFitPlos:
@@ -205,9 +182,18 @@ class TestFit:
         assert main(["fit", csv, "--model", "floating", "--condition", "NLOS"]) == 2
         assert capsys.readouterr().err == f"error: {csv}: samples CSV must hold at most 17 rows, got 18\n"
 
-    test_bad_frequency_is_input_error = contract_test(
+    @pytest.mark.parametrize("name", [
         "fit-nlos-frequency-zero", "fit-nlos-frequency-negative", "fit-nlos-frequency-nan", "fit-nlos-frequency-inf",
-        ids=["0", "-28e9", "nan", "inf"])
+    ], ids=["0", "-28e9", "nan", "inf"])
+    def test_bad_frequency_is_input_error(self, name, tmp_path, capsys):
+        # the contract row's argv with --out: exit 2 and the row's error line, and no file is written
+        argv, _, message, _ = ROWS[name]
+        write_contract_inputs(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([a.format(tmp=tmp_path) for a in argv.split()] + ["--out", str(out / "fit.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
 
 
 class TestOutage:

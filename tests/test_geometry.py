@@ -167,9 +167,17 @@ def make_db(*boxes):
 
 class TestTypes:
     def test_point_rejects_non_finite(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
+        for bad in (math.nan, math.inf, -math.inf, np.float32(math.inf), "1"):
+            with pytest.raises(ValueError, match="^coordinates must be finite numbers"):
                 Point3(bad, 0.0, 0.0)
+
+    def test_point_accepts_numpy_scalars(self):
+        # a 10 m box between the ends: it blocks a receiver 1 m up, not one 30 m up
+        db = make_db(Box3(Point3(10, -5, 0), Point3(20, 5, 10)))
+        for x, z, seen in ((np.int64(30), np.int64(1), False), (np.float32(30.0), np.float32(30.0), True),
+                           (np.int64(30), True, False)):
+            assert is_los(db, Point3(np.float32(0.0), np.int64(0), 5), Point3(x, 0, z)) is seen
+            assert is_los(db, Point3(0.0, 0.0, 5.0), Point3(float(x), 0.0, float(z))) is seen
 
     def test_box_requires_strict_ordering(self):
         with pytest.raises(ValueError):

@@ -193,6 +193,12 @@ class TestMonteCarloOutage:
     def test_distance_below_reference_rejected(self):
         with pytest.raises(ValueError, match=">= 1 m"):
             outage_monte_carlo(M28, np.array([0.5, 10.0]), OutageSpec(130.0), np.random.default_rng(1), 10)
+        # sample_pl takes one distance: a grid is refused before anything is drawn
+        for d in (np.array([50.0]), [50, 60]):
+            rng = np.random.default_rng(1)
+            with pytest.raises(ValueError, match="^sample_pl takes one distance.*outage_monte_carlo takes a grid"):
+                sample_pl(M28, d, rng, size=10)
+            assert rng.standard_normal() == np.random.default_rng(1).standard_normal()
 
 
 NAN_CHECKS = {

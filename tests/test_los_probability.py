@@ -722,11 +722,35 @@ def exact_mse(radii, target, bp, alpha):
     return los_probability._least(radii, target, np.array([bp]), np.array([alpha]))[2]
 
 
-def grid_search(radii, target, bp_values, alpha_values):
-    """_mse_grid's winner, with the MSE it leaves to its caller evaluated."""
-    bp, alpha, mse = los_probability._mse_grid(radii, target, bp_values, alpha_values,
-                                               los_probability._search_sums(radii, target))
+def filled(radii, target, fit):
+    """A winner as _winner returns it, with the MSE it leaves to its caller evaluated."""
+    bp, alpha, mse = fit
     return bp, alpha, exact_mse(radii, target, bp, alpha) if mse is None else mse
+
+
+def grid_search(radii, target):
+    """_mse_grid's winner on the integer grid, with its MSE."""
+    return filled(radii, target, los_probability._mse_grid(radii, target, los_probability._search_sums(radii, target)))
+
+
+def strip_read(radii, target, bp_center, alpha_center, ahead=None):
+    """The winner of the window around the centers, read off a strip as fit_p_los reads it, with its MSE.
+
+    With ``ahead`` None the strip is the window alone.  Otherwise it is 1 m
+    wider in d_bp and reaches ``ahead`` tenths further in alpha, above when
+    positive and below when negative, as the walk's strips do once it moves.
+    """
+    (b0, b1), (a0, a1) = ((max(t - 10, 1), t + 10) for t in (round(10 * bp_center), round(10 * alpha_center)))
+    lo_b, hi_b, lo_a, hi_a = b0, b1, a0, a1
+    if ahead is not None:
+        lo_b, hi_b = max(b0 - 10, 1), b1 + 10
+        lo_a, hi_a = max(a0 + min(ahead, 0), 1), a1 + max(ahead, 0)
+    strip_bp, strip_alpha = np.arange(lo_b, hi_b + 1) / 10, np.arange(lo_a, hi_a + 1) / 10
+    rows, cols = slice(a0 - lo_a, a1 - lo_a + 1), slice(b0 - lo_b, b1 - lo_b + 1)
+    strip = screen(radii, target, strip_bp, strip_alpha)
+    tol = los_probability._search_sums(radii, target)[0]
+    return filled(radii, target, los_probability._winner(radii, target, strip[rows, cols], strip_bp[cols],
+                                                         strip_alpha[rows], tol))
 
 
 def exact_cells(monkeypatch):
@@ -748,14 +772,14 @@ def exact_cells(monkeypatch):
 ONES_91 = (np.arange(10.0, 101.0), np.ones(91))
 # past 100 m, exp(-r / alpha) vanishes next to the ratio for every alpha of the
 # window around 1 m: at each breakpoint its 20 alphas give one model bit for bit
-# and tie, and the best breakpoint's 20 are all evaluated exactly
-TIED_RUN = (np.arange(100.0, 201.0), np.round((40.0 / np.arange(100.0, 201.0)) ** 2, 2),
-            window(40.0), window(1.0))
+# and tie, and the best breakpoint's 20 are all evaluated exactly.  The curve,
+# then the centers of its window in d_bp and alpha.
+TIED_RUN = (np.arange(100.0, 201.0), np.round((40.0 / np.arange(100.0, 201.0)) ** 2, 2), 40.0, 1.0)
 
 
 @st.composite
 def fit_problems(draw):
-    """Radii, targets and candidate grids for _mse_grid, with many exact ties."""
+    """Radii and targets for a grid search, with many exact ties."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 400))
     radii = np.exp(rng.uniform(np.log(0.1), np.log(5000.0), n))
@@ -774,25 +798,65 @@ def fit_problems(draw):
         target = rng.uniform(0.0, 1.0, radii.size)
         if kind == "quantised":
             target = np.round(target, 2)
+    return radii, target
+
+
+@st.composite
+def coarse_curves(draw):
+    """Valid radii and targets for a fit, on the default grid or from 0.01 m to 5000 m."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 400))
+    kind = draw(st.sampled_from(["noisy", "uniform", "quantised", "exact", "past-grid", "ones"]))
     if draw(st.booleans()):
-        bp_values = alpha_values = COARSE
+        # up to 5000 m, past the largest breakpoint, so the screen sums a tail past its cut
+        radii = np.unique(np.append(np.exp(rng.uniform(np.log(0.01), np.log(5000.0), n - 1)), 5000.0))
     else:
-        bp_values, alpha_values = (window(draw(st.integers(10, 2000)) / 10) for _ in range(2))
-    return radii, target, bp_values, alpha_values
+        radii = np.arange(10.0, 201.0)[np.sort(rng.choice(191, min(n, 191), replace=False))]
+    assume(radii.size >= 2)
+    if kind == "ones":
+        return radii, np.ones(radii.size)
+    if kind in ("uniform", "quantised"):
+        target = rng.uniform(0.0, 1.0, radii.size)
+        return radii, np.round(target, 2) if kind == "quantised" else target
+    bp = draw(st.integers(10, 2000)) / 10
+    alpha = draw(st.integers(3000, 6000) if kind == "past-grid" else st.integers(10, 2000)) / 10
+    target = p_los_model(radii, LosProbParams(bp, alpha))
+    return radii, target if kind == "exact" else rng.binomial(100, target) / 100
+
+
+@st.composite
+def window_reads(draw):
+    """A curve, then the centers of a refinement window on it, from 1 m to 200 m."""
+    radii, target = draw(st.one_of(fit_problems(), coarse_curves()))
+    return radii, target, *(draw(st.integers(10, 2000)) / 10 for _ in range(2))
 
 
 class TestMseGrid:
-    @settings(max_examples=60, deadline=None)
-    @given(fit_problems())
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(fit_problems(), coarse_curves()))
     # at d_bp = 1 the small alphas fit exactly (exp(-1000 / alpha) vanishes);
     # the screen's rounding ranks a slightly worse alpha first, and only the
     # tolerance keeps alpha = 1 a candidate
-    @example((np.array([0.5, 1000.0]), np.array([1.0, 1e-6]), COARSE, COARSE))
+    @example((np.array([0.5, 1000.0]), np.array([1.0, 1e-6])))
     # every breakpoint from 100 m on fits exactly, at every alpha
-    @example((*ONES_91, COARSE, COARSE))
-    @example(TIED_RUN)
-    def test_matches_exhaustive_reference(self, problem):
-        assert hex_triple(grid_search(*problem)) == hex_triple(mse_grid_reference(*problem))
+    @example(ONES_91)
+    @example((np.array([10.0, 20.0]), np.array([1.0, 0.5])))
+    @example((np.array([0.01, 150.0, 5000.0]), np.array([1.0, 0.3, 0.0])))
+    @example((np.geomspace(0.01, 5000.0, 300), np.ones(300)))
+    def test_matches_exhaustive_reference(self, curve):
+        assert hex_triple(grid_search(*curve)) == hex_triple(mse_grid_reference(*curve, COARSE, COARSE))
+
+    @settings(max_examples=60, deadline=None)
+    @given(window_reads(), st.sampled_from([None, 0, -40, 40]))
+    @example(TIED_RUN, None)
+    @example(TIED_RUN, 40)
+    # every cell of the window around 100 m and 1 m fits exactly
+    @example((*ONES_91, 100.0, 1.0), None)
+    @example((np.array([51.0, 74.0]), np.ones(2), 74.5, 3.0), None)
+    def test_window_read_off_a_strip_matches_exhaustive_reference(self, read, ahead):
+        radii, target, bp_center, alpha_center = read
+        reference = mse_grid_reference(radii, target, window(bp_center), window(alpha_center))
+        assert hex_triple(strip_read(*read, ahead)) == hex_triple(reference)
 
     @staticmethod
     def assert_screen_within_bound(radii, target, alpha_values=COARSE):
@@ -824,53 +888,23 @@ class TestMseGrid:
         target = np.random.default_rng(3).binomial(100, p_los_model(radii, POOLED)) / 100
         whole = screen(radii, target, COARSE, COARSE)
         assert whole.shape == (COARSE.size, COARSE.size)
-        problems = [(radii, target, COARSE, COARSE), TIED_RUN]
-        fits = [hex_triple(grid_search(*problem)) for problem in problems]
+        def fits():
+            return hex_triple(grid_search(radii, target)), hex_triple(strip_read(*TIED_RUN))
+
+        default = fits()
         for block in (1, 7 * radii.size, 10**9):
             monkeypatch.setattr(los_probability, "_RAYS_PER_BLOCK", block)
             got = screen(radii, target, COARSE, COARSE)
             assert got.tobytes() == whole.tobytes()
-            assert [hex_triple(grid_search(*problem)) for problem in problems] == fits
+            assert fits() == default
 
     @pytest.mark.parametrize("scene,interior_nlos", sorted(GOLDEN_FITS))
     def test_coarse_pass_evaluates_few_cells_exactly(self, scene, interior_nlos, monkeypatch):
         cells = exact_cells(monkeypatch)
         curve = scene_curve(scene, interior_nlos)
         radii, target = curve.radii_m[curve.valid], curve.p_los[curve.valid]
-        grid_search(radii, target, COARSE, COARSE)
+        grid_search(radii, target)
         assert len(cells) <= 2
-
-
-@st.composite
-def coarse_curves(draw):
-    """Valid radii and targets for a fit, on the default grid or from 0.01 m to 5000 m."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 400))
-    kind = draw(st.sampled_from(["noisy", "uniform", "quantised", "exact", "past-grid", "ones"]))
-    if draw(st.booleans()):
-        # up to 5000 m, past the largest breakpoint, so the screen sums a tail past its cut
-        radii = np.unique(np.append(np.exp(rng.uniform(np.log(0.01), np.log(5000.0), n - 1)), 5000.0))
-    else:
-        radii = np.arange(10.0, 201.0)[np.sort(rng.choice(191, min(n, 191), replace=False))]
-    assume(radii.size >= 2)
-    if kind == "ones":
-        return radii, np.ones(radii.size)
-    if kind in ("uniform", "quantised"):
-        target = rng.uniform(0.0, 1.0, radii.size)
-        return radii, np.round(target, 2) if kind == "quantised" else target
-    bp = draw(st.integers(10, 2000)) / 10
-    alpha = draw(st.integers(3000, 6000) if kind == "past-grid" else st.integers(10, 2000)) / 10
-    target = p_los_model(radii, LosProbParams(bp, alpha))
-    return radii, target if kind == "exact" else rng.binomial(100, target) / 100
-
-
-@st.composite
-def grid_searches(draw):
-    """A curve, and the integer grid or a refinement window to search it on."""
-    radii, target = draw(coarse_curves())
-    if draw(st.booleans()):
-        return radii, target, COARSE, COARSE
-    return (radii, target, *(window(draw(st.integers(10, 2000)) / 10) for _ in range(2)))
 
 
 def screened_breakpoints(monkeypatch, radii, target):
@@ -890,17 +924,6 @@ def screened_breakpoints(monkeypatch, radii, target):
 
 
 class TestCoarsePrune:
-    @settings(max_examples=50, deadline=None)
-    @given(grid_searches())
-    @example((np.array([10.0, 20.0]), np.array([1.0, 0.5]), COARSE, COARSE))
-    @example((np.array([0.01, 150.0, 5000.0]), np.array([1.0, 0.3, 0.0]), COARSE, COARSE))
-    @example((np.geomspace(0.01, 5000.0, 300), np.ones(300), COARSE, COARSE))
-    @example((*ONES_91, COARSE, COARSE))
-    @example((*ONES_91, window(100.0), window(1.0)))
-    @example((np.array([51.0, 74.0]), np.ones(2), window(74.5), window(3.0)))
-    def test_pruned_pass_equals_the_whole_grid(self, search):
-        assert hex_triple(grid_search(*search)) == hex_triple(mse_grid_reference(*search))
-
     @settings(max_examples=50, deadline=None)
     @given(coarse_curves())
     @example(ONES_91)
