@@ -48,6 +48,14 @@ class PointInsideBuildingError(ValueError):
         self.building_index = building_index
 
 
+def _finite(value) -> bool:
+    """math.isfinite of ``value``, False where it raises: not a real number, or an integer beyond float range."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class Point3:
     """A position in local Cartesian coordinates, meters."""
@@ -58,7 +66,7 @@ class Point3:
 
     def __post_init__(self):
         for v in (self.x, self.y, self.z):
-            if not isinstance(v, numbers.Real) or not math.isfinite(v):
+            if not isinstance(v, numbers.Real) or not _finite(v):
                 raise ValueError(f"coordinates must be finite numbers, got {v!r}")
 
     def to_array(self) -> np.ndarray:

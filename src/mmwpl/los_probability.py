@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BuildingDB, Point3, _sector_tracer
+from .geometry import BuildingDB, Point3, _finite, _sector_tracer
 
 DEFAULT_N_POINTS = 100
 DEFAULT_RX_HEIGHT_M = 1.5
@@ -27,8 +27,9 @@ MAX_GRID_POINTS = 1_000_000
 
 # Rays traced together per block, and values per array in a block of a fit's
 # exact cells; bounds a curve's and a fit's working memory whatever the grid size.
-# A fit's screen holds a quarter of it per series, which keeps its five series
-# and their sums in cache.  The default 191-radius, 100-point curve is one block.
+# A screen that builds its own tables holds a quarter of it per series, which
+# keeps its series and their sums in cache.  The default 191-radius, 100-point
+# curve is one block.
 _RAYS_PER_BLOCK = 32768
 
 # Integer search grid for the MMSE fit, meters.
@@ -49,9 +50,9 @@ class LosProbParams:
     squared: bool = True
 
     def __post_init__(self):
-        if not (self.d_bp_m > 0 and np.isfinite(self.d_bp_m)):
+        if not (_finite(self.d_bp_m) and self.d_bp_m > 0):
             raise ValueError(f"d_bp_m must be positive, got {self.d_bp_m!r}")
-        if not (self.alpha_m > 0 and np.isfinite(self.alpha_m)):
+        if not (_finite(self.alpha_m) and self.alpha_m > 0):
             raise ValueError(f"alpha_m must be positive, got {self.alpha_m!r}")
 
 
@@ -152,7 +153,7 @@ def los_probability_curve(
     """
     radii = radius_grid(r_min, r_max, step)
     n_points = _count(n_points, "n_points", low=4)
-    if not np.isfinite(rx_height_m):
+    if not _finite(rx_height_m):
         raise ValueError(f"rx_height_m must be finite, got {rx_height_m!r}")
     if rx_height_m < 0:
         raise ValueError(f"rx_height_m must be >= 0 (ground level), got {rx_height_m:g}")
@@ -231,16 +232,18 @@ def p_los_model(d_m, params: LosProbParams):
 
 
 # Screened cells within this MSE of the screen's minimum are re-evaluated
-# exactly.  Beyond the breakpoint every monomial (bp*u)^i * e^j of the quartic
-# is at most 1 and t is in [0, 1], so a cell's per-radius terms sum to at most
-# 1+4+6+4+1 in magnitude, plus 2+4+2+1 for the t terms: 25.  The screen sums
-# only such terms, each at a radius past its own breakpoint: a pairwise sum
-# of those past the largest breakpoint, then a cumulative sum of the rest.
-# With Horner's rule that puts the screened MSE within about n_r * eps * 25
-# of the true one (1e-12 for the 191-radius default curve); the exact MSE,
-# pairwise-summed, is closer still.  With both errors below TOL / 2, the
-# exact winner and every cell tied with it are candidates.  Past about 90,000
-# radii the bound reaches TOL / 2 and the tolerance grows with it.
+# exactly.  Beyond the breakpoint the quartic's coefficients are K_j - H_j
+# (see _tables), and the constant adds t^2.  Every monomial (bp*u)^i * e^j of
+# K is at most 1 there and t is in [0, 1], so a cell's per-radius terms sum
+# to at most 1+4+6+4+1 in magnitude for K, plus 2+4+2 for H and 1 for t^2: 25.
+# The screen sums only such terms, each at a radius past its own breakpoint:
+# one sum of those past the table's largest breakpoint, then a cumulative sum
+# of the rest; in any order, a sum of n_r terms is within n_r * eps of their
+# magnitude.  With the subtraction of H and Horner's rule that puts the
+# screened MSE within about n_r * eps * 25 of the true one (1e-12 for the
+# 191-radius default curve); the exact MSE, pairwise-summed, is closer still.  With both errors below TOL / 2, the exact winner and
+# every cell tied with it are candidates.  Past about 90,000 radii the bound
+# reaches TOL / 2 and the tolerance grows with it.
 #
 # A search keeps only the breakpoints whose saturated error, the mean of
 # (1 - t)^2 over the radii at or below them, is at most U + 2 * TOL, where U
@@ -253,71 +256,131 @@ def p_los_model(d_m, params: LosProbParams):
 # so delta < TOL / 2 and a margin of 2 * TOL is safe.
 _SCREEN_TOL = 1e-9
 
+# Bytes the curve-free tables of the whole _COARSE_GRID may take to be kept
+# between fits (see _coarse_tables): 8 * 200 * (5 * 200 + 3 * n_r), 1.6 MB
+# plus 4.8 KB a valid radius, so grids of up to 540 radii.  The default
+# 191-radius grid takes 2.5 MB.  Past it each fit builds them a block of
+# alphas at a time and keeps nothing.
+_MEMO_BYTES = 4 << 20
 
-def _screened_mse(radii, target, bp_values, alpha_values, prefix):
-    """MSE of every (alpha, d_bp) cell in closed form, shape (n_alpha, n_bp).
+# The valid radii, as bytes, whose _COARSE_GRID tables are kept, and those tables.
+_memo = (b"", None)
+
+
+def _leading_sums(a, b, past):
+    """The sums of a * b over the first p values of the last axis, for each count p in ``past``.
+
+    ``a`` and ``b`` broadcast together; the result has their shape but for
+    the last axis, which has one entry per count.  The products before the
+    least count are summed at once (einsum), the rest accumulated onto that
+    sum one at a time.
+    """
+    low, high = past.min(), past.max()
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    sums = np.empty(shape + (high - low + 1,))
+    np.einsum("...r,...r->...", a[..., :low], b[..., :low], out=sums[..., 0])
+    np.multiply(a[..., low:high], b[..., low:high], out=sums[..., 1:])
+    return np.cumsum(sums, axis=-1, out=sums)[..., past - low]
+
+
+def _tables(descending, past, alpha_values):
+    """The curve-free part of the screen of cells (alpha, d_bp): the sums K and the weights.
 
     For a fixed alpha, with e = exp(-r / alpha) and u = (1 - e) / r, the
-    bracket beyond the breakpoint is bp * u + e, so the squared error summed
-    over the radii beyond bp is a quartic in bp whose coefficients are
-    suffix sums over the radii; at or below bp, ``prefix`` (_search_sums)
-    sums the error of the saturated model.  The five series of terms share
-    one buffer: the radii past the largest breakpoint are summed once per
-    alpha, those at or below it accumulated in reverse onto that sum, and
-    the suffix sums gathered at every breakpoint, each step once for all
-    five.  The factors 4, 2 and 4 of the middle coefficients are applied
-    after the sums: scaling by a power of two is exact, so that changes no
-    bit unless a term underflows.  Horner's rule then folds them in place,
-    for blocks of alphas that hold about a quarter of _RAYS_PER_BLOCK values
-    per series.
+    bracket beyond the breakpoint is bp * u + e, so the squared error
+    ((bp * u + e)^2 - t)^2 is a quartic in bp.  Summed over the radii beyond
+    bp, its coefficients are K_j - H_j, and the constant adds the sum of t^2:
+    K sums u^4, 4u^3e, 6u^2e^2, 4ue^3 and e^4, H (for bp^2, bp and 1) the
+    weights 2u^2, 4ue and 2e^2 times t.  ``descending`` holds the radii in
+    descending order, so those beyond a breakpoint come first, and ``past``
+    each breakpoint's count of them.  Returns K at each breakpoint, shape
+    (5, n_alpha, n_bp), and the weights without their factors, u^2, ue and
+    e^2, shape (3, n_alpha, n_r), radii descending.  The factors 4, 6 and 4
+    of K are applied after the sums: the 4s are exact.
+    """
+    weights = np.empty((3, alpha_values.size, descending.size))
+    uu, ue, ee = weights
+    e = np.divide(descending, -alpha_values[:, None], out=ue)
+    np.exp(e, out=e)
+    u = np.subtract(1.0, e, out=uu)
+    u /= descending
+    np.multiply(e, e, out=ee)
+    np.multiply(u, e, out=ue)
+    np.multiply(u, u, out=uu)
+    squares = _leading_sums(weights, weights, past)
+    crosses = _leading_sums(weights[:2], weights[1:], past)
+    sums = np.stack((squares[0], crosses[0], squares[1], crosses[1], squares[2]))
+    sums[1:4] *= np.array([4.0, 6.0, 4.0])[:, None, None]
+    return sums, weights
+
+
+def _coarse_tables(radii):
+    """The _tables of _COARSE_GRID in both d_bp and alpha, read-only; None past _MEMO_BYTES.
+
+    The tables of the last radii asked for are kept, so a fit on the same
+    valid radii as the one before builds none.
+    """
+    global _memo
+    n = _COARSE_GRID.size
+    if 8 * n * (5 * n + 3 * radii.size) > _MEMO_BYTES:
+        return None
+    key = radii.tobytes()
+    if _memo[0] != key:
+        _memo = b"", None  # frees the old tables before the new are built
+        sums, weights = np.empty((5, n, n)), np.empty((3, n, radii.size))
+        descending, past = radii[::-1].copy(), radii.size - np.searchsorted(radii, _COARSE_GRID, side="right")
+        step = max(1, _RAYS_PER_BLOCK // (4 * radii.size))
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            sums[:, rows], weights[:, rows] = _tables(descending, past, _COARSE_GRID[rows])
+        sums.flags.writeable = weights.flags.writeable = False
+        _memo = key, (sums, weights)
+    return _memo[1]
+
+
+def _screened_mse(radii, target, bp_values, alpha_values, sums, tables=None):
+    """MSE of every (alpha, d_bp) cell in closed form, shape (n_alpha, n_bp).
+
+    ``sums`` are the curve's _search_sums, and ``tables`` the _tables of the
+    cells, else they are built here a block of alphas at a time.  Per block,
+    the weights times the target give H (see _tables), and Horner's rule folds
+    K - H in place.  ``sums`` then add each breakpoint's constant: the error
+    of the saturated model at or below it and the sum of t^2 past it.
     """
     n_r = radii.size
     # the radii at or below each breakpoint, where the model saturates: fl(bp / r) >= 1 exactly when r <= bp
     split = np.searchsorted(radii, bp_values, side="right")
-    cut = split.max()
-    index = cut - split
+    past = n_r - split
+    # the target, radii descending, times the factors 2, 4 and 2 of the weights: exact, as powers of two
+    scaled = np.array([2.0, 4.0, 2.0])[:, None, None] * target[::-1]
+    descending = radii[::-1].copy()
     out = np.empty((alpha_values.size, bp_values.size))
-    step = min(alpha_values.size, max(1, _RAYS_PER_BLOCK // (4 * n_r)))
-    # one buffer each for the five series and their sums, reused by every block
-    series_buffer, sums_buffer = np.empty((5, step, n_r)), np.empty((5, step, cut + 1))
+    # kept tables bound the radius count, and with it the working memory of one block of every alpha
+    step = max(1, _RAYS_PER_BLOCK // (4 * n_r)) if tables is None else alpha_values.size
     for start in range(0, alpha_values.size, step):
-        e = -radii / alpha_values[start:start + step, None]
-        np.exp(e, out=e)
-        u = 1.0 - e
-        u /= radii
-        k = e.shape[0]
-        series, sums = series_buffer[:, :k], sums_buffer[:, :k]
-        ue = np.multiply(u, e, out=series[1])
-        uu = np.square(u, out=u)
-        q = np.square(e, out=e)
-        q -= target
-        np.square(uu, out=series[0])
-        np.multiply(ue, 2.0, out=series[2])
-        series[2] *= ue
-        np.multiply(ue, q, out=series[3])
-        np.square(q, out=series[4])
-        ue *= uu
-        uu *= q
-        series[2] += uu
-        # sums[..., m] is the sum of the terms past radius cut plus the last m at or below it
-        np.sum(series[:, :, cut:], axis=2, out=sums[:, :, 0])
-        sums[:, :, 1:] = series[:, :, :cut][:, :, ::-1]
-        table = np.cumsum(sums, axis=2, out=sums)[:, :, index]
-        table[1:4] *= np.array([4.0, 2.0, 4.0])[:, None, None]
-        quartic = table[0]
-        for coefficient in table[1:]:
-            quartic *= bp_values
+        rows = slice(start, start + step)
+        k, weights = _tables(descending, past, alpha_values[rows]) if tables is None else (t[:, rows] for t in tables)
+        h = _leading_sums(weights, scaled, past)
+        np.subtract(k[2:], h, out=h)
+        quartic = np.multiply(k[0], bp_values, out=out[rows])
+        for coefficient in (k[1], h[0], h[1]):
             quartic += coefficient
-        out[start:start + step] = quartic
-    out += prefix[split]
+            quartic *= bp_values
+        quartic += h[2]
+    out += sums[2][split]
     out /= n_r
     return out
 
 
 def _search_sums(radii, target):
-    """A curve's screen tolerance and the sums of (1 - t)^2 over its first m radii, m = 0 .. n_r."""
+    """A curve's screen tolerance, then for m = 0 .. n_r the sums of (1 - t)^2 over its first m radii.
+
+    Last come those sums plus the sums of t^2 over the other radii: the
+    constant a breakpoint with m radii at or below it adds to its cells.
+    """
     tol = max(_SCREEN_TOL, 50 * radii.size * np.finfo(float).eps)
-    return tol, np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))
+    prefix = np.concatenate(([0.0], np.cumsum((1.0 - target) ** 2)))
+    return tol, prefix, prefix + np.concatenate((np.cumsum((target * target)[::-1])[::-1], [0.0]))
 
 
 def _least(radii, target, bp, alpha):
@@ -361,14 +424,17 @@ def _mse_grid(radii: np.ndarray, target: np.ndarray, sums):
     every 8th breakpoint and 16th alpha plus TOL: at least the exact MSE of
     the cell that attains it.
     """
-    tol, prefix = sums
+    tol, prefix, _ = sums
     n_r = radii.size
-    upper = _screened_mse(radii, target, _COARSE_GRID[::8], _COARSE_GRID[::16], prefix).min() + tol
+    tables = _coarse_tables(radii)  # None past the budget: each screen then builds its own
+    sub = tables and (tables[0][:, ::16, ::8], tables[1][:, ::16])
+    upper = _screened_mse(radii, target, _COARSE_GRID[::8], _COARSE_GRID[::16], sums, sub).min() + tol
     # a breakpoint with m radii at or below it has the saturated error prefix[m] / n_r, growing with m: keep
     # those below radii[m] for the largest m within the bound, and of those past the last radius the first
     m = np.searchsorted(prefix / n_r, upper + 2 * tol, side="right") - 1
     bp_values = _COARSE_GRID[:np.searchsorted(_COARSE_GRID, radii[min(m, n_r - 1)]) + (m == n_r)]
-    screened = _screened_mse(radii, target, bp_values, _COARSE_GRID, prefix)
+    screened = _screened_mse(radii, target, bp_values, _COARSE_GRID, sums,
+                             tables and (tables[0][:, :, :bp_values.size], tables[1]))
     return _winner(radii, target, screened, bp_values, _COARSE_GRID, tol)
 
 
@@ -405,7 +471,7 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
     if radii.size < 2:
         raise ValueError("fit requires at least 2 valid curve points")
 
-    sums = tol, prefix = _search_sums(radii, target)
+    sums = tol, _, _ = _search_sums(radii, target)
     bp, alpha, mse = _mse_grid(radii, target, sums)
     # The walk runs on integer tenths of a meter: the center, the last move in alpha, the next strip's
     # reach.  It reads each window off the last screened table; the first is screened alone.  Once the
@@ -425,7 +491,7 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
                 lo_a, hi_a = max(a0 - ahead, 1) if moved < 0 else a0, a1 + ahead if moved > 0 else a1
                 ahead = _STRIP_ALPHA
             strip_bp, strip_alpha = np.arange(lo_b, hi_b + 1) / 10, np.arange(lo_a, hi_a + 1) / 10
-            strip = _screened_mse(radii, target, strip_bp, strip_alpha, prefix)
+            strip = _screened_mse(radii, target, strip_bp, strip_alpha, sums)
         rows, cols = slice(a0 - lo_a, a1 - lo_a + 1), slice(b0 - lo_b, b1 - lo_b + 1)
         bp, alpha, mse = _winner(radii, target, strip[rows, cols], strip_bp[cols], strip_alpha[rows], tol)
         winner = round(10 * bp), round(10 * alpha)

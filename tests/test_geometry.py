@@ -167,7 +167,8 @@ def make_db(*boxes):
 
 class TestTypes:
     def test_point_rejects_non_finite(self):
-        for bad in (math.nan, math.inf, -math.inf, np.float32(math.inf), "1"):
+        # an integer beyond float range is not finite as a float either
+        for bad in (math.nan, math.inf, -math.inf, np.float32(math.inf), "1", 10**400, -10**400):
             with pytest.raises(ValueError, match="^coordinates must be finite numbers"):
                 Point3(bad, 0.0, 0.0)
 

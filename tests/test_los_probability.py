@@ -151,11 +151,12 @@ class TestCircleSampling:
             with pytest.raises(ValueError, match="n_points must be an integer"):
                 circle_row(SLAB_DB, SLAB_TX, 50.0, n_points=n_points)
 
-    @pytest.mark.parametrize("height", [np.nan, np.inf, -np.inf])
+    # an integer beyond float range, a numeric string and None are no finite height either
+    @pytest.mark.parametrize("height", [np.nan, np.inf, -np.inf, pytest.param(10**400, id="10**400"), "1.5", None])
     def test_rejects_non_finite_rx_height(self, height):
-        with pytest.raises(ValueError, match="rx_height_m"):
+        with pytest.raises(ValueError, match="rx_height_m must be finite"):
             circle_row(SLAB_DB, SLAB_TX, 50.0, rx_height_m=height)
-        with pytest.raises(ValueError, match="rx_height_m"):
+        with pytest.raises(ValueError, match="rx_height_m must be finite"):
             los_probability_curve(SLAB_DB, SLAB_TX, rx_height_m=height)
 
     def test_rejects_below_ground_endpoints(self):
@@ -622,6 +623,10 @@ class TestModel:
             LosProbParams(0.0, 71.0)
         with pytest.raises(ValueError):
             LosProbParams(27.0, -1.0)
+        # an integer beyond float range gets the message of inf
+        for d_bp, alpha, name in ((10**400, 5.0, "d_bp_m"), (27.0, 10**400, "alpha_m"), (np.inf, 5.0, "d_bp_m")):
+            with pytest.raises(ValueError, match=f"^{name} must be positive, got "):
+                LosProbParams(d_bp, alpha)
 
     def test_published_site_table(self):
         assert NYC_SITE_LOS_PARAMS["all"] == POOLED
@@ -711,10 +716,16 @@ def hex_triple(fit):
     return tuple(float(v).hex() for v in fit)
 
 
+def flat(fit):
+    """(d_bp_m, alpha_m, mse) of fit_p_los's (params, mse)."""
+    params, mse = fit
+    return params.d_bp_m, params.alpha_m, mse
+
+
 def screen(radii, target, bp_values, alpha_values):
     """_screened_mse of every cell, with the curve's prefix sums."""
     return los_probability._screened_mse(radii, target, bp_values, alpha_values,
-                                         los_probability._search_sums(radii, target)[1])
+                                         los_probability._search_sums(radii, target))
 
 
 def exact_mse(radii, target, bp, alpha):
@@ -866,6 +877,12 @@ class TestMseGrid:
         bound = 25 * radii.size * np.finfo(float).eps
         assert bound < los_probability._SCREEN_TOL / 4
         assert np.max(np.abs(screened - exact)) <= bound
+        # the kept tables of the integer grid, as the coarse search reads them, sum in another order
+        tables = los_probability._coarse_tables(radii)
+        if tables is not None and alpha_values is COARSE:
+            kept = los_probability._screened_mse(radii, target, COARSE, COARSE,
+                                                 los_probability._search_sums(radii, target), tables)
+            assert np.max(np.abs(kept - exact)) <= bound
 
     @pytest.mark.parametrize("scene,interior_nlos", sorted(GOLDEN_FITS))
     def test_screen_error_within_bound_on_scenes(self, scene, interior_nlos):
@@ -965,6 +982,47 @@ class TestCoarsePrune:
         params, mse = fit_p_los(flat_curve(ONES_91[0]))
         assert (params.d_bp_m, params.alpha_m, mse) == (100.0, 1.0, 0.0)
         assert len(cells) <= 2
+
+
+class TestCoarseMemo:
+    @staticmethod
+    def fresh(monkeypatch, curve):
+        """The fit of ``curve`` on an empty memo, which it leaves as it found it."""
+        kept = los_probability._memo
+        monkeypatch.setattr(los_probability, "_memo", (b"", None))
+        try:
+            return hex_triple(flat(fit_p_los(curve)))
+        finally:
+            monkeypatch.setattr(los_probability, "_memo", kept)
+
+    def test_kept_tables_cannot_change_a_fit(self, monkeypatch):
+        radii = np.arange(10.0, 201.0)
+        target = np.random.default_rng(5).binomial(100, p_los_model(radii, POOLED)) / 100
+        grid_a = LosProbabilityCurve(radii, target, np.ones(radii.size, bool))
+        # the same radii with one invalid: another grid of valid radii
+        valid = radii != 60.0
+        grid_b = LosProbabilityCurve(radii, np.where(valid, target, np.nan), valid)
+        expected = {id(c): self.fresh(monkeypatch, c) for c in (grid_a, grid_b)}
+        monkeypatch.setattr(los_probability, "_memo", (b"", None))
+        for curve, block in ((grid_a, None), (grid_b, None), (grid_a, 1000), (grid_a, None)):
+            if block is not None:
+                monkeypatch.setattr(los_probability, "_RAYS_PER_BLOCK", block)
+            assert hex_triple(flat(fit_p_los(curve))) == expected[id(curve)]
+            assert los_probability._memo[0] == curve.radii_m[curve.valid].tobytes()
+        # a write to a kept table, in place or through a view, raises
+        for table in los_probability._memo[1]:
+            with pytest.raises(ValueError, match="read-only"):
+                table[:, :1] -= 1.0
+
+    def test_past_the_budget_nothing_is_kept(self, monkeypatch):
+        radii = np.arange(10.0, 201.0)
+        target = np.random.default_rng(6).binomial(100, p_los_model(radii, POOLED)) / 100
+        curve = LosProbabilityCurve(radii, target, np.ones(radii.size, bool))
+        kept = self.fresh(monkeypatch, curve)
+        monkeypatch.setattr(los_probability, "_memo", (b"", None))
+        monkeypatch.setattr(los_probability, "_MEMO_BYTES", 0)
+        assert hex_triple(flat(fit_p_los(curve))) == kept
+        assert los_probability._memo == (b"", None)
 
 
 # the closed-form Poisson-box curve is the d_bp -> 0 limit of the model: its
