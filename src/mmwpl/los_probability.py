@@ -241,9 +241,10 @@ def p_los_model(d_m, params: LosProbParams):
 # of the rest; in any order, a sum of n_r terms is within n_r * eps of their
 # magnitude.  With the subtraction of H and Horner's rule that puts the
 # screened MSE within about n_r * eps * 25 of the true one (1e-12 for the
-# 191-radius default curve); the exact MSE, pairwise-summed, is closer still.  With both errors below TOL / 2, the exact winner and
-# every cell tied with it are candidates.  Past about 90,000 radii the bound
-# reaches TOL / 2 and the tolerance grows with it.
+# 191-radius default curve); the exact MSE, pairwise-summed, is closer still.
+# With both errors below TOL / 2, the exact winner and every cell tied with
+# it are candidates.  Past about 90,000 radii the bound reaches TOL / 2 and
+# the tolerance grows with it.
 #
 # A search keeps only the breakpoints whose saturated error, the mean of
 # (1 - t)^2 over the radii at or below them, is at most U + 2 * TOL, where U
@@ -263,7 +264,8 @@ _SCREEN_TOL = 1e-9
 # alphas at a time and keeps nothing.
 _MEMO_BYTES = 4 << 20
 
-# The valid radii, as bytes, whose _COARSE_GRID tables are kept, and those tables.
+# The last valid radii a fit asked for, as bytes, and their _COARSE_GRID
+# tables once a second fit on them has built them, else None.
 _memo = (b"", None)
 
 
@@ -315,18 +317,24 @@ def _tables(descending, past, alpha_values):
 
 
 def _coarse_tables(radii):
-    """The _tables of _COARSE_GRID in both d_bp and alpha, read-only; None past _MEMO_BYTES.
+    """The _tables of _COARSE_GRID in both d_bp and alpha, read-only, or None.
 
-    The tables of the last radii asked for are kept, so a fit on the same
-    valid radii as the one before builds none.
+    The first fit on some valid radii gets None and screens as it would past
+    _MEMO_BYTES, building its tables a block at a time: a single fit keeps
+    nothing it will not reuse.  The next fit on the same radii builds the
+    tables and keeps them for the fits after it.  _memo is read once, so a
+    fit on other radii in another thread cannot hand this one its tables.
     """
     global _memo
     n = _COARSE_GRID.size
     if 8 * n * (5 * n + 3 * radii.size) > _MEMO_BYTES:
         return None
     key = radii.tobytes()
-    if _memo[0] != key:
-        _memo = b"", None  # frees the old tables before the new are built
+    seen, tables = _memo
+    if seen != key:
+        _memo = key, None  # also frees the tables of the radii before
+        return None
+    if tables is None:
         sums, weights = np.empty((5, n, n)), np.empty((3, n, radii.size))
         descending, past = radii[::-1].copy(), radii.size - np.searchsorted(radii, _COARSE_GRID, side="right")
         step = max(1, _RAYS_PER_BLOCK // (4 * radii.size))
@@ -334,8 +342,9 @@ def _coarse_tables(radii):
             rows = slice(start, start + step)
             sums[:, rows], weights[:, rows] = _tables(descending, past, _COARSE_GRID[rows])
         sums.flags.writeable = weights.flags.writeable = False
-        _memo = key, (sums, weights)
-    return _memo[1]
+        tables = sums, weights
+        _memo = key, tables
+    return tables
 
 
 def _screened_mse(radii, target, bp_values, alpha_values, sums, tables=None):
@@ -426,7 +435,7 @@ def _mse_grid(radii: np.ndarray, target: np.ndarray, sums):
     """
     tol, prefix, _ = sums
     n_r = radii.size
-    tables = _coarse_tables(radii)  # None past the budget: each screen then builds its own
+    tables = _coarse_tables(radii)  # if None, each screen builds its own
     sub = tables and (tables[0][:, ::16, ::8], tables[1][:, ::16])
     upper = _screened_mse(radii, target, _COARSE_GRID[::8], _COARSE_GRID[::16], sums, sub).min() + tol
     # a breakpoint with m radii at or below it has the saturated error prefix[m] / n_r, growing with m: keep

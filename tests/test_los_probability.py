@@ -1,5 +1,6 @@
 """LOS probability: circle sampling, curves, the analytic model and its fit."""
 
+import contextlib
 import functools
 import hashlib
 import tracemalloc
@@ -69,6 +70,30 @@ def circle_row(db, tx, radius, **kwargs):
 def flat_curve(radii, value=1.0):
     radii = np.asarray(radii, dtype=float)
     return LosProbabilityCurve(radii, np.full(radii.size, value), np.ones(radii.size, bool))
+
+
+def kept_tables(radii):
+    """The _coarse_tables of ``radii`` as a fit reads them once the memo holds them: the second call builds them."""
+    los_probability._coarse_tables(radii)
+    return los_probability._coarse_tables(radii)
+
+
+# A fit screens the integer grid from the tables the memo keeps for its radii,
+# or from tables it builds itself, as the first fit on some radii does: the
+# fit tests that pin bits check both.
+MEMO_STATES = ("cold", "warm")
+
+
+@contextlib.contextmanager
+def memo_state(state, radii):
+    """Fits within the block screen from tables they build ("cold") or from the kept tables of ``radii`` ("warm")."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(los_probability, "_memo", (b"", None))
+        if state == "cold":
+            patch.setattr(los_probability, "_MEMO_BYTES", 0)
+        else:
+            assert kept_tables(radii) is not None
+        yield
 
 
 class TestRadiusGrid:
@@ -493,9 +518,11 @@ def test_golden_scene_fits(scene, interior_nlos):
         demo.load_scene(scene), demo.tx_site(scene).position,
         interior_counts_as_nlos=interior_nlos,
     )
-    params, mse = fit_p_los(curve)
-    got = (params.d_bp_m.hex(), params.alpha_m.hex(), mse.hex())
-    assert got == GOLDEN_FITS[(scene, interior_nlos)]
+    for state in MEMO_STATES:
+        with memo_state(state, curve.radii_m[curve.valid]):
+            params, mse = fit_p_los(curve)
+        got = (params.d_bp_m.hex(), params.alpha_m.hex(), mse.hex())
+        assert got == GOLDEN_FITS[(scene, interior_nlos)], state
 
 
 # Poisson-box scenes traced against the closed form: fixed before the first
@@ -878,7 +905,7 @@ class TestMseGrid:
         assert bound < los_probability._SCREEN_TOL / 4
         assert np.max(np.abs(screened - exact)) <= bound
         # the kept tables of the integer grid, as the coarse search reads them, sum in another order
-        tables = los_probability._coarse_tables(radii)
+        tables = kept_tables(radii)
         if tables is not None and alpha_values is COARSE:
             kept = los_probability._screened_mse(radii, target, COARSE, COARSE,
                                                  los_probability._search_sums(radii, target), tables)
@@ -1004,11 +1031,15 @@ class TestCoarseMemo:
         grid_b = LosProbabilityCurve(radii, np.where(valid, target, np.nan), valid)
         expected = {id(c): self.fresh(monkeypatch, c) for c in (grid_a, grid_b)}
         monkeypatch.setattr(los_probability, "_memo", (b"", None))
-        for curve, block in ((grid_a, None), (grid_b, None), (grid_a, 1000), (grid_a, None)):
-            if block is not None:
-                monkeypatch.setattr(los_probability, "_RAYS_PER_BLOCK", block)
-            assert hex_triple(flat(fit_p_los(curve))) == expected[id(curve)]
-            assert los_probability._memo[0] == curve.radii_m[curve.valid].tobytes()
+        # (curve, whether the memo holds its tables after the fit); from the 4th fit on, blocks of one alpha
+        fits = ((grid_a, False), (grid_a, True), (grid_b, False), (grid_a, False), (grid_a, True), (grid_a, True))
+        for i, (curve, kept) in enumerate(fits):
+            if i == 3:
+                monkeypatch.setattr(los_probability, "_RAYS_PER_BLOCK", 1000)
+            assert hex_triple(flat(fit_p_los(curve))) == expected[id(curve)], i
+            key, tables = los_probability._memo
+            assert key == curve.radii_m[curve.valid].tobytes()
+            assert (tables is not None) == kept
         # a write to a kept table, in place or through a view, raises
         for table in los_probability._memo[1]:
             with pytest.raises(ValueError, match="read-only"):
@@ -1021,8 +1052,29 @@ class TestCoarseMemo:
         kept = self.fresh(monkeypatch, curve)
         monkeypatch.setattr(los_probability, "_memo", (b"", None))
         monkeypatch.setattr(los_probability, "_MEMO_BYTES", 0)
-        assert hex_triple(flat(fit_p_los(curve))) == kept
-        assert los_probability._memo == (b"", None)
+        for _ in range(2):
+            assert hex_triple(flat(fit_p_los(curve))) == kept
+            assert los_probability._memo == (b"", None)
+
+    @pytest.mark.parametrize("built", [True, False], ids=["kept", "to-build"])
+    def test_a_memo_replaced_once_read_does_not_reach_the_fit(self, built, monkeypatch):
+        # as when a fit on other radii, in another thread, replaces the memo just after this fit has read it
+        radii, others = np.arange(10.0, 201.0), np.arange(10.5, 201.0)
+        monkeypatch.setattr(los_probability, "_memo", (b"", None))
+        expected, stored = kept_tables(radii), kept_tables(others)
+
+        class Replaced(tuple):
+            def __iter__(self):
+                los_probability._memo = others.tobytes(), stored
+                return super().__iter__()
+
+            def __getitem__(self, index):
+                los_probability._memo = others.tobytes(), stored
+                return super().__getitem__(index)
+
+        monkeypatch.setattr(los_probability, "_memo", Replaced((radii.tobytes(), expected if built else None)))
+        got = los_probability._coarse_tables(radii)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in expected]
 
 
 # the closed-form Poisson-box curve is the d_bp -> 0 limit of the model: its
@@ -1068,19 +1120,28 @@ class TestRefinementWalk:
     @example(LOWER_EDGE_CURVE)
     @example(PAST_GRID_CURVE)
     def test_fit_matches_exhaustive_reference(self, curve):
-        assert hex_triple(fit_curve(*curve)) == hex_triple(fit_reference(*curve))
+        reference = hex_triple(fit_reference(*curve))
+        for state in MEMO_STATES:
+            with memo_state(state, curve[0]):
+                assert hex_triple(fit_curve(*curve)) == reference, state
 
     def test_lower_edge_fit_searches_no_window_twice(self, monkeypatch):
         searched = screens(monkeypatch)
-        assert hex_triple(fit_curve(*LOWER_EDGE_CURVE)) == LOWER_EDGE_FIT
-        assert len(set(searched)) == len(searched)
-        assert len(searched) <= 6
+        for state in MEMO_STATES:
+            searched.clear()
+            with memo_state(state, DEFAULT_RADII):
+                assert hex_triple(fit_curve(*LOWER_EDGE_CURVE)) == LOWER_EDGE_FIT, state
+            assert len(set(searched)) == len(searched)
+            assert len(searched) <= 6
 
     def test_past_grid_fit_screens_its_16_windows_in_strips(self, monkeypatch):
         searched = screens(monkeypatch)
-        assert fit_curve(*PAST_GRID_CURVE)[1] == 216.0
-        assert len(set(searched)) == len(searched)
-        assert len(searched) <= 7
+        for state in MEMO_STATES:
+            searched.clear()
+            with memo_state(state, DEFAULT_RADII):
+                assert fit_curve(*PAST_GRID_CURVE)[1] == 216.0, state
+            assert len(set(searched)) == len(searched)
+            assert len(searched) <= 7
 
 
 def fingerprint_curves():
@@ -1109,10 +1170,12 @@ FIT_FINGERPRINT = "9fbfcdd94a393c1e58d803956a25e8cfd2ebaecc553a92839ca587940dd0c
 
 
 def test_fits_at_scale_are_bit_identical():
-    h = hashlib.sha256()
-    for curve in fingerprint_curves():
-        h.update(" ".join(hex_triple(fit_curve(*curve))).encode() + b"\n")
-    assert h.hexdigest() == FIT_FINGERPRINT
+    for state in MEMO_STATES:
+        h = hashlib.sha256()
+        with memo_state(state, DEFAULT_RADII):
+            for curve in fingerprint_curves():
+                h.update(" ".join(hex_triple(fit_curve(*curve))).encode() + b"\n")
+        assert h.hexdigest() == FIT_FINGERPRINT, state
 
 
 class TestCsv:
