@@ -1168,14 +1168,23 @@ def fingerprint_curves():
 # fit, in order.  Any change to the fitter must leave it bit for bit.
 FIT_FINGERPRINT = "9fbfcdd94a393c1e58d803956a25e8cfd2ebaecc553a92839ca587940dd0cb7b"
 
+# sha256 over the (d_bp, alpha) grid bytes of every screen those fits make,
+# in order, which the memo state does not change: a rewrite of the search
+# must screen the same grids, not only reach the same fits.
+SCREEN_FINGERPRINT = "47c354cd23b2dce86ec78cb4de285583b68b0e1af1754befb6bf5342b747158e"
 
-def test_fits_at_scale_are_bit_identical():
+
+def test_fits_at_scale_are_bit_identical(monkeypatch):
+    searched = screens(monkeypatch)
     for state in MEMO_STATES:
         h = hashlib.sha256()
         with memo_state(state, DEFAULT_RADII):
+            searched.clear()
             for curve in fingerprint_curves():
                 h.update(" ".join(hex_triple(fit_curve(*curve))).encode() + b"\n")
         assert h.hexdigest() == FIT_FINGERPRINT, state
+        grids = hashlib.sha256(b"".join(b"%d %d\n" % (len(bp), len(alpha)) + bp + alpha for bp, alpha in searched))
+        assert grids.hexdigest() == SCREEN_FINGERPRINT, (state, len(searched))
 
 
 class TestCsv:
