@@ -5,102 +5,14 @@ ray-traced LOS probability, close-in and floating-intercept path loss models,
 their probability-weighted hybrid, and link outage analysis.
 """
 
-from .geometry import (
-    Box3,
-    BuildingDB,
-    BuildingDBError,
-    Point3,
-    PointInsideBuildingError,
-    TxSite,
-    is_los,
-    latlon_to_local,
-    load_building_db,
-    parse_building_db,
-    point_in_any_building,
-    segment_intersects_box,
-)
-from .los_probability import (
-    LosProbParams,
-    LosProbabilityCurve,
-    NYC_SITE_LOS_PARAMS,
-    curve_from_csv,
-    curve_to_csv,
-    fit_p_los,
-    los_probability_curve,
-    mean_curve,
-    p_los_model,
-    radius_grid,
-)
-from .pathloss import (
-    CloseInModel,
-    FloatingInterceptModel,
-    HybridModel,
-    OutageSpec,
-    PRESETS,
-    ParameterPreset,
-    PathLossSample,
-    coverage_curve,
-    fit_close_in,
-    fit_floating,
-    fspl_at_reference,
-    get_preset,
-    hybrid_from_preset,
-    mean_pl_close_in,
-    mean_pl_floating,
-    mean_pl_hybrid,
-    outage_monte_carlo,
-    outage_probability,
-    sample_pl,
-    samples_from_csv,
-    samples_to_csv,
-    shadow_sigma_hybrid,
-)
+from . import geometry, los_probability, pathloss
+from .geometry import *
+from .los_probability import *
+from .pathloss import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Box3",
-    "BuildingDB",
-    "BuildingDBError",
-    "CloseInModel",
-    "FloatingInterceptModel",
-    "HybridModel",
-    "LosProbParams",
-    "LosProbabilityCurve",
-    "NYC_SITE_LOS_PARAMS",
-    "OutageSpec",
-    "PRESETS",
-    "ParameterPreset",
-    "PathLossSample",
-    "Point3",
-    "PointInsideBuildingError",
-    "TxSite",
-    "coverage_curve",
-    "curve_from_csv",
-    "curve_to_csv",
-    "fit_close_in",
-    "fit_floating",
-    "fit_p_los",
-    "fspl_at_reference",
-    "get_preset",
-    "hybrid_from_preset",
-    "is_los",
-    "latlon_to_local",
-    "load_building_db",
-    "los_probability_curve",
-    "mean_curve",
-    "mean_pl_close_in",
-    "mean_pl_floating",
-    "mean_pl_hybrid",
-    "outage_monte_carlo",
-    "outage_probability",
-    "p_los_model",
-    "parse_building_db",
-    "point_in_any_building",
-    "radius_grid",
-    "sample_pl",
-    "samples_from_csv",
-    "samples_to_csv",
-    "segment_intersects_box",
-    "shadow_sigma_hybrid",
-]
+__all__ = []
+__all__ += geometry.__all__
+__all__ += los_probability.__all__
+__all__ += pathloss.__all__

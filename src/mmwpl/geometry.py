@@ -19,6 +19,21 @@ from operator import itemgetter
 
 import numpy as np
 
+__all__ = [
+    "Box3",
+    "BuildingDB",
+    "BuildingDBError",
+    "Point3",
+    "PointInsideBuildingError",
+    "TxSite",
+    "is_los",
+    "latlon_to_local",
+    "load_building_db",
+    "parse_building_db",
+    "point_in_any_building",
+    "segment_intersects_box",
+]
+
 # Tolerance for boundary classification, in meters.  A point within EPSILON of
 # a face counts as outside; a segment within EPSILON of a face counts as
 # blocked.  The two conventions together keep occlusion conservative.

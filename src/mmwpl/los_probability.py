@@ -8,6 +8,7 @@ curves by exhaustive mean-squared-error search.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -15,6 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BuildingDB, Point3, _finite, _sector_tracer
+
+__all__ = [
+    "LosProbParams",
+    "LosProbabilityCurve",
+    "NYC_SITE_LOS_PARAMS",
+    "curve_from_csv",
+    "curve_to_csv",
+    "fit_p_los",
+    "los_probability_curve",
+    "mean_curve",
+    "p_los_model",
+    "radius_grid",
+]
 
 DEFAULT_N_POINTS = 100
 DEFAULT_RX_HEIGHT_M = 1.5
@@ -70,7 +84,10 @@ class LosProbabilityCurve:
     valid: np.ndarray
 
     def __post_init__(self):
-        radii = np.asarray(self.radii_m, dtype=float)
+        try:
+            radii = np.asarray(self.radii_m, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            raise ValueError("radii must be positive and finite") from None
         p = np.asarray(self.p_los, dtype=float)
         valid = np.asarray(self.valid, dtype=bool)
         if radii.ndim != 1 or p.shape != radii.shape or valid.shape != radii.shape:
@@ -93,12 +110,23 @@ class LosProbabilityCurve:
         return self.radii_m.size
 
 
+def _bound(value, name: str):
+    """``value``, or the infinity of its sign for an integer beyond float range; no number is a ValueError."""
+    if _finite(value) or value != value or value in (math.inf, -math.inf):
+        return value
+    if isinstance(value, int):
+        return math.inf if value > 0 else -math.inf
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def radius_grid(r_min: float, r_max: float, step: float) -> np.ndarray:
     """Radii r_min, r_min+step, ... up to and including r_max when it lands on the grid.
 
     Raises ValueError on bad or non-finite bounds or step, or a grid of more than
-    MAX_GRID_POINTS radii.
+    MAX_GRID_POINTS radii.  An integer beyond float range fails as the infinity
+    of its sign does, and a value that is no real number fails first.
     """
+    r_min, r_max, step = (_bound(v, name) for v, name in ((r_min, "r_min"), (r_max, "r_max"), (step, "step")))
     if not r_min > 0:
         raise ValueError(f"r_min must be positive, got {r_min:g}")
     if not r_max >= r_min:
@@ -216,6 +244,14 @@ def _bracket(d, bp, alpha):
         return np.where(ratio >= 1.0, 1.0, ratio * (1.0 - decay) + decay)
 
 
+def _distances(d_m, low=None) -> np.ndarray:
+    """``d_m`` as float distances, all > 0 or, given ``low``, all >= ``low`` m; NaN, strings and objects fail."""
+    d = np.asarray(d_m)
+    if d.dtype.kind in "biuf" and np.all(d > 0 if low is None else d >= low):
+        return d.astype(float, copy=False)
+    raise ValueError("distances must be positive" if low is None else f"distances must be >= {low:g} m")
+
+
 def p_los_model(d_m, params: LosProbParams):
     """Evaluate the analytic LOS probability model at distance(s) d_m.
 
@@ -223,9 +259,7 @@ def p_los_model(d_m, params: LosProbParams):
     breakpoint ratio and exponential decay take over.  Scalar in, scalar out;
     array in, array out.
     """
-    d = np.asarray(d_m, dtype=float)
-    if not np.all(d > 0):  # NaN fails too
-        raise ValueError("distances must be positive")
+    d = _distances(d_m)
     bracket = _bracket(d, params.d_bp_m, params.alpha_m)
     out = bracket * bracket if params.squared else bracket
     return float(out) if out.ndim == 0 else out
@@ -447,8 +481,8 @@ def _mse_grid(radii: np.ndarray, target: np.ndarray, sums):
     return _winner(radii, target, screened, bp_values, _COARSE_GRID, tol)
 
 
-# How much further in alpha than a window, in tenths of a meter, a strip
-# after the first reaches in the direction the walk last moved (see fit_p_los).
+# How much further in alpha than its window, in tenths of a meter, a strip
+# from the walk's third window on reaches the way alpha last moved (see fit_p_los).
 _STRIP_ALPHA = 40
 
 
@@ -482,23 +516,21 @@ def fit_p_los(curve: LosProbabilityCurve) -> tuple[LosProbParams, float]:
 
     sums = tol, _, _ = _search_sums(radii, target)
     bp, alpha, mse = _mse_grid(radii, target, sums)
-    # The walk runs on integer tenths of a meter: the center, the last move in alpha, the next strip's
-    # reach.  It reads each window off the last screened table; the first is screened alone.  Once the
-    # walk has moved, a window off the table screens a strip 1 m wider than it in d_bp, from the second
-    # strip on also _STRIP_ALPHA further in alpha the way it last moved: a fit past the grid walks its
-    # 16 windows on 5 screens.  No bound cuts a strip: none cut a window of the benchmark's curves.
-    center, moved, ahead, strip = (round(10 * bp), round(10 * alpha)), None, 0, None
-    for _ in range(16):
+    # The walk runs on integer tenths of a meter: the center and the last move in alpha.  It reads each
+    # window i off the last screened table, and screens a strip for it when the window lies off it: the
+    # window alone for i = 0, 1 m wider in d_bp from i = 1 on, and from i = 2 on also _STRIP_ALPHA further
+    # in alpha the way it last moved.  A fit past the grid walks its 16 windows on 5 screens.  No bound
+    # cuts a strip: none cut a window of the benchmark's curves.
+    center, moved = (round(10 * bp), round(10 * alpha)), 0
+    for i in range(16):
         if mse == 0.0:
             break
         # the tenths within 1 m of the center, from 0.1 m up
         (b0, b1), (a0, a1) = ((max(t - 10, 1), t + 10) for t in center)
-        if strip is None or not (lo_b <= b0 and b1 <= hi_b and lo_a <= a0 and a1 <= hi_a):
-            lo_b, hi_b, lo_a, hi_a = b0, b1, a0, a1
-            if moved is not None:
-                lo_b, hi_b = max(b0 - 10, 1), b1 + 10
-                lo_a, hi_a = max(a0 - ahead, 1) if moved < 0 else a0, a1 + ahead if moved > 0 else a1
-                ahead = _STRIP_ALPHA
+        if i == 0 or not (lo_b <= b0 and b1 <= hi_b and lo_a <= a0 and a1 <= hi_a):
+            wider, ahead = 10 * (i > 0), _STRIP_ALPHA * (i > 1)
+            lo_b, hi_b = max(b0 - wider, 1), b1 + wider
+            lo_a, hi_a = max(a0 - ahead, 1) if moved < 0 else a0, a1 + ahead if moved > 0 else a1
             strip_bp, strip_alpha = np.arange(lo_b, hi_b + 1) / 10, np.arange(lo_a, hi_a + 1) / 10
             strip = _screened_mse(radii, target, strip_bp, strip_alpha, sums)
         rows, cols = slice(a0 - lo_a, a1 - lo_a + 1), slice(b0 - lo_b, b1 - lo_b + 1)

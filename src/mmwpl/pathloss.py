@@ -17,7 +17,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .los_probability import NYC_SITE_LOS_PARAMS, LosProbParams, _count, _rows, _table, p_los_model, radius_grid
+from .geometry import _finite
+from .los_probability import (NYC_SITE_LOS_PARAMS, LosProbParams, _count, _distances, _rows, _table, p_los_model,
+                              radius_grid)
+
+__all__ = [
+    "CloseInModel",
+    "FloatingInterceptModel",
+    "HybridModel",
+    "OutageSpec",
+    "PRESETS",
+    "ParameterPreset",
+    "PathLossSample",
+    "coverage_curve",
+    "fit_close_in",
+    "fit_floating",
+    "fspl_at_reference",
+    "get_preset",
+    "hybrid_from_preset",
+    "mean_pl_close_in",
+    "mean_pl_floating",
+    "mean_pl_hybrid",
+    "outage_monte_carlo",
+    "outage_probability",
+    "sample_pl",
+    "samples_from_csv",
+    "samples_to_csv",
+    "shadow_sigma_hybrid",
+]
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -34,7 +61,7 @@ def fspl_at_reference(frequency_hz: float) -> float:
         ValueError: when the frequency is not positive and finite, or so large
             (above about 1.4e307 Hz) that 4 pi f / c overflows.
     """
-    if not (frequency_hz > 0 and math.isfinite(frequency_hz)):
+    if not (_finite(frequency_hz) and frequency_hz > 0):
         raise ValueError(f"frequency_hz must be positive, got {frequency_hz!r}")
     ratio = 4.0 * math.pi * REFERENCE_DISTANCE_M * frequency_hz / SPEED_OF_LIGHT_M_S
     if not math.isfinite(ratio):
@@ -52,9 +79,9 @@ class CloseInModel:
 
     def __post_init__(self):
         fspl_at_reference(self.frequency_hz)  # rejects a frequency with no finite 1 m FSPL
-        if not (self.exponent > 0 and math.isfinite(self.exponent)):
+        if not (_finite(self.exponent) and self.exponent > 0):
             raise ValueError(f"exponent must be positive, got {self.exponent!r}")
-        if not (self.shadow_std_db >= 0 and math.isfinite(self.shadow_std_db)):
+        if not (_finite(self.shadow_std_db) and self.shadow_std_db >= 0):
             raise ValueError(f"shadow_std_db must be >= 0, got {self.shadow_std_db!r}")
 
 
@@ -73,11 +100,11 @@ class FloatingInterceptModel:
 
     def __post_init__(self):
         lo, hi = self.valid_range_m
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
+        if not (_finite(lo) and _finite(hi) and 0 < lo < hi):
             raise ValueError(f"valid_range_m must satisfy 0 < min < max, got {self.valid_range_m!r}")
-        if not (self.shadow_std_db >= 0 and math.isfinite(self.shadow_std_db)):
+        if not (_finite(self.shadow_std_db) and self.shadow_std_db >= 0):
             raise ValueError(f"shadow_std_db must be >= 0, got {self.shadow_std_db!r}")
-        if not (math.isfinite(self.intercept_db) and math.isfinite(self.slope)):
+        if not (_finite(self.intercept_db) and _finite(self.slope)):
             raise ValueError("intercept_db and slope must be finite")
 
 
@@ -171,9 +198,7 @@ def mean_pl_close_in(model: CloseInModel, d_m):
     Raises:
         ValueError: when any distance is below the 1 m reference or the mean is not finite.
     """
-    d = np.asarray(d_m, dtype=float)
-    if not np.all(d >= REFERENCE_DISTANCE_M):  # NaN fails too
-        raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
+    d = _distances(d_m, REFERENCE_DISTANCE_M)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = _finite_mean(_log_distance_mean(model, d), d)
     return _scalar_or_array(mean, d_m)
@@ -185,9 +210,7 @@ def mean_pl_floating(model: FloatingInterceptModel, d_m):
     Returns (value, extrapolated); the flag is set for distances outside the
     model's valid range (endpoints count as in range).
     """
-    d = np.asarray(d_m, dtype=float)
-    if not np.all(d > 0):  # NaN fails too
-        raise ValueError("distances must be positive")
+    d = _distances(d_m)
     lo, hi = model.valid_range_m
     with np.errstate(over="ignore", invalid="ignore"):
         out = _finite_mean(_log_distance_mean(model, d), d)
@@ -211,9 +234,9 @@ class PathLossSample:
     condition: str
 
     def __post_init__(self):
-        if not (self.distance_m >= REFERENCE_DISTANCE_M and math.isfinite(self.distance_m)):
+        if not (_finite(self.distance_m) and self.distance_m >= REFERENCE_DISTANCE_M):
             raise ValueError(f"distance_m must be >= {REFERENCE_DISTANCE_M:g} m, got {self.distance_m!r}")
-        if not math.isfinite(self.path_loss_db):
+        if not _finite(self.path_loss_db):
             raise ValueError(f"path_loss_db must be finite, got {self.path_loss_db!r}")
         if self.condition not in CONDITIONS:
             raise ValueError(f"condition must be one of {CONDITIONS}, got {self.condition!r}")
@@ -308,9 +331,7 @@ def samples_to_csv(samples: "list[PathLossSample]") -> str:
 
 def _hybrid(model: HybridModel, d_m):
     """(P_LOS, mean, spread) of the hybrid model: one distance check, one p_los_model, finite or a ValueError."""
-    d = np.asarray(d_m, dtype=float)
-    if not np.all(d >= REFERENCE_DISTANCE_M):  # NaN fails too
-        raise ValueError(f"distances must be >= {REFERENCE_DISTANCE_M:g} m")
+    d = _distances(d_m, REFERENCE_DISTANCE_M)
     p = np.asarray(p_los_model(d, model.p_los))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite branch mean makes the mean non-finite
         mean = p * _log_distance_mean(model.los, d) + (1.0 - p) * _log_distance_mean(model.nlos, d)
@@ -369,7 +390,7 @@ def sample_pl(model: HybridModel, d_m, rng: np.random.Generator, size: int | Non
     shape = () if size is None else (_count(size, "size"),)
     if np.ndim(d_m):
         raise ValueError(f"sample_pl takes one distance, got shape {np.shape(d_m)}; outage_monte_carlo takes a grid")
-    p, mean, _ = _hybrid(model, float(d_m))
+    p, mean, _ = _hybrid(model, d_m)
     z_los = rng.standard_normal(shape)
     z_nlos = rng.standard_normal(shape)
     out = _shadowed(model, p, mean, z_los, z_nlos)
@@ -386,8 +407,10 @@ class OutageSpec:
     max_path_loss_db: float
 
     def __post_init__(self):
-        if math.isnan(self.max_path_loss_db):
-            raise ValueError("max_path_loss_db must not be NaN")
+        budget = self.max_path_loss_db
+        if not (_finite(budget) or budget in (math.inf, -math.inf)):
+            raise ValueError("max_path_loss_db must not be NaN" if budget != budget else
+                             f"max_path_loss_db must be a number within float range, got {budget!r}")
 
 
 def outage_probability(model: HybridModel, d_m, spec: OutageSpec):

@@ -221,9 +221,15 @@ NAN_CHECKS = {
 
 
 @pytest.mark.parametrize("name", sorted(NAN_CHECKS))
-@pytest.mark.parametrize("d", [math.nan, np.array([50.0, math.nan, 100.0])], ids=["scalar", "array"])
+@pytest.mark.parametrize(
+    "d", [math.nan, np.array([50.0, math.nan, 100.0]), 10**400, [50.0, 10**400], None, "50", ["50", "60"]],
+    ids=["scalar", "array", "10**400", "list-10**400", "None", "string", "strings"],
+)
 def test_nan_distance_rejected(name, d):
-    """A NaN distance fails every distance check instead of coming back as NaN (or 0 outage)."""
+    """A NaN distance fails every distance check instead of coming back as NaN (or 0 outage).
+
+    So does what is not numbers, a numeric string included, and an integer beyond float range.
+    """
     call, message = NAN_CHECKS[name]
     with pytest.raises(ValueError, match=message):
         call(d)

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmwpl.los_probability import LosProbParams, p_los_model
+from mmwpl.los_probability import LosProbabilityCurve, LosProbParams, p_los_model, radius_grid
 from mmwpl.pathloss import (
     PRESETS,
     CloseInModel,
     FloatingInterceptModel,
     HybridModel,
+    OutageSpec,
+    PathLossSample,
+    fit_close_in,
     fspl_at_reference,
     get_preset,
     hybrid_from_preset,
@@ -295,3 +298,40 @@ class TestPresets:
         assert isinstance(M28F.nlos, FloatingInterceptModel)
         with pytest.raises(ValueError):
             hybrid_from_preset("28GHz-NYC", nlos="other")
+
+
+TWO_SAMPLES = [PathLossSample(10.0, 100.0, "LOS"), PathLossSample(50.0, 120.0, "LOS")]
+
+# An integer beyond float range or a value that is no number fails with the
+# ValueError of inf, or of NaN where inf is allowed, never a bare
+# OverflowError or TypeError.
+BAD_NUMBERS = {
+    "close-in exponent 10**400": (lambda: CloseInModel(28e9, 10**400, 3.6), "exponent must be positive, got 1000"),
+    "close-in exponent None": (lambda: CloseInModel(28e9, None, 1.0), "exponent must be positive, got None"),
+    "close-in sigma 10**400": (lambda: CloseInModel(28e9, 2.0, 10**400), "shadow_std_db must be >= 0, got 1000"),
+    "floating intercept 10**400": (lambda: FloatingInterceptModel(10**400, 2.0, 3.0),
+                                   "intercept_db and slope must be finite"),
+    "floating range strings": (lambda: FloatingInterceptModel(70.0, 2.0, 3.0, ("a", "b")),
+                               r"valid_range_m must satisfy 0 < min < max, got \('a', 'b'\)"),
+    "sample distance 10**400": (lambda: PathLossSample(10**400, 100.0, "LOS"), "distance_m must be >= 1 m, got 1000"),
+    "sample path loss 10**400": (lambda: PathLossSample(10.0, 10**400, "LOS"), "path_loss_db must be finite, got 1000"),
+    "outage budget 10**400": (lambda: OutageSpec(10**400), "max_path_loss_db must be a number within float range, got 1000"),
+    "outage budget None": (lambda: OutageSpec(None), "max_path_loss_db must be a number within float range, got None"),
+    "outage budget NaN": (lambda: OutageSpec(math.nan), "max_path_loss_db must not be NaN"),
+    "fspl 10**400": (lambda: fspl_at_reference(10**400), "frequency_hz must be positive, got 1000"),
+    "fit_close_in 10**400": (lambda: fit_close_in(TWO_SAMPLES, 10**400), "frequency_hz must be positive, got 1000"),
+    "radius_grid r_max 10**400": (lambda: radius_grid(10, 10**400, 1.0),
+                                  "grid of 10 to inf m in 1 m steps has more than 1000000 points"),
+    "radius_grid step 10**400": (lambda: radius_grid(10, 200, 10**400), "r_min and step must be finite, got r_min=10 step=inf"),
+    "radius_grid r_min -10**400": (lambda: radius_grid(-(10**400), 200, 1.0), "r_min must be positive, got -inf"),
+    "radius_grid r_min None": (lambda: radius_grid(None, 200, 1.0), "r_min must be a number, got None"),
+    "radius_grid step string": (lambda: radius_grid(10, 200, "1"), "step must be a number, got '1'"),
+    "curve radii 10**400": (lambda: LosProbabilityCurve([10**400], [0.5], [True]), "radii must be positive and finite$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NUMBERS))
+def test_bad_numbers_raise_value_error(name):
+    call, message = BAD_NUMBERS[name]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
