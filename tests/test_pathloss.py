@@ -315,18 +315,21 @@ BAD_NUMBERS = {
                                r"valid_range_m must satisfy 0 < min < max, got \('a', 'b'\)"),
     "sample distance 10**400": (lambda: PathLossSample(10**400, 100.0, "LOS"), "distance_m must be >= 1 m, got 1000"),
     "sample path loss 10**400": (lambda: PathLossSample(10.0, 10**400, "LOS"), "path_loss_db must be finite, got 1000"),
-    "outage budget 10**400": (lambda: OutageSpec(10**400), "max_path_loss_db must be a number within float range, got 1000"),
+    "outage budget 10**400": (lambda: OutageSpec(10**400),
+                              "max_path_loss_db must be a number within float range, got 1000"),
     "outage budget None": (lambda: OutageSpec(None), "max_path_loss_db must be a number within float range, got None"),
     "outage budget NaN": (lambda: OutageSpec(math.nan), "max_path_loss_db must not be NaN"),
     "fspl 10**400": (lambda: fspl_at_reference(10**400), "frequency_hz must be positive, got 1000"),
     "fit_close_in 10**400": (lambda: fit_close_in(TWO_SAMPLES, 10**400), "frequency_hz must be positive, got 1000"),
     "radius_grid r_max 10**400": (lambda: radius_grid(10, 10**400, 1.0),
                                   "grid of 10 to inf m in 1 m steps has more than 1000000 points"),
-    "radius_grid step 10**400": (lambda: radius_grid(10, 200, 10**400), "r_min and step must be finite, got r_min=10 step=inf"),
+    "radius_grid step 10**400": (lambda: radius_grid(10, 200, 10**400),
+                                 "r_min and step must be finite, got r_min=10 step=inf"),
     "radius_grid r_min -10**400": (lambda: radius_grid(-(10**400), 200, 1.0), "r_min must be positive, got -inf"),
     "radius_grid r_min None": (lambda: radius_grid(None, 200, 1.0), "r_min must be a number, got None"),
     "radius_grid step string": (lambda: radius_grid(10, 200, "1"), "step must be a number, got '1'"),
-    "curve radii 10**400": (lambda: LosProbabilityCurve([10**400], [0.5], [True]), "radii must be positive and finite$"),
+    "curve radii 10**400": (lambda: LosProbabilityCurve([10**400], [0.5], [True]),
+                            "radii must be positive and finite$"),
 }
 
 
