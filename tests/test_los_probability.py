@@ -469,8 +469,14 @@ class TestCurve:
 
 
 # sha256 of p_los bytes + valid bytes for each bundled scene's default curve
-# (10-200 m step 1, 100 points, demo transmitter), per interior mode.  Any
-# change to the tracing path must leave these bit-identical.
+# (10-200 m step 1, 100 points), per interior mode: from the demo transmitter,
+# keyed (scene, interior_nlos), and from a transmitter at (0, 0, z) above some
+# roofs, keyed (scene, interior_nlos, z).  From the demo transmitters every box
+# spans the transmitter's and the receivers' heights; from the others 42/48,
+# 26/36, 10/36, 40/64, 0/48 and 0/44 boxes do, so the rest take the slab test
+# alone.  Avenue at 100 m and crosstown at 45 m read other curves than from the
+# demo transmitters, so the boxes below the transmitter change some rays there.
+# Any change to the tracing path must leave these bit-identical.
 GOLDEN_CURVES = {
     ("avenue", False): "e8ae4ba658f7ed31ab348bab625bd66861c1483af8e383f3c0544f96f1687d72",
     ("avenue", True): "068655c394223add24dae45163d662d323bd62c6138cbb9b877ef8079060130c",
@@ -482,17 +488,30 @@ GOLDEN_CURVES = {
     ("slab", True): "cd76c2fd982c4fa4939d13a31c98a8286675dd1777828dcd29b2cba6c29b975f",
     ("tower", False): "527304e262da66480ab6329b93737ee20f1fbb14bfba595b6128ab326eee4bcc",
     ("tower", True): "6a46aad61c72a264c397d175ad2bcc49406627c7756369d5d6e1079b97355450",
+    ("avenue", False, 30.0): "e8ae4ba658f7ed31ab348bab625bd66861c1483af8e383f3c0544f96f1687d72",
+    ("avenue", True, 30.0): "068655c394223add24dae45163d662d323bd62c6138cbb9b877ef8079060130c",
+    ("avenue", False, 100.0): "8b74271b86b262307ed05ef629439249620c651cbf2a4f644021a2f65108d9cf",
+    ("avenue", True, 100.0): "ecd4154d79cb2ba5d21ba62360b1a6200d1c91b875f23b23e587598366299f32",
+    ("crosstown", False, 30.0): "f24e56494babc853107dd42097e6022721282b6d30d68ae066a4a942d1391c81",
+    ("crosstown", True, 30.0): "f0027217addec93d164203ca52d7d7713a80d22b8a2a1b6aee5176905d3ed3a5",
+    ("crosstown", False, 45.0): "075a113bf8e5cef12dd247d7f1b463b072d50487a00722628df1fe9be217e871",
+    ("crosstown", True, 45.0): "09466124757bae809424a9c64729be1bcbcf43f2937c8cc1e0168a22c3a6d5e1",
+    ("plaza", False, 100.0): "a5a0d5d89c56aee0e934e915db35aa8e10689208eeff748ab9de8f6d5071f627",
+    ("plaza", True, 100.0): "13c5a4f44a74bca5a27a3717b3bc0dc315721f971d9817c36c1c5e6793cf84d7",
+    ("tower", False, 60.0): "527304e262da66480ab6329b93737ee20f1fbb14bfba595b6128ab326eee4bcc",
+    ("tower", True, 60.0): "6a46aad61c72a264c397d175ad2bcc49406627c7756369d5d6e1079b97355450",
 }
 
 
-@pytest.mark.parametrize("scene,interior_nlos", sorted(GOLDEN_CURVES))
-def test_golden_scene_curves(scene, interior_nlos):
+@pytest.mark.parametrize("key", sorted(GOLDEN_CURVES), ids=lambda key: "-".join(map(str, key)))
+def test_golden_scene_curves(key):
+    scene, interior_nlos, *z = key
     curve = los_probability_curve(
-        demo.load_scene(scene), demo.tx_site(scene).position,
+        demo.load_scene(scene), Point3(0.0, 0.0, *z) if z else demo.tx_site(scene).position,
         interior_counts_as_nlos=interior_nlos,
     )
     digest = hashlib.sha256(curve.p_los.tobytes() + curve.valid.tobytes()).hexdigest()
-    assert digest == GOLDEN_CURVES[(scene, interior_nlos)]
+    assert digest == GOLDEN_CURVES[key]
 
 
 # float.hex of (d_bp_m, alpha_m, mse) fitted to each default curve above.  Any
