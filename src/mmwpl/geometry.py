@@ -39,6 +39,16 @@ __all__ = [
 # blocked.  The two conventions together keep occlusion conservative.
 EPSILON = 1e-9
 
+# Margin by which the sector tracer grows and shrinks footprints, in meters:
+# far above the EPSILON padding and the rounding of coordinates within 1e7 m.
+_MARGIN = 1e-6
+
+# Rays traced together per block, which bounds a curve's working memory
+# whatever the grid size, and (box, ray) pairs per chunk of the sector
+# tracer's entry table, which bounds it whatever the box count.  The default
+# 191-radius, 100-point curve is one block.
+_RAYS_PER_BLOCK = 32768
+
 EARTH_RADIUS_M = 6371000.0
 
 # Largest building database parsed, in boxes, and largest input file read, in
@@ -431,7 +441,7 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
 
     A receiver and its segment lie on the ray at the receiver's angle, within
     ``r_max`` of the ground point, so a box acts on them only where that ray
-    meets its footprint grown by 1e-6 m: a margin far above the EPSILON
+    meets its footprint grown by _MARGIN: a margin far above the EPSILON
     padding (under 1.5e-9 m) and the rounding of coordinates within 1e7 m of
     the origin.  Boxes whose grown footprint lies beyond ``r_max`` are
     cropped.  Each other box is tested only on the run of ``angles`` in its
@@ -440,16 +450,32 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
     point.  arctan2 and the nominal angles round by a few 1e-16 rad; a slack
     of 1e-12 rad on each side of a sector covers that.  One pass over the
     sectors finds the receivers inside a box and marks those a sector
-    covers; only the covered exterior ones, compressed, get the slab test.
+    covers; only the covered exterior ones, compressed, are tested further.
+
+    A box whose EPSILON-padded z range holds the transmitter's and every
+    tested receiver's height *spans* the block: its z slab passes each
+    segment whole, so the slab test blocks a segment just when the segment
+    meets the box's padded footprint.  For the spanning boxes each ray, one
+    per distinct angle, gets the distance at which it first enters their
+    padded footprints grown by _MARGIN and shrunk by _MARGIN.  A receiver
+    short of every grown entry is clear of them and one at or past some
+    shrunk entry is blocked: each float entry and receiver distance is
+    within far less than _MARGIN of its exact value, and so is the
+    receiver's offset from its ray, so the slab test decides these
+    receivers the same way.  The rest, in the band between the entries or
+    on a ray whose entry is 0/0 on a face plane, take the slab test against
+    the spanning boxes, and every receiver takes it against the other boxes.
+    A block with no spanning box in its sectors takes the slab test alone.
     """
     _check_endpoint(db, tx, "tx")  # on every box, so an error names the box's index in the document
     ground = np.array([tx.x, tx.y])
+    column = tx.to_array()[:, None]
     gap = np.maximum(np.maximum(db.min_array[:, :2] - ground, ground - db.max_array[:, :2]), 0.0)
-    kept = np.hypot(gap[:, 0], gap[:, 1]) - 1e-6 <= r_max
+    kept = np.hypot(gap[:, 0], gap[:, 1]) - _MARGIN <= r_max
     box_min, box_max = db.min_array[kept], db.max_array[kept]
 
     # the low and high x and y of each grown footprint from the ground point, and the axes it straddles
-    grown = np.stack((box_min[:, :2] - 1e-6, box_max[:, :2] + 1e-6)) - ground
+    grown = np.stack((box_min[:, :2] - _MARGIN, box_max[:, :2] + _MARGIN)) - ground
     straddles = (grown[0] <= 0.0) & (grown[1] >= 0.0)
     dx, dy = grown.T
     # corner angles in [-pi, pi], or in [0, 2 pi) for a footprint across the -x axis: no sector is cut
@@ -462,11 +488,65 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
     nonempty = pieces[:, 0] < pieces[:, 1]
     pieces, box_min, box_max = (x[nonempty] for x in (pieces, np.tile(box_min, (3, 1)), np.tile(box_max, (3, 1))))
 
-    def sectors_in(angles):
-        # the corners of each piece's box and its [start, stop) run in angles, for the pieces that hold a ray
+    def sectors_in(angles, which=True):
+        # the corners of each piece's box and its [start, stop) run in angles, for the pieces of `which` that hold a ray
         spans = np.searchsorted(angles, pieces)
-        live = spans[:, 0] < spans[:, 1]
+        live = (spans[:, 0] < spans[:, 1]) & which
         return box_min[live], box_max[live], spans[live]
+
+    def entries(directions, index, spans):
+        # the squared distance along each ray to where it first enters the grown and the shrunk footprints of the
+        # pieces `index`, whose [start, stop) runs of rays are `spans`; inf where it enters none.  A NaN entry, 0/0
+        # on a face plane, decides nothing: np.minimum keeps it for the grown entry, np.fmin drops it for the shrunk
+        # one.  A parameter past float range is inf, beyond every receiver either way
+        low, high = box_min[index, :2].T - EPSILON - ground[:, None], box_max[index, :2].T + EPSILON - ground[:, None]
+        # the low x and y, then the high x and y, of each grown footprint, then of each shrunk one
+        faces = np.concatenate((low - _MARGIN, high + _MARGIN, low + _MARGIN, high - _MARGIN))
+        faces[4:, ((faces[4:6] > faces[6:]).any(axis=0))] = np.nan  # shrunk to nothing: no ray enters
+        lengths = spans[:, 1] - spans[:, 0]
+        # pieces per chunk: at most _RAYS_PER_BLOCK (piece, ray) pairs, since no run is longer than a block
+        step = max(1, _RAYS_PER_BLOCK // int(lengths.max()))
+        nearest = np.full((2, directions.shape[1]), np.inf)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for a in range(0, index.size, step):
+                n = lengths[a:a + step]
+                # the ray of each (piece, ray) pair, piece by piece, and the slab parameters of each face
+                ray = np.arange(n.sum()) + np.repeat(spans[a:a + step, 0] - (np.cumsum(n) - n), n)
+                t = np.repeat(faces[:, a:a + step], n, axis=1).reshape(4, 2, -1) / np.take(directions, ray, axis=1)
+                near, far = np.minimum(t[0::2], t[1::2]), np.maximum(t[0::2], t[1::2])
+                first, last = np.maximum(near[:, 0], near[:, 1]), np.minimum(far[:, 0], far[:, 1])
+                entry = np.where((first > last) | (last < 0.0), np.inf, np.maximum(first, 0.0))
+                np.minimum.at(nearest[0], ray, entry[0])
+                np.fmin.at(nearest[1], ray, entry[1])
+            return nearest ** 2
+
+    def slab_test(rx, angles, which=True):
+        # the slab test of each segment to `rx` against the pieces of `which` whose sector holds one of `angles`
+        box_min, box_max, spans = sectors_in(angles, which)
+        return _segments_blocked(column, rx, box_min, box_max, spans) if spans.size else np.zeros(angles.size, bool)
+
+    def occluded(rx, angles):
+        # True per receiver, all in some sector, whose segment from the transmitter some box blocks
+        low, high = rx[2].min(initial=column[2, 0]), rx[2].max(initial=column[2, 0])
+        spanning = (box_min[:, 2] - EPSILON <= low) & (box_max[:, 2] + EPSILON >= high)
+        index = np.flatnonzero(spanning)
+        live = np.searchsorted(angles, pieces[index])
+        index = index[live[:, 0] < live[:, 1]]
+        if not index.size:
+            return slab_test(rx, angles)
+        # the rays: the first receiver of each run of equal angles, and the receivers in each run
+        first = np.append(0, np.flatnonzero(angles[1:] != angles[:-1]) + 1)
+        counts = np.diff(first, append=angles.size)
+        rays = angles[first]
+        directions = np.stack((np.cos(rays), np.sin(rays)))
+        grown, shrunk = entries(directions, index, np.searchsorted(rays, pieces[index]))
+        # a receiver lies on its ray, so its squared distance from the ground point compares as its distance along it
+        reach = (rx[0] - ground[0]) ** 2 + (rx[1] - ground[1]) ** 2
+        blocked = reach >= np.repeat(shrunk, counts)
+        band = ~(blocked | (reach < np.repeat(grown, counts)))
+        if band.any():
+            blocked[band] = slab_test(np.compress(band, rx, axis=1), angles[band], spanning)
+        return blocked | slab_test(rx, angles, ~spanning)
 
     def trace(rx, angles):
         box_min, box_max, spans = sectors_in(angles)
@@ -477,10 +557,11 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
         exterior = ~inside
         # only an exterior receiver in some sector can be blocked, so the kernel sees those alone
         tested &= exterior
-        # np.compress keeps the rows C-contiguous; on rx[:, tested] the kernel runs about 6x slower
+        # np.compress keeps the rows C-contiguous; on rx[:, tested] the kernel runs about 6x slower.  Rebinding
+        # rx frees the caller's rows before the tests, which saves page faults
         rx, angles_tested = np.compress(tested, rx, axis=1), angles[tested]
         blocked = np.zeros(angles.size, dtype=bool)
-        blocked[tested] = _segments_blocked(tx.to_array()[:, None], rx, *sectors_in(angles_tested))
+        blocked[tested] = occluded(rx, angles_tested)
         return exterior, ~blocked[exterior]
 
     return trace

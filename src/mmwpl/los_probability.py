@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BuildingDB, Point3, _finite, _sector_tracer
+from .geometry import _RAYS_PER_BLOCK, BuildingDB, Point3, _finite, _sector_tracer
 
 __all__ = [
     "LosProbParams",
@@ -39,12 +39,10 @@ CURVE_CSV_HEADER = "radius_m,p_los,valid"
 # before anything is allocated.
 MAX_GRID_POINTS = 1_000_000
 
-# Rays traced together per block, and values per array in a block of a fit's
-# exact cells; bounds a curve's and a fit's working memory whatever the grid size.
-# A screen that builds its own tables holds a quarter of it per series, which
-# keeps its series and their sums in cache.  The default 191-radius, 100-point
-# curve is one block.
-_RAYS_PER_BLOCK = 32768
+# _RAYS_PER_BLOCK, the rays traced together per block, is also the values per
+# array in a block of a fit's exact cells; it bounds a fit's working memory
+# whatever the grid size.  A screen that builds its own tables holds a quarter
+# of it per series, which keeps its series and their sums in cache.
 
 # Integer search grid for the MMSE fit, meters.
 _COARSE_GRID = np.arange(1.0, 201.0)
@@ -88,7 +86,10 @@ class LosProbabilityCurve:
             radii = np.asarray(self.radii_m, dtype=float)
         except OverflowError:  # an integer beyond float range
             raise ValueError("radii must be positive and finite") from None
-        p = np.asarray(self.p_los, dtype=float)
+        try:
+            p = np.asarray(self.p_los, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            raise ValueError("valid p_los values must lie in [0, 1]") from None
         valid = np.asarray(self.valid, dtype=bool)
         if radii.ndim != 1 or p.shape != radii.shape or valid.shape != radii.shape:
             raise ValueError("radii_m, p_los and valid must be 1-D arrays of equal length")
@@ -140,7 +141,7 @@ def radius_grid(r_min: float, r_max: float, step: float) -> np.ndarray:
     if not count <= MAX_GRID_POINTS:
         raise ValueError(f"grid of {r_min:g} to {r_max:g} m in {step:g} m steps "
                          f"has more than {MAX_GRID_POINTS} points")
-    return r_min + step * np.arange(int(count))
+    return r_min + step * np.arange(int(count), dtype=float)
 
 
 def _count(value, name: str, low: int = 1) -> int:
@@ -247,9 +248,13 @@ def _bracket(d, bp, alpha):
 def _distances(d_m, low=None) -> np.ndarray:
     """``d_m`` as float distances, all > 0 or, given ``low``, all >= ``low`` m; NaN, strings and objects fail."""
     d = np.asarray(d_m)
-    if d.dtype.kind in "biuf" and np.all(d > 0 if low is None else d >= low):
+    need = "positive" if low is None else f">= {low:g} m"
+    if d.dtype.kind not in "biuf":
+        raise ValueError(f"distances must be {need}, given as ints or floats; got dtype {d.dtype}, "
+                         "which numpy gives a non-number or an integer past int64")
+    if np.all(d > 0 if low is None else d >= low):
         return d.astype(float, copy=False)
-    raise ValueError("distances must be positive" if low is None else f"distances must be >= {low:g} m")
+    raise ValueError(f"distances must be {need}")
 
 
 def p_los_model(d_m, params: LosProbParams):

@@ -99,7 +99,10 @@ class FloatingInterceptModel:
     valid_range_m: tuple[float, float] = (30.0, 200.0)
 
     def __post_init__(self):
-        lo, hi = self.valid_range_m
+        try:
+            lo, hi = self.valid_range_m
+        except (TypeError, ValueError):  # not a pair
+            lo = hi = None
         if not (_finite(lo) and _finite(hi) and 0 < lo < hi):
             raise ValueError(f"valid_range_m must satisfy 0 < min < max, got {self.valid_range_m!r}")
         if not (_finite(self.shadow_std_db) and self.shadow_std_db >= 0):

@@ -553,6 +553,17 @@ class TestSectorTracer:
     @example(tracer_scene(Point3(0, 0, 7), [((10, -5, 0), (20, 5, 40)), ((-5, 10, 0), (5, 20, 40))],
                           [(15, 0, 1.5), (0, 30, 1.5)]))
     @example(tracer_scene(Point3(0, 0, 7), [((-10, 10, 0), (-0.5e-9, 20, 40))], [(0, 30, 1.5)]))
+    # a box spanning the heights with receivers 0.5e-6 m short of its face and 0.5e-6 m past it, on its
+    # roof, and a wall 0.4e-6 m thick, which shrinks to nothing, with one 0.5e-6 m past its near face:
+    # all in the band between the grown and the shrunk entries
+    @example(tracer_scene(Point3(0, 0, 7), [((20, -5, 0), (30, 5, 40))], [(20 - 0.5e-6, 0, 1.5), (20 + 0.5e-6, 0, 40)]))
+    @example(tracer_scene(Point3(0, 0, 7), [((20 - 0.5e-6, -5, 0), (20 - 0.1e-6, 5, 40))], [(20, 0, 1.5)]))
+    # the ray at angle 0 running along a face, and a transmitter over a low box next to tall ones, so the
+    # boxes that span the heights and the one that does not are tested in one block
+    @example(tracer_scene(Point3(0, 0, 7), [((10, 0, 0), (20, 5, 40))], [(5, 0, 1.5), (30, 0, 1.5)]))
+    @example(tracer_scene(Point3(0, 0, 7), [((-5, -5, 0), (5, 5, 1.5)), ((10, -5, 0), (20, 5, 40)),
+                                            ((-5, 10, 0), (5, 20, 40))],
+                          [(3, 3, 1.5), (-20, 0, 1.5), (30, 0, 1.5), (0, 30, 10)]))
     def test_trace_equals_per_receiver_tests(self, scene):
         db, tx, rx = scene
         angles = directions(tx, rx)

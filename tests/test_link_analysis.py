@@ -94,6 +94,11 @@ class TestCoverage:
     def test_default_grid_length(self):
         assert len(coverage_curve(M28, OutageSpec(130.0))) == 191
 
+    def test_integer_grid_gives_float_distances(self):
+        curve = coverage_curve(M28, OutageSpec(130.0), 10, 11, 1)
+        assert curve == coverage_curve(M28, OutageSpec(130.0), 10.0, 11.0, 1.0)
+        assert [type(d) for d, _ in curve] == [float, float]
+
     def test_non_increasing_on_presets(self):
         d_grid = dict(r_min=10.0, r_max=200.0, step=0.5)
         for model in (M28, M28F, M73, M73F):

@@ -105,6 +105,11 @@ class TestRadiusGrid:
     def test_single_point(self):
         assert radius_grid(50.0, 50.0, 1.0).tolist() == [50.0]
 
+    def test_integer_arguments_give_float_radii(self):
+        grid = radius_grid(10, 12, 1)
+        assert grid.dtype == np.float64
+        assert grid.tobytes() == radius_grid(10.0, 12.0, 1.0).tobytes()
+
     def test_rejects_bad_arguments(self):
         for args in ((0.0, 10.0, 1.0), (10.0, 5.0, 1.0), (10.0, 20.0, 0.0)):
             with pytest.raises(ValueError):
@@ -336,6 +341,14 @@ class TestOcclusionProperties:
     @example(box_scene(Point3(0, 0, 7), ((-10, 10, 0), (-0.5e-9, 20, 40))), 16)
     @example(box_scene(Point3(0, 0, 7), ((-5, -5, 0), (5, 5, 1.5))), 4)
     @example(box_scene(Point3(0, 0, 7), ((0, -5, 0), (10, 5, 20)), ((-30, 0, 0), (-20, 10, 10))), 16)
+    # receivers at 20 m 0.5e-6 m short of a face at angle 0 and, at angle pi, 0.5e-6 m past the near
+    # face of a wall 0.4e-6 m thick; the ray at angle 0 along a face; a transmitter over a low box next
+    # to tall ones, which span the heights where the low one does not
+    @example(box_scene(Point3(0, 0, 7), ((20 + 0.5e-6, -5, 0), (30, 5, 40)),
+                       ((-20 + 0.1e-6, -5, 0), (-20 + 0.5e-6, 5, 40))), 4)
+    @example(box_scene(Point3(0, 0, 7), ((10, 0, 0), (20, 5, 40))), 4)
+    @example(box_scene(Point3(0, 0, 7), ((-5, -5, 0), (5, 5, 1.5)), ((10, -5, 0), (20, 5, 40)),
+                       ((-5, 10, 0), (5, 20, 40))), 16)
     def test_culled_curve_equals_the_uncropped_trace(self, scene, n_points):
         db, tx, rx_height = scene
         grid = dict(self.GRID, n_points=n_points)
@@ -437,6 +450,30 @@ class TestCurve:
 
         # ten times the rays, about the same working set
         assert peak(0.1) < 1.5 * peak(1.0)
+
+    def test_memory_does_not_grow_with_box_count(self):
+        # one radius at 32,768 points is one block of rays; its exterior rays and the boxes in their
+        # sectors make 82,375 and 361,065 (box, ray) pairs in these scenes of 211 and 3,352 boxes, so the
+        # tracer's entry table is built in several chunks
+        tx = Point3(0.0, 0.0, 10.0)
+        one = poisson_box_scene(0, tx)
+        tiles = BuildingDB("tiles", tuple(
+            box for i in range(-2, 2) for j in range(-2, 2)
+            for box in poisson_box_scene(4 * i + j + 10, Point3(480.0 * i, 480.0 * j, tx.z)).buildings
+        ))
+        assert len(one) < 250 and len(tiles) > 3000
+
+        def peak(db, r):
+            db.min_array, db.max_array  # cache outside the measurement
+            tracemalloc.start()
+            try:
+                los_probability_curve(db, tx, r, r, 1.0, n_points=32768)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # sixteen times the boxes, about the same working set
+        assert peak(tiles, 700.0) < 1.5 * peak(one, 200.0)
 
     def test_tx_inside_names_its_box_whatever_the_crop_drops(self):
         # boxes 0 and 1 lie far beyond r_max and are cropped; box 2 holds the transmitter

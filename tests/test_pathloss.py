@@ -313,6 +313,10 @@ BAD_NUMBERS = {
                                    "intercept_db and slope must be finite"),
     "floating range strings": (lambda: FloatingInterceptModel(70.0, 2.0, 3.0, ("a", "b")),
                                r"valid_range_m must satisfy 0 < min < max, got \('a', 'b'\)"),
+    "floating range None": (lambda: FloatingInterceptModel(70.0, 2.0, 3.0, None),
+                            "valid_range_m must satisfy 0 < min < max, got None"),
+    "floating range triple": (lambda: FloatingInterceptModel(70.0, 2.0, 3.0, (30.0, 100.0, 200.0)),
+                              r"valid_range_m must satisfy 0 < min < max, got \(30.0, 100.0, 200.0\)"),
     "sample distance 10**400": (lambda: PathLossSample(10**400, 100.0, "LOS"), "distance_m must be >= 1 m, got 1000"),
     "sample path loss 10**400": (lambda: PathLossSample(10.0, 10**400, "LOS"), "path_loss_db must be finite, got 1000"),
     "outage budget 10**400": (lambda: OutageSpec(10**400),
@@ -330,6 +334,13 @@ BAD_NUMBERS = {
     "radius_grid step string": (lambda: radius_grid(10, 200, "1"), "step must be a number, got '1'"),
     "curve radii 10**400": (lambda: LosProbabilityCurve([10**400], [0.5], [True]),
                             "radii must be positive and finite$"),
+    "curve p_los 10**400": (lambda: LosProbabilityCurve([10.0], [10**400], [True]),
+                            r"valid p_los values must lie in \[0, 1\]$"),
+    # numpy holds an integer past int64 as an object, though it is within float range
+    "p_los_model distance 2**70": (lambda: p_los_model(2**70, M28.p_los),
+                                   "distances must be positive, given as ints or floats; got dtype object,"),
+    "mean_pl_hybrid distance 2**70": (lambda: mean_pl_hybrid(M28, [50.0, 2**70]),
+                                      "distances must be >= 1 m, given as ints or floats; got dtype object,"),
 }
 
 
