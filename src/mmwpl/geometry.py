@@ -459,13 +459,14 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
     per distinct angle, gets the distance at which it first enters their
     padded footprints grown by _MARGIN and shrunk by _MARGIN.  A receiver
     short of every grown entry is clear of them and one at or past some
-    shrunk entry is blocked: each float entry and receiver distance is
-    within far less than _MARGIN of its exact value, and so is the
-    receiver's offset from its ray, so the slab test decides these
-    receivers the same way.  The rest, in the band between the entries or
-    on a ray whose entry is 0/0 on a face plane, take the slab test against
-    the spanning boxes, and every receiver takes it against the other boxes.
-    A block with no spanning box in its sectors takes the slab test alone.
+    shrunk entry is blocked.  On each axis a face's float ray parameter is
+    off by far less than the margin's own, _MARGIN over the ray's direction
+    cosine, and a receiver's distance and its offset from its ray by far
+    less than _MARGIN, so the slab test decides these receivers the same
+    way.  The rest, in the band between the entries or on a ray whose entry
+    is 0/0 on a face plane, take the slab test against the spanning boxes,
+    and every receiver takes it against the other boxes.  A block with no
+    spanning box in its sectors takes the slab test alone.
     """
     _check_endpoint(db, tx, "tx")  # on every box, so an error names the box's index in the document
     ground = np.array([tx.x, tx.y])
@@ -487,6 +488,9 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
     pieces = np.clip(sectors + 2.0 * np.pi * np.arange(-1, 2)[:, None, None], 0.0, 2.0 * np.pi).reshape(-1, 2)
     nonempty = pieces[:, 0] < pieces[:, 1]
     pieces, box_min, box_max = (x[nonempty] for x in (pieces, np.tile(box_min, (3, 1)), np.tile(box_max, (3, 1))))
+    # each piece's padded z range, as the slab test pads it, and whether it holds the transmitter's height
+    floors, roofs = box_min[:, 2] - EPSILON, box_max[:, 2] + EPSILON
+    over_tx = (floors <= column[2, 0]) & (roofs >= column[2, 0])
 
     def sectors_in(angles, which=True):
         # the corners of each piece's box and its [start, stop) run in angles, for the pieces of `which` that hold a ray
@@ -527,11 +531,13 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
 
     def occluded(rx, angles):
         # True per receiver, all in some sector, whose segment from the transmitter some box blocks
-        low, high = rx[2].min(initial=column[2, 0]), rx[2].max(initial=column[2, 0])
-        spanning = (box_min[:, 2] - EPSILON <= low) & (box_max[:, 2] + EPSILON >= high)
+        spanning = over_tx
+        if over_tx.any():  # the pieces whose padded z range holds every receiver's height too
+            spanning = over_tx & (floors <= rx[2].min(initial=np.inf)) & (roofs >= rx[2].max(initial=-np.inf))
         index = np.flatnonzero(spanning)
-        live = np.searchsorted(angles, pieces[index])
-        index = index[live[:, 0] < live[:, 1]]
+        if index.size:
+            live = np.searchsorted(angles, pieces[index])
+            index = index[live[:, 0] < live[:, 1]]
         if not index.size:
             return slab_test(rx, angles)
         # the rays: the first receiver of each run of equal angles, and the receivers in each run
