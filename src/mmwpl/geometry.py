@@ -39,8 +39,13 @@ __all__ = [
 # blocked.  The two conventions together keep occlusion conservative.
 EPSILON = 1e-9
 
+# Largest magnitude of a transmitter or receiver coordinate, and largest curve
+# radius and receiver height, in meters: every receiver of a curve then lies
+# within 2e7 m of the origin on each axis.
+_MAX_COORDINATE_M = 1e7
+
 # Margin by which the sector tracer grows and shrinks footprints, in meters:
-# far above the EPSILON padding and the rounding of coordinates within 1e7 m.
+# far above the EPSILON padding and the rounding of coordinates within 2e7 m.
 _MARGIN = 1e-6
 
 # Rays traced together per block, which bounds a curve's working memory
@@ -348,6 +353,11 @@ def _canonical_order(starts: np.ndarray, ends: np.ndarray):
     return np.where(swap, ends, starts), np.where(swap, starts, ends)
 
 
+def _padded(box_min: np.ndarray, box_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The box corners padded by EPSILON: the one padding of the slab test and of the sector tracer."""
+    return box_min - EPSILON, box_max + EPSILON
+
+
 def _segments_blocked(
     starts: np.ndarray, ends: np.ndarray, min_array: np.ndarray, max_array: np.ndarray,
     ranges: np.ndarray | None = None,
@@ -370,7 +380,7 @@ def _segments_blocked(
     # loop body stays inline: a function per box frees every temporary at once,
     # and the allocator's page faults then cost about half again on long rows
     with np.errstate(divide="ignore", invalid="ignore"):
-        for (s, d, p, out), lo, hi in zip(views, min_array[:, :, None] - EPSILON, max_array[:, :, None] + EPSILON):
+        for (s, d, p, out), lo, hi in zip(views, *_padded(min_array[:, :, None], max_array[:, :, None])):
             t1 = (lo - s) / d
             t2 = (hi - s) / d
             near = np.where(p, 0.0, np.minimum(t1, t2)).max(axis=0, initial=0.0)
@@ -423,9 +433,12 @@ def point_in_any_building(db: BuildingDB, p: Point3) -> bool:
 
 
 def _check_endpoint(db: BuildingDB, p: Point3, name: str) -> None:
-    """Raise unless ``p`` is at or above ground and outside every building; ``name`` opens the z message."""
+    """Raise unless ``p`` is on or above ground, within _MAX_COORDINATE_M, in no building; ``name`` opens messages."""
     if p.z < 0:
         raise ValueError(f"{name} z must be >= 0 (ground level), got {p.z:g}")
+    if max(abs(p.x), abs(p.y), p.z) > _MAX_COORDINATE_M:
+        raise ValueError(f"{name} coordinates must lie within {_MAX_COORDINATE_M:g} m of the origin on each axis, "
+                         f"got ({p.x:g}, {p.y:g}, {p.z:g})")
     idx = find_containing_building(db, p)
     if idx is not None:
         raise PointInsideBuildingError(p, idx)
@@ -442,31 +455,33 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
     A receiver and its segment lie on the ray at the receiver's angle, within
     ``r_max`` of the ground point, so a box acts on them only where that ray
     meets its footprint grown by _MARGIN: a margin far above the EPSILON
-    padding (under 1.5e-9 m) and the rounding of coordinates within 1e7 m of
-    the origin.  Boxes whose grown footprint lies beyond ``r_max`` are
-    cropped.  Each other box is tested only on the run of ``angles`` in its
-    sector: the interval of its grown footprint's corner angles, split where
-    it wraps past 0, or every angle when that footprint holds the ground
-    point.  arctan2 and the nominal angles round by a few 1e-16 rad; a slack
-    of 1e-12 rad on each side of a sector covers that.  One pass over the
-    sectors finds the receivers inside a box and marks those a sector
-    covers; only the covered exterior ones, compressed, are tested further.
+    padding (under 1.5e-9 m) and the rounding of coordinates within 2e7 m,
+    where _MAX_COORDINATE_M keeps every receiver.  Boxes whose grown
+    footprint lies beyond ``r_max`` are cropped.  Each other box is tested
+    only on the run of ``angles`` in its sector: the interval of its grown
+    footprint's corner angles, split where it wraps past 0, or every angle
+    when that footprint holds the ground point.  arctan2 and the nominal
+    angles round by a few 1e-16 rad; a slack of 1e-12 rad on each side of a
+    sector covers that.  The runs are looked up once per set of receivers:
+    one pass over them finds the receivers inside a box and marks those a
+    sector covers; only the covered exterior ones, compressed, go on.
 
-    A box whose EPSILON-padded z range holds the transmitter's and every
-    tested receiver's height *spans* the block: its z slab passes each
-    segment whole, so the slab test blocks a segment just when the segment
-    meets the box's padded footprint.  For the spanning boxes each ray, one
-    per distinct angle, gets the distance at which it first enters their
-    padded footprints grown by _MARGIN and shrunk by _MARGIN.  A receiver
-    short of every grown entry is clear of them and one at or past some
-    shrunk entry is blocked.  On each axis a face's float ray parameter is
-    off by far less than the margin's own, _MARGIN over the ray's direction
-    cosine, and a receiver's distance and its offset from its ray by far
-    less than _MARGIN, so the slab test decides these receivers the same
-    way.  The rest, in the band between the entries or on a ray whose entry
-    is 0/0 on a face plane, take the slab test against the spanning boxes,
-    and every receiver takes it against the other boxes.  A block with no
-    spanning box in its sectors takes the slab test alone.
+    The boxes are padded once, by the slab test's own _padded, and a box
+    whose padded z range holds the transmitter's and every tested receiver's
+    height *spans* the block: its z slab passes each segment whole, so the
+    slab test blocks a segment just when the segment meets the box's padded
+    footprint.  For the spanning boxes each ray, one per distinct angle,
+    gets the distance at which it first enters their padded footprints
+    grown by _MARGIN and shrunk by _MARGIN.  A receiver short of every grown
+    entry is clear of them and one at or past some shrunk entry is blocked.
+    On each axis a face's float ray parameter is off by far less than the
+    margin's own, _MARGIN over the ray's direction cosine, and a receiver's
+    distance and its offset from its ray by far less than _MARGIN, so the
+    slab test decides these receivers the same way.  The rest, in the band
+    between the entries or on a ray whose entry is 0/0 on a face plane, take
+    the slab test against the spanning boxes, and every receiver takes it
+    against the other boxes.  A block with no spanning box in its sectors
+    skips the per-ray stage, whose rays and entries would decide nothing.
     """
     _check_endpoint(db, tx, "tx")  # on every box, so an error names the box's index in the document
     ground = np.array([tx.x, tx.y])
@@ -488,24 +503,16 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
     pieces = np.clip(sectors + 2.0 * np.pi * np.arange(-1, 2)[:, None, None], 0.0, 2.0 * np.pi).reshape(-1, 2)
     nonempty = pieces[:, 0] < pieces[:, 1]
     pieces, box_min, box_max = (x[nonempty] for x in (pieces, np.tile(box_min, (3, 1)), np.tile(box_max, (3, 1))))
-    # each piece's padded z range, as the slab test pads it, and whether it holds the transmitter's height
-    floors, roofs = box_min[:, 2] - EPSILON, box_max[:, 2] + EPSILON
-    over_tx = (floors <= column[2, 0]) & (roofs >= column[2, 0])
-
-    def sectors_in(angles, which=True):
-        # the corners of each piece's box and its [start, stop) run in angles, for the pieces of `which` that hold a ray
-        spans = np.searchsorted(angles, pieces)
-        live = (spans[:, 0] < spans[:, 1]) & which
-        return box_min[live], box_max[live], spans[live]
+    low, high = _padded(box_min, box_max)
 
     def entries(directions, index, spans):
         # the squared distance along each ray to where it first enters the grown and the shrunk footprints of the
         # pieces `index`, whose [start, stop) runs of rays are `spans`; inf where it enters none.  A NaN entry, 0/0
         # on a face plane, decides nothing: np.minimum keeps it for the grown entry, np.fmin drops it for the shrunk
         # one.  A parameter past float range is inf, beyond every receiver either way
-        low, high = box_min[index, :2].T - EPSILON - ground[:, None], box_max[index, :2].T + EPSILON - ground[:, None]
+        lows, highs = low[index, :2].T - ground[:, None], high[index, :2].T - ground[:, None]
         # the low x and y, then the high x and y, of each grown footprint, then of each shrunk one
-        faces = np.concatenate((low - _MARGIN, high + _MARGIN, low + _MARGIN, high - _MARGIN))
+        faces = np.concatenate((lows - _MARGIN, highs + _MARGIN, lows + _MARGIN, highs - _MARGIN))
         faces[4:, ((faces[4:6] > faces[6:]).any(axis=0))] = np.nan  # shrunk to nothing: no ray enters
         lengths = spans[:, 1] - spans[:, 0]
         # pieces per chunk: at most _RAYS_PER_BLOCK (piece, ray) pairs, since no run is longer than a block
@@ -524,40 +531,18 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
                 np.fmin.at(nearest[1], ray, entry[1])
             return nearest ** 2
 
-    def slab_test(rx, angles, which=True):
-        # the slab test of each segment to `rx` against the pieces of `which` whose sector holds one of `angles`
-        box_min, box_max, spans = sectors_in(angles, which)
-        return _segments_blocked(column, rx, box_min, box_max, spans) if spans.size else np.zeros(angles.size, bool)
-
-    def occluded(rx, angles):
-        # True per receiver, all in some sector, whose segment from the transmitter some box blocks
-        spanning = over_tx
-        if over_tx.any():  # the pieces whose padded z range holds every receiver's height too
-            spanning = over_tx & (floors <= rx[2].min(initial=np.inf)) & (roofs >= rx[2].max(initial=-np.inf))
-        index = np.flatnonzero(spanning)
-        if index.size:
-            live = np.searchsorted(angles, pieces[index])
-            index = index[live[:, 0] < live[:, 1]]
-        if not index.size:
-            return slab_test(rx, angles)
-        # the rays: the first receiver of each run of equal angles, and the receivers in each run
-        first = np.append(0, np.flatnonzero(angles[1:] != angles[:-1]) + 1)
-        counts = np.diff(first, append=angles.size)
-        rays = angles[first]
-        directions = np.stack((np.cos(rays), np.sin(rays)))
-        grown, shrunk = entries(directions, index, np.searchsorted(rays, pieces[index]))
-        # a receiver lies on its ray, so its squared distance from the ground point compares as its distance along it
-        reach = (rx[0] - ground[0]) ** 2 + (rx[1] - ground[1]) ** 2
-        blocked = reach >= np.repeat(shrunk, counts)
-        band = ~(blocked | (reach < np.repeat(grown, counts)))
-        if band.any():
-            blocked[band] = slab_test(np.compress(band, rx, axis=1), angles[band], spanning)
-        return blocked | slab_test(rx, angles, ~spanning)
+    def slab_test(rx, runs, which):
+        # the slab test of each segment to `rx` against the pieces of `which` whose [start, stop) run in rx is `runs`
+        which = which & (runs[:, 0] < runs[:, 1])
+        if not which.any():
+            return np.zeros(rx.shape[1], dtype=bool)
+        return _segments_blocked(column, rx, box_min[which], box_max[which], runs[which])
 
     def trace(rx, angles):
-        box_min, box_max, spans = sectors_in(angles)
+        runs = np.searchsorted(angles, pieces)
+        live = runs[:, 0] < runs[:, 1]
         inside, tested = np.zeros((2, angles.size), dtype=bool)
-        for (start, stop), lo, hi in zip(spans.tolist(), box_min[:, :, None], box_max[:, :, None]):
+        for (start, stop), lo, hi in zip(runs[live].tolist(), box_min[live, :, None], box_max[live, :, None]):
             inside[start:stop] |= _strictly_inside(rx[:, start:stop], lo, hi)
             tested[start:stop] = True
         exterior = ~inside
@@ -565,10 +550,30 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
         tested &= exterior
         # np.compress keeps the rows C-contiguous; on rx[:, tested] the kernel runs about 6x slower.  Rebinding
         # rx frees the caller's rows before the tests, which saves page faults
-        rx, angles_tested = np.compress(tested, rx, axis=1), angles[tested]
+        rx, angles = np.compress(tested, rx, axis=1), angles[tested]
+        runs = np.searchsorted(angles, pieces)
+        # the pieces whose padded z range holds the transmitter's and every tested receiver's height
+        spanning = (low[:, 2] <= rx[2].min(initial=column[2, 0])) & (high[:, 2] >= rx[2].max(initial=column[2, 0]))
+        index = np.flatnonzero(spanning & (runs[:, 0] < runs[:, 1]))
         blocked = np.zeros(angles.size, dtype=bool)
-        blocked[tested] = occluded(rx, angles_tested)
-        return exterior, ~blocked[exterior]
+        if index.size:
+            # the rays: the first receiver of each run of equal angles, and the receivers in each run
+            first = np.append(0, np.flatnonzero(angles[1:] != angles[:-1]) + 1)
+            counts = np.diff(first, append=angles.size)
+            rays = angles[first]
+            directions = np.stack((np.cos(rays), np.sin(rays)))
+            grown, shrunk = entries(directions, index, np.searchsorted(rays, pieces[index]))
+            # a receiver lies on its ray: its squared distance from the ground point compares as its distance along it
+            reach = (rx[0] - ground[0]) ** 2 + (rx[1] - ground[1]) ** 2
+            blocked = reach >= np.repeat(shrunk, counts)
+            band = ~(blocked | (reach < np.repeat(grown, counts)))
+            if band.any():
+                blocked[band] = slab_test(np.compress(band, rx, axis=1), np.searchsorted(angles[band], pieces),
+                                          spanning)
+        blocked |= slab_test(rx, runs, ~spanning)
+        los = exterior.copy()
+        los[tested] = ~blocked
+        return exterior, los[exterior]
 
     return trace
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _RAYS_PER_BLOCK, BuildingDB, Point3, _finite, _sector_tracer
+from .geometry import _MAX_COORDINATE_M, _RAYS_PER_BLOCK, BuildingDB, Point3, _finite, _sector_tracer
 
 __all__ = [
     "LosProbParams",
@@ -178,14 +178,19 @@ def los_probability_curve(
 
     Raises:
         PointInsideBuildingError: when the transmitter is inside a building.
-        ValueError: on a bad grid (see radius_grid), receiver height or point count, or a transmitter below ground.
+        ValueError: on a bad grid (see radius_grid), point count or receiver height, a radius or height past
+            _MAX_COORDINATE_M, or a transmitter below ground or past _MAX_COORDINATE_M on some axis.
     """
     radii = radius_grid(r_min, r_max, step)
+    if radii[-1] > _MAX_COORDINATE_M:
+        raise ValueError(f"radii must be at most {_MAX_COORDINATE_M:g} m, got {radii[-1]:g}")
     n_points = _count(n_points, "n_points", low=4)
     if not _finite(rx_height_m):
         raise ValueError(f"rx_height_m must be finite, got {rx_height_m!r}")
     if rx_height_m < 0:
         raise ValueError(f"rx_height_m must be >= 0 (ground level), got {rx_height_m:g}")
+    if rx_height_m > _MAX_COORDINATE_M:
+        raise ValueError(f"rx_height_m must be at most {_MAX_COORDINATE_M:g} m, got {rx_height_m:g}")
     trace = _sector_tracer(db, tx, radii[-1])
     angles = 2.0 * np.pi * np.arange(n_points) / n_points
     cos, sin = np.cos(angles), np.sin(angles)

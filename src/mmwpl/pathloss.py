@@ -181,18 +181,19 @@ def _scalar_or_array(values, d_m):
     return float(values) if np.ndim(d_m) == 0 else values
 
 
-def _finite_mean(values: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Mean path loss ``values`` when all are finite, else a ValueError naming the first distance where one is not."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"mean path loss is not finite at {d[~np.isfinite(values)][0]:g} m")
-    return values
+def _log_distance_mean(model, d: np.ndarray, p=None) -> np.ndarray:
+    """Mean path loss at distances already checked, dB, of a close-in or floating-intercept model, or of a hybrid one
+    whose LOS probabilities at ``d`` are ``p``; a ValueError names the first distance where it is not finite."""
+    def branch(m):
+        if isinstance(m, CloseInModel):
+            return fspl_at_reference(m.frequency_hz) + 10.0 * m.exponent * np.log10(d)
+        return m.intercept_db + 10.0 * m.slope * np.log10(d)
 
-
-def _log_distance_mean(model: CloseInModel | FloatingInterceptModel, d: np.ndarray):
-    """Mean path loss of either model family at distances already checked, dB; the caller checks it is finite."""
-    if isinstance(model, CloseInModel):
-        return fspl_at_reference(model.frequency_hz) + 10.0 * model.exponent * np.log10(d)
-    return model.intercept_db + 10.0 * model.slope * np.log10(d)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite branch mean makes the mean non-finite
+        mean = branch(model) if p is None else p * branch(model.los) + (1.0 - p) * branch(model.nlos)
+    if not np.isfinite(mean).all():
+        raise ValueError(f"mean path loss is not finite at {d[~np.isfinite(mean)][0]:g} m")
+    return mean
 
 
 def mean_pl_close_in(model: CloseInModel, d_m):
@@ -202,9 +203,7 @@ def mean_pl_close_in(model: CloseInModel, d_m):
         ValueError: when any distance is below the 1 m reference or the mean is not finite.
     """
     d = _distances(d_m, REFERENCE_DISTANCE_M)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = _finite_mean(_log_distance_mean(model, d), d)
-    return _scalar_or_array(mean, d_m)
+    return _scalar_or_array(_log_distance_mean(model, d), d_m)
 
 
 def mean_pl_floating(model: FloatingInterceptModel, d_m):
@@ -215,8 +214,7 @@ def mean_pl_floating(model: FloatingInterceptModel, d_m):
     """
     d = _distances(d_m)
     lo, hi = model.valid_range_m
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _finite_mean(_log_distance_mean(model, d), d)
+    out = _log_distance_mean(model, d)
     extrapolated = (d < lo) | (d > hi)
     if d.ndim == 0:
         return float(out), bool(extrapolated)
@@ -336,11 +334,9 @@ def _hybrid(model: HybridModel, d_m):
     """(P_LOS, mean, spread) of the hybrid model: one distance check, one p_los_model, finite or a ValueError."""
     d = _distances(d_m, REFERENCE_DISTANCE_M)
     p = np.asarray(p_los_model(d, model.p_los))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite branch mean makes the mean non-finite
-        mean = p * _log_distance_mean(model.los, d) + (1.0 - p) * _log_distance_mean(model.nlos, d)
     # hypot never squares: the spread is at most the larger branch spread, and positive when either weighted one is
     sigma = np.hypot(p * model.los.shadow_std_db, (1.0 - p) * model.nlos.shadow_std_db)
-    return p, _finite_mean(mean, d), sigma
+    return p, _log_distance_mean(model, d, p), sigma
 
 
 def mean_pl_hybrid(model: HybridModel, d_m):

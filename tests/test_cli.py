@@ -361,6 +361,16 @@ CONTRACT = [
      2, "tx position invalid: point (15, 0, 1.5) is strictly inside building 0", EMPTY),
     ("los-prob-tx-below-ground", "los-prob --db {scenes}/tower.json --tx=0,0,-3",
      2, "tx z must be >= 0 (ground level), got -3", EMPTY),
+    # coordinates, radii and heights past 1e7 m fail before any receiver is built: the tracer's margins hold for
+    # receivers within 2e7 m of the origin, and a curve at 1e150 m read p_los 0.625 where is_los gives 0.125
+    ("los-prob-tx-past-bound", "los-prob --db {tmp}/empty.json --tx=-2e7,0,10",
+     2, "tx coordinates must lie within 1e+07 m of the origin on each axis, got (-2e+07, 0, 10)", EMPTY),
+    ("los-prob-tx-height-past-bound", "los-prob --db {scenes}/slab.json --tx 0,0,1e300",
+     2, "tx coordinates must lie within 1e+07 m of the origin on each axis, got (0, 0, 1e+300)", EMPTY),
+    ("los-prob-radius-past-bound", "los-prob --db {scenes}/slab.json --tx 0,0,7 --rmin 1e150 --rmax 1e150 --n-points 8",
+     2, "radii must be at most 1e+07 m, got 1e+150", EMPTY),
+    ("los-prob-rx-height-past-bound", "los-prob --db {tmp}/empty.json --tx 0,0,10 --rx-height 2e7",
+     2, "rx_height_m must be at most 1e+07 m, got 2e+07", EMPTY),
     ("los-prob-n-points-3", "los-prob --db {tmp}/empty.json --tx 0,0,10 --n-points 3",
      2, "n_points must be between 4 and 1000000, got 3", EMPTY),
     ("los-prob-n-points-over-cap", "los-prob --db {tmp}/empty.json --tx 0,0,10 --n-points 2000000",

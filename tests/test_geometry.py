@@ -564,6 +564,13 @@ class TestSectorTracer:
     @example(tracer_scene(Point3(0, 0, 7), [((-5, -5, 0), (5, 5, 1.5)), ((10, -5, 0), (20, 5, 40)),
                                             ((-5, 10, 0), (5, 20, 40))],
                           [(3, 3, 1.5), (-20, 0, 1.5), (30, 0, 1.5), (0, 30, 10)]))
+    # every receiver inside a box, so none is tested; receivers in the sector of a low box alone, which does
+    # not span, beside a tall box with none in its sector; a box over the transmitter's height but above the
+    # receivers', which does not span
+    @example(tracer_scene(Point3(0, 0, 7), [((10, -5, 0), (20, 5, 40))], [(15, 0, 1.5), (15, 1, 10)]))
+    @example(tracer_scene(Point3(0, 0, 7), [((10, -5, 0), (20, 5, 1.5)), ((-5, 10, 0), (5, 20, 40))],
+                          [(21, 0, 0), (40, 0, 1.5)]))
+    @example(tracer_scene(Point3(0, 0, 7), [((10, -5, 5), (20, 5, 40))], [(30, 0, 1.5), (30, 0, 10)]))
     def test_trace_equals_per_receiver_tests(self, scene):
         db, tx, rx = scene
         angles = directions(tx, rx)
@@ -635,6 +642,16 @@ class TestIsLos:
     def test_endpoint_below_ground_rejected(self, tx, rx):
         with pytest.raises(ValueError, match="ground"):
             is_los(BuildingDB("e", ()), Point3(*tx), Point3(*rx))
+
+    @pytest.mark.parametrize("tx, rx", [((1e7, -1e7, 1e7), (-1e7, 1e7, 0)), ((1e7 * (1 + 2**-52), 0, 7), (30, 0, 1.5)),
+                                        ((0, 0, 7), (0, -2e7, 1.5)), ((0, 0, 7), (30, 0, 1e300))])
+    def test_coordinate_bound(self, tx, rx):
+        db = BuildingDB("e", ())
+        if max(map(abs, tx + rx)) <= 1e7:
+            assert is_los(db, Point3(*tx), Point3(*rx)) is True
+        else:
+            with pytest.raises(ValueError, match="within 1e\\+07 m of the origin on each axis"):
+                is_los(db, Point3(*tx), Point3(*rx))
 
     def test_ground_level_endpoint_allowed(self):
         db = make_db(Box3(Point3(10, -5, 0), Point3(20, 5, 30)))
