@@ -532,7 +532,7 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
             return nearest ** 2
 
     def slab_test(rx, runs, which):
-        # the slab test of each segment to `rx` against the pieces of `which` whose [start, stop) run in rx is `runs`
+        # the slab test of each segment to `rx` against the pieces of `which` with a receiver in their runs of `rx`
         which = which & (runs[:, 0] < runs[:, 1])
         if not which.any():
             return np.zeros(rx.shape[1], dtype=bool)
