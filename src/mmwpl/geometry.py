@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 import os
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,19 +40,20 @@ __all__ = [
 # blocked.  The two conventions together keep occlusion conservative.
 EPSILON = 1e-9
 
-# Largest magnitude of a transmitter or receiver coordinate, and largest curve
-# radius and receiver height, in meters: every receiver of a curve then lies
-# within 2e7 m of the origin on each axis.
+# Largest magnitude of a transmitter coordinate, and largest curve radius and
+# receiver height, in meters: every receiver of a curve then lies within
+# _MAX_REACH_M of the origin on each axis, and is_los takes endpoints that far.
 _MAX_COORDINATE_M = 1e7
+_MAX_REACH_M = 2 * _MAX_COORDINATE_M
 
 # Margin by which the sector tracer grows and shrinks footprints, in meters:
 # far above the EPSILON padding and the rounding of coordinates within 2e7 m.
 _MARGIN = 1e-6
 
-# Rays traced together per block, which bounds a curve's working memory
-# whatever the grid size, and (box, ray) pairs per chunk of the sector
-# tracer's entry table, which bounds it whatever the box count.  The default
-# 191-radius, 100-point curve is one block.
+# Grid cells (receivers) traced together per block, which bounds a curve's
+# working memory whatever the grid size, and (box, ray) pairs per chunk of
+# the sector tracer's crossings, which bounds it whatever the box count.  The
+# default 191-radius, 100-point curve is one block.
 _RAYS_PER_BLOCK = 32768
 
 EARTH_RADIUS_M = 6371000.0
@@ -273,6 +275,55 @@ def _corner_array(entries: list) -> np.ndarray | None:
     return array
 
 
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _count_past(text: str, cap: int) -> str | None:
+    """How many entries the root object's ``buildings`` list holds, read entry by entry, when that is more than ``cap``.
+
+    ``str(n)``, or ``f"more than {cap}"`` when the count passes ``cap`` before
+    the list ends: it stops there, so no more than ``cap + 1`` entries are
+    ever read, and one at a time.  None when the list holds at most ``cap``,
+    or when the text is no object with such a list, which the parse reports.
+    A ``buildings`` key that repeats is counted wherever it stands.
+    """
+    decoder = json.JSONDecoder()
+    try:
+        i = _SPACE.match(text).end()
+        if text[i] != "{":
+            return None
+        i = _SPACE.match(text, i + 1).end()
+        while text[i] == '"':
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = _SPACE.match(text, i).end()
+            if text[i] != ":":
+                return None
+            i = _SPACE.match(text, i + 1).end()
+            if key == "buildings" and text[i] == "[":
+                n, i = 0, _SPACE.match(text, i + 1).end()
+                while text[i] != "]":
+                    if n > cap:
+                        return f"more than {cap}"
+                    i = _SPACE.match(text, decoder.raw_decode(text, i)[1]).end()
+                    n += 1
+                    if text[i] == ",":
+                        i = _SPACE.match(text, i + 1).end()
+                    elif text[i] != "]":
+                        return None
+                if n > cap:
+                    return str(n)
+                i += 1
+            else:
+                i = decoder.raw_decode(text, i)[1]
+            i = _SPACE.match(text, i).end()
+            if text[i] != ",":
+                return None
+            i = _SPACE.match(text, i + 1).end()
+    except (ValueError, IndexError):  # malformed JSON, which the parse reports
+        return None
+    return None
+
+
 def parse_building_db(text: str) -> BuildingDB:
     """Parse a building database document.
 
@@ -288,6 +339,11 @@ def parse_building_db(text: str) -> BuildingDB:
         BuildingDBError: on malformed JSON, missing fields, too many boxes,
             out-of-range numbers, degenerate boxes or boxes below ground level.
     """
+    # a building entry is an object, so a document with at most MAX_BUILDINGS "{" (one is the root's) is never
+    # counted: the count reads its entries one at a time, where json.loads would build every one of them
+    past = _count_past(text, MAX_BUILDINGS) if text.count("{") > MAX_BUILDINGS else None
+    if past is not None:
+        raise BuildingDBError(f"building DB must hold at most {MAX_BUILDINGS} buildings, got {past}")
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
@@ -432,25 +488,44 @@ def point_in_any_building(db: BuildingDB, p: Point3) -> bool:
     return find_containing_building(db, p) is not None
 
 
-def _check_endpoint(db: BuildingDB, p: Point3, name: str) -> None:
-    """Raise unless ``p`` is on or above ground, within _MAX_COORDINATE_M, in no building; ``name`` opens messages."""
+def _check_endpoint(db: BuildingDB, p: Point3, name: str, bound: float) -> None:
+    """Raise unless ``p`` is on or above ground, within ``bound`` m on each axis, in no building; ``name`` opens messages."""
     if p.z < 0:
         raise ValueError(f"{name} z must be >= 0 (ground level), got {p.z:g}")
-    if max(abs(p.x), abs(p.y), p.z) > _MAX_COORDINATE_M:
-        raise ValueError(f"{name} coordinates must lie within {_MAX_COORDINATE_M:g} m of the origin on each axis, "
+    if max(abs(p.x), abs(p.y), p.z) > bound:
+        raise ValueError(f"{name} coordinates must lie within {bound:g} m of the origin on each axis, "
                          f"got ({p.x:g}, {p.y:g}, {p.z:g})")
     idx = find_containing_building(db, p)
     if idx is not None:
         raise PointInsideBuildingError(p, idx)
 
 
-def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
-    """``trace(rx, angles) -> (exterior, los)`` for receivers around ``tx``, testing each box only where it can matter.
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The integers of each interval ``[start, stop)`` in turn; an interval with ``stop <= start`` gives none."""
+    n = np.maximum(stops - starts, 0)
+    return np.repeat(starts - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
-    ``rx`` is ``(3, n)`` rows of receivers within ``r_max`` of the
-    transmitter's ground point and ``angles`` their directions from it,
-    ascending, in [0, 2 pi).  ``exterior`` masks the receivers outside every
-    box, and ``los`` the exterior ones whose segment no box blocks.
+
+def _paint(mask: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> None:
+    """Set ``mask[start:stop]`` for each interval, each cell once however they overlap, so in at most ``mask.size`` writes.
+
+    In order of ``starts``, an interval skips the cells below the furthest stop of those before it, which are set.
+    """
+    order = np.argsort(starts, kind="stable")
+    starts, stops = starts[order], stops[order]
+    starts[1:] = np.maximum(starts[1:], np.maximum.accumulate(stops)[:-1])
+    mask[_ranges(starts, stops)] = True
+
+
+def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):
+    """``trace(angles, radii) -> (exterior, los)`` for a grid of receivers around ``tx``, testing each box only where it can matter.
+
+    The grid's receiver at ``angles[k]`` and ``radii[i]`` is
+    ``(tx.x + cos * r, tx.y + sin * r, height)``, with the cosine and sine of
+    its angle: ``angles`` ascend in [0, 2 pi) and ``radii`` ascend to at most
+    ``r_max``.  ``exterior`` and ``los`` are ``(n_angles, n_radii)`` masks of
+    the receivers outside every box, and of the exterior ones whose segment
+    no box blocks.
 
     A receiver and its segment lie on the ray at the receiver's angle, within
     ``r_max`` of the ground point, so a box acts on them only where that ray
@@ -462,30 +537,41 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
     footprint's corner angles, split where it wraps past 0, or every angle
     when that footprint holds the ground point.  arctan2 and the nominal
     angles round by a few 1e-16 rad; a slack of 1e-12 rad on each side of a
-    sector covers that.  The runs are looked up once per set of receivers:
-    one pass over them finds the receivers inside a box and marks those a
-    sector covers; only the covered exterior ones, compressed, go on.
+    sector covers that.
 
-    The boxes are padded once, by the slab test's own _padded, and a box
-    whose padded z range holds the transmitter's and every tested receiver's
-    height *spans* the block: its z slab passes each segment whole, so the
-    slab test blocks a segment just when the segment meets the box's padded
-    footprint.  For the spanning boxes each ray, one per distinct angle,
-    gets the distance at which it first enters their padded footprints
-    grown by _MARGIN and shrunk by _MARGIN.  A receiver short of every grown
-    entry is clear of them and one at or past some shrunk entry is blocked.
-    On each axis a face's float ray parameter is off by far less than the
-    margin's own, _MARGIN over the ray's direction cosine, and a receiver's
-    distance and its offset from its ray by far less than _MARGIN, so the
-    slab test decides these receivers the same way.  The rest, in the band
-    between the entries or on a ray whose entry is 0/0 on a face plane, take
-    the slab test against the spanning boxes, and every receiver takes it
-    against the other boxes.  A block with no spanning box in its sectors
-    skips the per-ray stage, whose rays and entries would decide nothing.
+    Each (piece, ray) pair of a run gets the ray parameters at which the ray
+    crosses two footprints of the box, each grown and shrunk by _MARGIN.  On
+    each axis a face's float ray parameter is off by far less than the
+    margin's own, _MARGIN over the ray's direction cosine, and a receiver
+    lies within far less than _MARGIN of the point at its radius along its
+    ray, so a cell the margins decide is one its receiver's exact test
+    decides the same way:
+
+    - *Interior.* A box whose z range strictly holds ``height``, by
+      _strictly_inside's own comparison, holds the receivers of a ray just
+      where the ray is inside its footprint shrunk by EPSILON, as
+      _strictly_inside shrinks it: radii in the interval of that footprint
+      shrunk by _MARGIN are inside, and radii out of the grown one are not.
+    - *Occlusion.* A box whose z range padded by the slab test's own _padded
+      holds the transmitter's height and ``height`` *spans* the grid: its z
+      slab passes each segment whole, so it blocks a segment just when the
+      segment meets its padded footprint.  Radii short of each spanning
+      box's grown entry on a ray are clear of them, and radii at or past
+      some shrunk entry are blocked.
+
+    np.searchsorted on ``radii`` turns the intervals into runs of cells per
+    ray.  Only the cells they leave undecided get receivers, and those take
+    the exact tests: _strictly_inside where the grown and the shrunk interior
+    intervals differ, and _segments_blocked for the exterior cells between
+    the entries or in the sector of a box that does not span.  A pair with a
+    parameter 0/0 (NaN), which only the ray at angle 0 can give, runs along a
+    face plane through the ground point: on a grown face the ray passes
+    _MARGIN outside the box, and on a shrunk one it passes inside, so
+    counting the pair as missed decides no cell wrongly and leaves the cells
+    of the shrunk case to the exact tests.
     """
-    _check_endpoint(db, tx, "tx")  # on every box, so an error names the box's index in the document
+    _check_endpoint(db, tx, "tx", _MAX_COORDINATE_M)  # on every box, so an error names the box's index in the document
     ground = np.array([tx.x, tx.y])
-    column = tx.to_array()[:, None]
     gap = np.maximum(np.maximum(db.min_array[:, :2] - ground, ground - db.max_array[:, :2]), 0.0)
     kept = np.hypot(gap[:, 0], gap[:, 1]) - _MARGIN <= r_max
     box_min, box_max = db.min_array[kept], db.max_array[kept]
@@ -504,32 +590,36 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
     nonempty = pieces[:, 0] < pieces[:, 1]
     pieces, box_min, box_max = (x[nonempty] for x in (pieces, np.tile(box_min, (3, 1)), np.tile(box_max, (3, 1))))
     low, high = _padded(box_min, box_max)
+    spanning = (low[:, 2] <= min(tx.z, height)) & (high[:, 2] >= max(tx.z, height))
+    holding = (height > box_min[:, 2] + EPSILON) & (height < box_max[:, 2] - EPSILON)
 
-    def entries(directions, index, spans):
-        # the squared distance along each ray to where it first enters the grown and the shrunk footprints of the
-        # pieces `index`, whose [start, stop) runs of rays are `spans`; inf where it enters none.  A NaN entry, 0/0
-        # on a face plane, decides nothing: np.minimum keeps it for the grown entry, np.fmin drops it for the shrunk
-        # one.  A parameter past float range is inf, beyond every receiver either way
-        lows, highs = low[index, :2].T - ground[:, None], high[index, :2].T - ground[:, None]
-        # the low x and y, then the high x and y, of each grown footprint, then of each shrunk one
-        faces = np.concatenate((lows - _MARGIN, highs + _MARGIN, lows + _MARGIN, highs - _MARGIN))
-        faces[4:, ((faces[4:6] > faces[6:]).any(axis=0))] = np.nan  # shrunk to nothing: no ray enters
-        lengths = spans[:, 1] - spans[:, 0]
-        # pieces per chunk: at most _RAYS_PER_BLOCK (piece, ray) pairs, since no run is longer than a block
-        step = max(1, _RAYS_PER_BLOCK // int(lengths.max()))
-        nearest = np.full((2, directions.shape[1]), np.inf)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for a in range(0, index.size, step):
-                n = lengths[a:a + step]
-                # the ray of each (piece, ray) pair, piece by piece, and the slab parameters of each face
-                ray = np.arange(n.sum()) + np.repeat(spans[a:a + step, 0] - (np.cumsum(n) - n), n)
-                t = np.repeat(faces[:, a:a + step], n, axis=1).reshape(4, 2, -1) / np.take(directions, ray, axis=1)
-                near, far = np.minimum(t[0::2], t[1::2]), np.maximum(t[0::2], t[1::2])
-                first, last = np.maximum(near[:, 0], near[:, 1]), np.minimum(far[:, 0], far[:, 1])
-                entry = np.where((first > last) | (last < 0.0), np.inf, np.maximum(first, 0.0))
-                np.minimum.at(nearest[0], ray, entry[0])
-                np.fmin.at(nearest[1], ray, entry[1])
-            return nearest ** 2
+    def footprints(lows, highs):
+        # the low x and y, then the high x and y, from the ground point of each footprint grown by _MARGIN, then of
+        # each shrunk by it: NaN where it shrinks to nothing, which no ray enters
+        lows, highs = lows[:, :2].T - ground[:, None], highs[:, :2].T - ground[:, None]
+        faces = np.stack((np.concatenate((lows - _MARGIN, highs + _MARGIN)),
+                          np.concatenate((lows + _MARGIN, highs - _MARGIN))))
+        faces[1][:, (faces[1, :2] > faces[1, 2:]).any(axis=0)] = np.nan
+        return faces
+
+    walls, rooms = footprints(low, high), footprints(box_min + EPSILON, box_max - EPSILON)
+
+    def crossings(faces, index, runs, directions):
+        # the (piece, ray) pairs of the pieces `index` over their runs of rays, in chunks of at most _RAYS_PER_BLOCK
+        # (no run is longer than a block): per chunk, the ray of each pair and the parameters at which it first
+        # enters and last leaves the grown and the shrunk footprints of `faces`, each (2, n_pairs).  A parameter
+        # 0/0 on a face plane is NaN and one past float range inf: the caller runs it under np.errstate
+        lengths = runs[index, 1] - runs[index, 0]
+        step = max(1, _RAYS_PER_BLOCK // int(lengths.max(initial=1)))
+        for a in range(0, index.size, step):
+            chunk = index[a:a + step]
+            t = np.repeat(faces[:, :, chunk], lengths[a:a + step], axis=2).reshape(2, 2, 2, -1)
+            ray = _ranges(*runs[chunk].T)
+            t /= directions[:, ray]
+            near, far = np.minimum(t[:, 0], t[:, 1]), np.maximum(t[:, 0], t[:, 1])
+            yield ray, np.maximum(near[:, 0], near[:, 1]), np.minimum(far[:, 0], far[:, 1])
+
+    column = tx.to_array()[:, None]
 
     def slab_test(rx, runs, which):
         # the slab test of each segment to `rx` against the pieces of `which` with a receiver in their runs of `rx`
@@ -538,42 +628,64 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
             return np.zeros(rx.shape[1], dtype=bool)
         return _segments_blocked(column, rx, box_min[which], box_max[which], runs[which])
 
-    def trace(rx, angles):
+    def trace(angles, radii):
+        directions = np.stack((np.cos(angles), np.sin(angles)))
+        n_rays, n_r = angles.size, radii.size
         runs = np.searchsorted(angles, pieces)
         live = runs[:, 0] < runs[:, 1]
-        inside, tested = np.zeros((2, angles.size), dtype=bool)
-        for (start, stop), lo, hi in zip(runs[live].tolist(), box_min[live, :, None], box_max[live, :, None]):
-            inside[start:stop] |= _strictly_inside(rx[:, start:stop], lo, hi)
-            tested[start:stop] = True
+        # per ray, the least grown and shrunk entries of the spanning pieces, np.fmin dropping a pair's NaN
+        entry = np.full((2, n_rays), np.inf)
+        # the cells, flat and ray by ray, that some holding piece's shrunk footprint holds, and those its grown one
+        # holds beyond them; a NaN interval holds none, as searchsorted puts NaN past every radius
+        inside, maybe = np.zeros((2, n_rays * n_r), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for ray, first, last in crossings(walls, np.flatnonzero(live & spanning), runs, directions):
+                at = np.where((first > last) | (last < 0.0), np.inf, np.maximum(first, 0.0))
+                np.fmin.at(entry[0], ray, at[0])
+                np.fmin.at(entry[1], ray, at[1])
+            for ray, first, last in crossings(rooms, np.flatnonzero(live & holding), runs, directions):
+                start = np.searchsorted(radii, first) + ray * n_r
+                stop = np.searchsorted(radii, last, side="right") + ray * n_r
+                _paint(inside, start[1], stop[1])
+                _paint(maybe, np.concatenate((start[0], np.maximum(stop[1], start[0]))),
+                       np.concatenate((np.minimum(start[1], stop[0]), stop[0])))
+        inside, maybe = inside.reshape(n_rays, n_r), maybe.reshape(n_rays, n_r)
+        cells = np.arange(n_r)
+        # per ray, the cells short of the grown entry, clear of every spanning piece, and those short of the shrunk one
+        clear, unblocked = cells < np.searchsorted(radii, entry)[:, :, None]
+        band = unblocked & ~clear
+        # the rays in the sector of some piece that does not span
+        crossed = np.zeros(n_rays, dtype=bool)
+        _paint(crossed, *runs[live & ~spanning].T)
+
+        def receivers(undecided):
+            # the rays and radii of the cells `undecided`, ray by ray, and their receivers as the grid's own floats
+            ray, i = np.nonzero(undecided)
+            r = radii[i]
+            return ray, i, np.stack((tx.x + directions[0, ray] * r, tx.y + directions[1, ray] * r,
+                                     np.full(r.size, height)))
+
         exterior = ~inside
-        # only an exterior receiver in some sector can be blocked, so the kernel sees those alone
-        tested &= exterior
-        # np.compress keeps the rows C-contiguous; on rx[:, tested] the kernel runs about 6x slower.  Rebinding
-        # rx frees the caller's rows before the tests, which saves page faults
-        rx, angles = np.compress(tested, rx, axis=1), angles[tested]
-        runs = np.searchsorted(angles, pieces)
-        # the pieces whose padded z range holds the transmitter's and every tested receiver's height
-        spanning = (low[:, 2] <= rx[2].min(initial=column[2, 0])) & (high[:, 2] >= rx[2].max(initial=column[2, 0]))
-        index = np.flatnonzero(spanning & (runs[:, 0] < runs[:, 1]))
-        blocked = np.zeros(angles.size, dtype=bool)
-        if index.size:
-            # the rays: the first receiver of each run of equal angles, and the receivers in each run
-            first = np.append(0, np.flatnonzero(angles[1:] != angles[:-1]) + 1)
-            counts = np.diff(first, append=angles.size)
-            rays = angles[first]
-            directions = np.stack((np.cos(rays), np.sin(rays)))
-            grown, shrunk = entries(directions, index, np.searchsorted(rays, pieces[index]))
-            # a receiver lies on its ray: its squared distance from the ground point compares as its distance along it
-            reach = (rx[0] - ground[0]) ** 2 + (rx[1] - ground[1]) ** 2
-            blocked = reach >= np.repeat(shrunk, counts)
-            band = ~(blocked | (reach < np.repeat(grown, counts)))
-            if band.any():
-                blocked[band] = slab_test(np.compress(band, rx, axis=1), np.searchsorted(angles[band], pieces),
+        maybe &= exterior
+        if maybe.any():
+            ray, i, rx = receivers(maybe)
+            held = np.zeros(ray.size, dtype=bool)
+            cell_runs = np.searchsorted(ray, runs)
+            which = holding & (cell_runs[:, 0] < cell_runs[:, 1])
+            for (a, b), lo, hi in zip(cell_runs[which].tolist(), box_min[which, :, None], box_max[which, :, None]):
+                held[a:b] |= _strictly_inside(rx[:, a:b], lo, hi)
+            exterior[ray, i] = ~held
+        los = exterior & unblocked
+        tested = los & (band | crossed[:, None])
+        if tested.any():
+            ray, i, rx = receivers(tested)
+            hit = slab_test(rx, np.searchsorted(ray, runs), ~spanning)
+            in_band = band[ray, i]
+            if in_band.any():
+                hit[in_band] |= slab_test(np.compress(in_band, rx, axis=1), np.searchsorted(ray[in_band], runs),
                                           spanning)
-        blocked |= slab_test(rx, runs, ~spanning)
-        los = exterior.copy()
-        los[tested] = ~blocked
-        return exterior, los[exterior]
+            los[ray, i] = ~hit
+        return exterior, los
 
     return trace
 
@@ -581,14 +693,18 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float):
 def is_los(db: BuildingDB, tx: Point3, rx: Point3) -> bool:
     """True when no building occludes the straight tx-rx segment.
 
+    Either endpoint may lie up to _MAX_REACH_M (2e7 m) from the origin on
+    each axis, as far as a curve's receivers reach, so every receiver of a
+    curve can be checked here.
+
     Raises:
         PointInsideBuildingError: when either endpoint is strictly inside a
             building.
-        ValueError: when tx and rx coincide or either lies below ground
-            (z < 0).
+        ValueError: when tx and rx coincide, or either lies below ground
+            (z < 0) or past _MAX_REACH_M on some axis.
     """
     for endpoint in (tx, rx):
-        _check_endpoint(db, endpoint, "position")
+        _check_endpoint(db, endpoint, "position", _MAX_REACH_M)
     if (tx.x, tx.y, tx.z) == (rx.x, rx.y, rx.z):
         raise ValueError("tx and rx positions coincide")
     blocked = _segments_blocked(tx.to_array()[:, None], rx.to_array()[:, None], db.min_array, db.max_array)

@@ -173,8 +173,10 @@ def los_probability_curve(
     building are dropped from both counts, or counted as NLOS with
     ``interior_counts_as_nlos=True``; a radius with none outside is invalid.  One
     radius ``r`` alone is ``los_probability_curve(db, tx, r, r, 1.0)``.  The
-    receivers go to the sector tracer of ``tx`` in angle-major blocks of at
-    most _RAYS_PER_BLOCK rays, with their nominal angles ``2 pi k / n_points``.
+    receivers are the grid of the nominal angles ``2 pi k / n_points`` and
+    the radii, traced by the sector tracer of ``tx`` in blocks of at most
+    _RAYS_PER_BLOCK cells: each block's exterior and LOS masks, one row per
+    angle, are summed per radius.
 
     Raises:
         PointInsideBuildingError: when the transmitter is inside a building.
@@ -191,23 +193,16 @@ def los_probability_curve(
         raise ValueError(f"rx_height_m must be >= 0 (ground level), got {rx_height_m:g}")
     if rx_height_m > _MAX_COORDINATE_M:
         raise ValueError(f"rx_height_m must be at most {_MAX_COORDINATE_M:g} m, got {rx_height_m:g}")
-    trace = _sector_tracer(db, tx, radii[-1])
+    trace = _sector_tracer(db, tx, radii[-1], float(rx_height_m))
     angles = 2.0 * np.pi * np.arange(n_points) / n_points
-    cos, sin = np.cos(angles), np.sin(angles)
     n_exterior, n_los = np.zeros((2, radii.size), dtype=np.int64)
     width = min(radii.size, _RAYS_PER_BLOCK)
-    height = _RAYS_PER_BLOCK // width  # a block is up to `width` radii at up to `height` angles
+    rows = _RAYS_PER_BLOCK // width  # a block is up to `width` radii at up to `rows` angles
     for i in range(0, radii.size, width):
-        r = radii[i:i + width]
-        for k in range(0, n_points, height):
-            cut = slice(k, k + height)
-            # built in the call, the rows are the tracer's alone: it frees them once compressed, which saves page faults
-            exterior, los = trace(np.stack((tx.x + cos[cut, None] * r, tx.y + sin[cut, None] * r,
-                                            np.full((cos[cut].size, r.size), float(rx_height_m)))).reshape(3, -1),
-                                  np.repeat(angles[cut], r.size))
-            which = np.tile(np.arange(r.size), cos[cut].size)[exterior]
-            n_exterior[i:i + r.size] += np.bincount(which, minlength=r.size)
-            n_los[i:i + r.size] += np.bincount(which[los], minlength=r.size)
+        for k in range(0, n_points, rows):
+            exterior, los = trace(angles[k:k + rows], radii[i:i + width])
+            n_exterior[i:i + width] += exterior.sum(axis=0)
+            n_los[i:i + width] += los.sum(axis=0)
     denominator = n_points if interior_counts_as_nlos else n_exterior
     with np.errstate(invalid="ignore"):
         p = np.where(n_exterior > 0, n_los / denominator, np.nan)

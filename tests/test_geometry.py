@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,35 @@ class TestParsing:
         with pytest.raises(BuildingDBError, match=r"^building DB must hold at most 2 buildings, got 3$"):
             parse_building_db('{"name": "x", "buildings": [%s, %s, %s]}' % (OK, OK, OK))
 
+    def test_box_count_checked_before_the_entries_are_built(self, monkeypatch):
+        # 100,000 empty objects past a cap of 1,000: the count reads 1,001 of them one at a time, where json.loads
+        # would build them all (about 7 MB)
+        monkeypatch.setattr(geometry, "MAX_BUILDINGS", 1000)
+        text = '{"name": "x", "buildings": [%s]}' % ", ".join(["{}"] * 100_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BuildingDBError, match=r"^building DB must hold at most 1000 buildings, got more than 1000$"):
+                parse_building_db(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_box_count_reads_only_the_building_entries(self, monkeypatch):
+        # more "{" than the cap of 2, in the name, the origin, another list and the entries' own fields, yet only
+        # the entries of `buildings` count: the count ends with the list when it passes the cap there
+        monkeypatch.setattr(geometry, "MAX_BUILDINGS", 2)
+        entry = '{"min": [0, 0, 0], "max": [1, 1, 1], "tags": {"a": {}}}'
+        text = '{"name": "{{{", "origin": {"lat": 1, "lon": 2}, "more": [{}, {}, {}], "buildings": [%s]}'
+        assert len(parse_building_db(text % ", ".join([entry] * 2))) == 2
+        for n, got in ((3, "3"), (4, "more than 2")):
+            with pytest.raises(BuildingDBError, match=f"^building DB must hold at most 2 buildings, got {got}$"):
+                parse_building_db(text % ", ".join([entry] * n))
+        # text the count cannot read is the parse's to reject
+        for bad in ('{"name": "x", "buildings": [{}, {}, {} {}]}', '{"name": "x", "buildings": [{}, {}, {}'):
+            with pytest.raises(BuildingDBError, match="^invalid building DB document: "):
+                parse_building_db(bad)
+
     @pytest.mark.parametrize("name", [case[0] for case in ENTRY_REJECTIONS])
     def test_entry_rejection_message(self, name):
         rejected(name)
@@ -488,7 +518,7 @@ def directions(tx, rx):
 
 @st.composite
 def tracer_scenes(draw):
-    """Boxes, a transmitter clear of them and ``(3, n)`` receiver rows around it.
+    """Boxes, a transmitter clear of them and the tracer grid through receivers around it (see as_grid).
 
     Receivers lie in the directions of footprint corners, on the corners or
     0.5e-9 m beside them, where only the EPSILON padding reaches a segment;
@@ -513,7 +543,7 @@ def tracer_scenes(draw):
     db = BuildingDB("tracer", boxes)
     assume(find_containing_building(db, tx) is None)
     receivers = []
-    for _ in range(draw(st.integers(1, 20))):
+    for _ in range(draw(st.integers(1, 12))):
         z = draw(st.sampled_from([0.0, 1.5, 10.0, 40.0]))
         kind = draw(st.sampled_from(["corner", "middle", "axis", "ground", "anywhere"][0 if boxes else 2:]))
         if kind == "corner":
@@ -534,12 +564,29 @@ def tracer_scenes(draw):
             x, y = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
         assume((x, y, z) != (tx.x, tx.y, tx.z))
         receivers.append((float(x), float(y), z))
-    return db, tx, np.array(receivers).T
+    return as_grid(db, tx, np.array(receivers).T)
+
+
+def as_grid(db, tx, rx):
+    """A tracer scene: ``db``, ``tx`` and the grid through ``(3, n)`` receiver rows around it.
+
+    The grid is the rows' distinct directions from the ground point of
+    ``tx``, their distinct distances from it and their distinct heights: its
+    cell at each direction and distance, at each height, is a receiver.
+    """
+    return db, tx, np.unique(directions(tx, rx)), np.unique(np.hypot(rx[0] - tx.x, rx[1] - tx.y)), np.unique(rx[2])
 
 
 def tracer_scene(tx, boxes, receivers):
-    """A tracer scene of the given (min corner, max corner) boxes and receiver positions."""
-    return BuildingDB("edge", tuple(Box3(Point3(*lo), Point3(*hi)) for lo, hi in boxes)), tx, np.array(receivers).T
+    """The tracer scene of the given (min corner, max corner) boxes through the given receiver positions."""
+    return as_grid(BuildingDB("edge", tuple(Box3(Point3(*lo), Point3(*hi)) for lo, hi in boxes)), tx,
+                   np.array(receivers).T)
+
+
+# a box face 1.001e-6 m from the ground point pads and grows, and one 9.99e-7 m from it shrinks by EPSILON and
+# grows (or pads and shrinks, on the far side of the ground point), to a face on the ground point's own axis:
+# the ray at angle 0 runs along it and crosses it at 0/0
+GROWN_TO_ZERO, SHRUNK_TO_ZERO = 1.001e-6, 9.989999999999999e-07
 
 
 class TestSectorTracer:
@@ -571,15 +618,41 @@ class TestSectorTracer:
     @example(tracer_scene(Point3(0, 0, 7), [((10, -5, 0), (20, 5, 1.5)), ((-5, 10, 0), (5, 20, 40))],
                           [(21, 0, 0), (40, 0, 1.5)]))
     @example(tracer_scene(Point3(0, 0, 7), [((10, -5, 5), (20, 5, 40))], [(30, 0, 1.5), (30, 0, 10)]))
+    # the slab scene from its transmitter: the 10 m receiver at angle 0 lies on the face x = 10, in the band
+    # between the slab's shrunk and grown interior intervals, and its 20 m one on the far face
+    @example((demo.load_scene("slab"), demo.tx_site("slab").position, 2.0 * np.pi * np.arange(8) / 8,
+              np.array([5.0, 10.0, 15.0, 20.0, 25.0]), np.array([1.5])))
+    # receivers inside a box whose roof is below the transmitter, which holds them but does not span
+    @example(tracer_scene(Point3(0, 0, 20), [((10, -5, 0), (20, 5, 10))], [(5, 0, 1.5), (15, 0, 1.5), (15, 3, 1.5),
+                                                                         (30, 0, 1.5), (15, 0, 12)]))
+    # the ray at angle 0 along the plane of a spanning box's grown face, of two holding boxes' grown faces
+    # and of a spanning box's shrunk face, which it runs inside: each crossing is 0/0 there, counted as a miss
+    @example(tracer_scene(Point3(0, 0, 7), [((10, GROWN_TO_ZERO, 0), (20, 5, 40)), ((12, SHRUNK_TO_ZERO, 0), (18, 4, 3)),
+                                            ((10, -5, 0), (20, -SHRUNK_TO_ZERO, 3)), ((30, -SHRUNK_TO_ZERO, 0), (40, 5, 40))],
+                          [(5, 0, 1.5), (15, 0, 1.5), (25, 0, 1.5), (35, 0, 1.5), (45, 0, 1.5), (15, 1, 1.5),
+                           (15, -1, 1.5)]))
     def test_trace_equals_per_receiver_tests(self, scene):
-        db, tx, rx = scene
-        angles = directions(tx, rx)
-        order = np.argsort(angles, kind="stable")
-        rx, angles = np.ascontiguousarray(rx[:, order]), angles[order]
-        exterior, los = _sector_tracer(db, tx, np.hypot(rx[0] - tx.x, rx[1] - tx.y).max())(rx, angles)
-        points = [Point3(*p) for p in rx.T.tolist()]
-        assert exterior.tolist() == [find_containing_building(db, p) is None for p in points]
-        assert los.tolist() == [is_los(db, tx, p) for p, out in zip(points, exterior) if out]
+        db, tx, angles, radii, heights = scene
+        # the cells' receivers, as the tracer builds them
+        xs, ys = (tx.x + np.cos(angles)[:, None] * radii).tolist(), (tx.y + np.sin(angles)[:, None] * radii).tolist()
+        for height in heights.tolist():
+            exterior, los = _sector_tracer(db, tx, radii[-1], height)(angles, radii)
+            assert exterior.shape == los.shape == (angles.size, radii.size)
+            for k, i in np.ndindex(exterior.shape):
+                p = Point3(xs[k][i], ys[k][i], height)
+                if p == tx:
+                    continue
+                assert exterior[k, i] == (find_containing_building(db, p) is None)
+                assert los[k, i] == (exterior[k, i] and is_los(db, tx, p))
+
+    def test_zero_over_zero_example_puts_faces_on_the_ray(self):
+        # the faces of the 0/0 example as the tracer computes them from the ground point, padded or shrunk by
+        # EPSILON, then grown or shrunk by the margin: each lies on y = 0, where the ray at angle 0 has direction (1, 0)
+        assert ((GROWN_TO_ZERO - EPSILON) - 0.0) - geometry._MARGIN == 0.0
+        assert ((SHRUNK_TO_ZERO + EPSILON) - 0.0) - geometry._MARGIN == 0.0
+        # the third box's high face shrunk by EPSILON and grown, and the last box's low face padded and shrunk
+        assert ((-SHRUNK_TO_ZERO - EPSILON) - 0.0) + geometry._MARGIN == 0.0
+        assert np.sin(0.0) == 0.0
 
 
 class TestPointInBuilding:
@@ -643,14 +716,15 @@ class TestIsLos:
         with pytest.raises(ValueError, match="ground"):
             is_los(BuildingDB("e", ()), Point3(*tx), Point3(*rx))
 
-    @pytest.mark.parametrize("tx, rx", [((1e7, -1e7, 1e7), (-1e7, 1e7, 0)), ((1e7 * (1 + 2**-52), 0, 7), (30, 0, 1.5)),
-                                        ((0, 0, 7), (0, -2e7, 1.5)), ((0, 0, 7), (30, 0, 1e300))])
+    # endpoints as far as a curve's receivers reach, 2e7 m on each axis, and just past it
+    @pytest.mark.parametrize("tx, rx", [((2e7, -2e7, 2e7), (-2e7, 2e7, 0)), ((2e7 * (1 + 2**-52), 0, 7), (30, 0, 1.5)),
+                                        ((0, 0, 7), (0, -4e7, 1.5)), ((0, 0, 7), (30, 0, 1e300))])
     def test_coordinate_bound(self, tx, rx):
         db = BuildingDB("e", ())
-        if max(map(abs, tx + rx)) <= 1e7:
+        if max(map(abs, tx + rx)) <= 2e7:
             assert is_los(db, Point3(*tx), Point3(*rx)) is True
         else:
-            with pytest.raises(ValueError, match="within 1e\\+07 m of the origin on each axis"):
+            with pytest.raises(ValueError, match="within 2e\\+07 m of the origin on each axis"):
                 is_los(db, Point3(*tx), Point3(*rx))
 
     def test_ground_level_endpoint_allowed(self):
