@@ -636,7 +636,7 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):
         # per ray, the least grown and shrunk entries of the spanning pieces, np.fmin dropping a pair's NaN
         entry = np.full((2, n_rays), np.inf)
         # the cells, flat and ray by ray, that some holding piece's shrunk footprint holds, and those its grown one
-        # holds beyond them; a NaN interval holds none, as searchsorted puts NaN past every radius
+        # holds; a NaN interval holds none, as searchsorted puts NaN past every radius
         inside, maybe = np.zeros((2, n_rays * n_r), dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for ray, first, last in crossings(walls, np.flatnonzero(live & spanning), runs, directions):
@@ -646,9 +646,8 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):
             for ray, first, last in crossings(rooms, np.flatnonzero(live & holding), runs, directions):
                 start = np.searchsorted(radii, first) + ray * n_r
                 stop = np.searchsorted(radii, last, side="right") + ray * n_r
+                _paint(maybe, start[0], stop[0])
                 _paint(inside, start[1], stop[1])
-                _paint(maybe, np.concatenate((start[0], np.maximum(stop[1], start[0]))),
-                       np.concatenate((np.minimum(start[1], stop[0]), stop[0])))
         inside, maybe = inside.reshape(n_rays, n_r), maybe.reshape(n_rays, n_r)
         cells = np.arange(n_r)
         # per ray, the cells short of the grown entry, clear of every spanning piece, and those short of the shrunk one
@@ -666,7 +665,7 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):
                                      np.full(r.size, height)))
 
         exterior = ~inside
-        maybe &= exterior
+        maybe &= exterior  # the cells between a grown and a shrunk interval, and in no shrunk one
         if maybe.any():
             ray, i, rx = receivers(maybe)
             held = np.zeros(ray.size, dtype=bool)
