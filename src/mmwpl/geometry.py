@@ -63,6 +63,12 @@ EARTH_RADIUS_M = 6371000.0
 MAX_BUILDINGS = 500_000
 MAX_INPUT_BYTES = 32 * 2**20
 
+# Most JSON objects and arrays a building database document may hold: one of
+# MAX_BUILDINGS buildings holds 1.5 million (one object and two arrays each),
+# and json.loads builds 2 million empty ones in about 145 MB, less than the
+# about 245 MB such a document needs.
+_MAX_CONTAINERS = 2_000_000
+
 
 class BuildingDBError(ValueError):
     """A building database document failed to parse or validate."""
@@ -275,53 +281,20 @@ def _corner_array(entries: list) -> np.ndarray | None:
     return array
 
 
-_SPACE = re.compile(r"[ \t\n\r]*")
+# a JSON string, escapes and all, matched from its opening quote
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
 
 
-def _count_past(text: str, cap: int) -> str | None:
-    """How many entries the root object's ``buildings`` list holds, read entry by entry, when that is more than ``cap``.
+def _containers(text: str) -> int:
+    """The objects and arrays ``json.loads`` can build from ``text``: its ``{`` and ``[`` outside strings.
 
-    ``str(n)``, or ``f"more than {cap}"`` when the count passes ``cap`` before
-    the list ends: it stops there, so no more than ``cap + 1`` entries are
-    ever read, and one at a time.  None when the list holds at most ``cap``,
-    or when the text is no object with such a list, which the parse reports.
-    A ``buildings`` key that repeats is counted wherever it stands.
+    Strings are read from their opening quote, one at a time, as JSON reads
+    them, so nothing but the string at hand is built.  On text that is not
+    JSON the count may run high, never low: ``json.loads`` stops at the first
+    place where it and this reading part.
     """
-    decoder = json.JSONDecoder()
-    try:
-        i = _SPACE.match(text).end()
-        if text[i] != "{":
-            return None
-        i = _SPACE.match(text, i + 1).end()
-        while text[i] == '"':
-            key, i = json.decoder.scanstring(text, i + 1)
-            i = _SPACE.match(text, i).end()
-            if text[i] != ":":
-                return None
-            i = _SPACE.match(text, i + 1).end()
-            if key == "buildings" and text[i] == "[":
-                n, i = 0, _SPACE.match(text, i + 1).end()
-                while text[i] != "]":
-                    if n > cap:
-                        return f"more than {cap}"
-                    i = _SPACE.match(text, decoder.raw_decode(text, i)[1]).end()
-                    n += 1
-                    if text[i] == ",":
-                        i = _SPACE.match(text, i + 1).end()
-                    elif text[i] != "]":
-                        return None
-                if n > cap:
-                    return str(n)
-                i += 1
-            else:
-                i = decoder.raw_decode(text, i)[1]
-            i = _SPACE.match(text, i).end()
-            if text[i] != ",":
-                return None
-            i = _SPACE.match(text, i + 1).end()
-    except (ValueError, IndexError):  # malformed JSON, which the parse reports
-        return None
-    return None
+    quoted = sum(m.group().count("{") + m.group().count("[") for m in _STRING.finditer(text))
+    return text.count("{") + text.count("[") - quoted
 
 
 def parse_building_db(text: str) -> BuildingDB:
@@ -333,20 +306,24 @@ def parse_building_db(text: str) -> BuildingDB:
     "max": [x, y, z]}`` boxes in meters.  Every number must be finite as a
     float: a non-finite literal, ``1e999`` or an integer beyond float range
     is rejected.  The corners go straight into the database's corner arrays;
-    a rejection names the first bad building in document order.
+    a rejection names the first bad building in document order.  A document
+    that holds more than 2 million JSON objects and arrays, in any field, is
+    rejected before it is parsed.
 
     Raises:
-        BuildingDBError: on malformed JSON, missing fields, too many boxes,
-            out-of-range numbers, degenerate boxes or boxes below ground level.
+        BuildingDBError: on malformed or too deeply nested JSON, too many
+            objects and arrays, missing fields, too many boxes, out-of-range
+            numbers, degenerate boxes or boxes below ground level.
     """
-    # a building entry is an object, so a document with at most MAX_BUILDINGS "{" (one is the root's) is never
-    # counted: the count reads its entries one at a time, where json.loads would build every one of them
-    past = _count_past(text, MAX_BUILDINGS) if text.count("{") > MAX_BUILDINGS else None
-    if past is not None:
-        raise BuildingDBError(f"building DB must hold at most {MAX_BUILDINGS} buildings, got {past}")
+    # json.loads builds every object and array before a rule can look at them, wherever they stand, so their
+    # count is checked first; each one it finishes takes two characters ("[]"), so shorter text is not counted
+    if len(text) > 2 * _MAX_CONTAINERS and text.count("{") + text.count("[") > _MAX_CONTAINERS:
+        n = _containers(text)
+        if n > _MAX_CONTAINERS:
+            raise BuildingDBError(f"building DB document must hold at most {_MAX_CONTAINERS} JSON objects and arrays, got {n}")
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deep
         raise BuildingDBError(f"invalid building DB document: {exc}") from None
     if not isinstance(doc, dict):
         raise BuildingDBError("building DB document must be a JSON object")

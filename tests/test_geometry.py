@@ -85,6 +85,9 @@ DOCUMENT_REJECTIONS = [
     # counted before any entry is looked at: these are not even objects
     ("too-many-buildings", '{"name": "x", "buildings": [%s]}' % ",".join(["0"] * (MAX_BUILDINGS + 1)),
      f"building DB must hold at most {MAX_BUILDINGS} buildings, got {MAX_BUILDINGS + 1}"),
+    # counted before the parse: 2 million empty lists in a list, 6 MB of text
+    ("too-many-objects-and-arrays", "[%s]" % ",".join(["[]"] * 2_000_000),
+     "building DB document must hold at most 2000000 JSON objects and arrays, got 2000001"),
 ]
 # both tables by row name: the document and the message
 REJECTIONS = {name: ('{"name": "x", "buildings": %s}' % buildings, message) for name, buildings, message in ENTRY_REJECTIONS}
@@ -264,34 +267,45 @@ class TestParsing:
         with pytest.raises(BuildingDBError, match=r"^building DB must hold at most 2 buildings, got 3$"):
             parse_building_db('{"name": "x", "buildings": [%s, %s, %s]}' % (OK, OK, OK))
 
-    def test_box_count_checked_before_the_entries_are_built(self, monkeypatch):
-        # 100,000 empty objects past a cap of 1,000: the count reads 1,001 of them one at a time, where json.loads
-        # would build them all (about 7 MB)
-        monkeypatch.setattr(geometry, "MAX_BUILDINGS", 1000)
-        text = '{"name": "x", "buildings": [%s]}' % ", ".join(["{}"] * 100_000)
+    # 100,000 empty objects or arrays past a cap of 1,000, where json.loads would build them all (about 7 MB):
+    # the root itself, in a field the parse ignores, inside one building entry and as the entries
+    @pytest.mark.parametrize("template", [
+        "[%s]",
+        '{"name": "x", "more": [%s], "buildings": []}',
+        '{"name": "x", "buildings": [{"min": [0, 0, 0], "max": [1, 1, 1], "tags": [%s]}]}',
+        '{"name": "x", "buildings": [%s]}',
+    ])
+    @pytest.mark.parametrize("empty", ["{}", "[]"])
+    def test_containers_counted_before_the_parse(self, template, empty, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_CONTAINERS", 1000)
+        text = template % ", ".join([empty] * 100_000)
+        n = text.count("{") + text.count("[")
         tracemalloc.start()
         try:
-            with pytest.raises(BuildingDBError, match=r"^building DB must hold at most 1000 buildings, got more than 1000$"):
+            with pytest.raises(BuildingDBError, match=f"^building DB document must hold at most 1000 JSON objects and arrays, got {n}$"):
                 parse_building_db(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 100_000
 
-    def test_box_count_reads_only_the_building_entries(self, monkeypatch):
-        # more "{" than the cap of 2, in the name, the origin, another list and the entries' own fields, yet only
-        # the entries of `buildings` count: the count ends with the list when it passes the cap there
-        monkeypatch.setattr(geometry, "MAX_BUILDINGS", 2)
-        entry = '{"min": [0, 0, 0], "max": [1, 1, 1], "tags": {"a": {}}}'
-        text = '{"name": "{{{", "origin": {"lat": 1, "lon": 2}, "more": [{}, {}, {}], "buildings": [%s]}'
-        assert len(parse_building_db(text % ", ".join([entry] * 2))) == 2
-        for n, got in ((3, "3"), (4, "more than 2")):
-            with pytest.raises(BuildingDBError, match=f"^building DB must hold at most 2 buildings, got {got}$"):
-                parse_building_db(text % ", ".join([entry] * n))
-        # text the count cannot read is the parse's to reject
-        for bad in ('{"name": "x", "buildings": [{}, {}, {} {}]}', '{"name": "x", "buildings": [{}, {}, {}'):
+    def test_container_count_skips_strings(self, monkeypatch):
+        # 1,000 objects and arrays: the root, the origin, the buildings list, 331 entries of three and one of
+        # four, with "{" and "[" in strings, escaped quotes among them, that a count of the text would add
+        monkeypatch.setattr(geometry, "_MAX_CONTAINERS", 1000)
+        name = json.dumps('\\"{[' * 2000 + '"')
+        entries = [OK] * 331 + ['{"min": [0, 0, 0], "max": [1, 1, 1], "note": "\\\\", "tags": [%s]}' % name]
+        text = '{"name": %s, "origin": {"lat": 1, "lon": 2}, "buildings": [%s]}' % (name, ", ".join(entries))
+        assert len(text) > 2000 and text.count("{") + text.count("[") == 9000
+        assert geometry._containers(text) == 1000
+        assert len(parse_building_db(text)) == 332
+        with pytest.raises(BuildingDBError, match="^building DB document must hold at most 1000 JSON objects and arrays, got 1003$"):
+            parse_building_db(text.replace('"buildings": [', '"buildings": [%s, ' % OK))
+
+    def test_deep_nesting_rejected(self):
+        for text in ("[" * 100_000, '{"a": ' * 100_000):
             with pytest.raises(BuildingDBError, match="^invalid building DB document: "):
-                parse_building_db(bad)
+                parse_building_db(text)
 
     @pytest.mark.parametrize("name", [case[0] for case in ENTRY_REJECTIONS])
     def test_entry_rejection_message(self, name):
