@@ -63,11 +63,17 @@ EARTH_RADIUS_M = 6371000.0
 MAX_BUILDINGS = 500_000
 MAX_INPUT_BYTES = 32 * 2**20
 
-# Most JSON objects and arrays a building database document may hold: one of
-# MAX_BUILDINGS buildings holds 1.5 million (one object and two arrays each),
-# and json.loads builds 2 million empty ones in about 145 MB, less than the
-# about 245 MB such a document needs.
+# Most JSON objects and arrays, strings and scalars (numbers, strings, true,
+# false and null) a building database document may hold.  One of
+# MAX_BUILDINGS buildings holds 1.5 million objects and arrays (one object and
+# two arrays each), 1 million strings (each box's "min" and "max" keys, which
+# json.loads builds once) and 3 million scalars (its corners); each cap is a
+# third over that.  At a cap json.loads builds about 145 MB of empty objects,
+# 130 MB of distinct keys or 150 MB of integers, under the 316 MB peak of
+# such a document.
 _MAX_CONTAINERS = 2_000_000
+_MAX_STRINGS = 1_300_000
+_MAX_SCALARS = 4_000_000
 
 
 class BuildingDBError(ValueError):
@@ -281,20 +287,33 @@ def _corner_array(entries: list) -> np.ndarray | None:
     return array
 
 
-# a JSON string, escapes and all, matched from its opening quote
-_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+# from an opening quote, a run of up to 4096 strings that hold no escape, bracket or comma, with the separators
+# between them, or else one JSON string, escapes and all, its text captured; compiled on first use, by re's cache
+_STRING = r'"(?:[^"\\{\[,]*"(?:[ \t\n\r:,]*"[^"\\{\[,]*"){0,4095}|([^"\\]*(?:\\.[^"\\]*)*)")'
 
 
-def _containers(text: str) -> int:
-    """The objects and arrays ``json.loads`` can build from ``text``: its ``{`` and ``[`` outside strings.
+def _census(text: str) -> tuple[int, int, int]:
+    """The objects and arrays, strings and scalars ``json.loads`` can build from ``text``.
 
-    Strings are read from their opening quote, one at a time, as JSON reads
-    them, so nothing but the string at hand is built.  On text that is not
-    JSON the count may run high, never low: ``json.loads`` stops at the first
-    place where it and this reading part.
+    Objects and arrays are its ``{`` and ``[`` outside strings.  Every value
+    but the first of an object or array follows a comma, so the scalars are
+    at most its commas outside strings, plus one: the count runs high by the
+    empty objects and arrays.  Strings are read from their opening quote, as
+    JSON reads them: a run of plain ones has two quotes each, and only a
+    string with an escape, a bracket or a comma is built, to count those.  On
+    text that is not JSON a count may run high, never low: ``json.loads``
+    stops at the first place where it and this reading part.
     """
-    quoted = sum(m.group().count("{") + m.group().count("[") for m in _STRING.finditer(text))
-    return text.count("{") + text.count("[") - quoted
+    strings = quoted_brackets = quoted_commas = 0
+    for m in re.finditer(_STRING, text, re.DOTALL):
+        string = m[1]
+        if string is None:
+            strings += text.count('"', m.start(), m.end()) // 2
+        else:
+            strings += 1
+            quoted_brackets += string.count("{") + string.count("[")
+            quoted_commas += string.count(",")
+    return text.count("{") + text.count("[") - quoted_brackets, strings, text.count(",") - quoted_commas + 1
 
 
 def parse_building_db(text: str) -> BuildingDB:
@@ -307,20 +326,26 @@ def parse_building_db(text: str) -> BuildingDB:
     float: a non-finite literal, ``1e999`` or an integer beyond float range
     is rejected.  The corners go straight into the database's corner arrays;
     a rejection names the first bad building in document order.  A document
-    that holds more than 2 million JSON objects and arrays, in any field, is
-    rejected before it is parsed.
+    that holds more than 2 million JSON objects and arrays, 1.3 million
+    strings (keys included) or 4 million scalars (numbers, strings, true,
+    false and null), in any field, is rejected before it is parsed.
 
     Raises:
         BuildingDBError: on malformed or too deeply nested JSON, too many
-            objects and arrays, missing fields, too many boxes, out-of-range
-            numbers, degenerate boxes or boxes below ground level.
+            objects and arrays, strings or scalars, missing fields, too
+            many boxes, out-of-range numbers, degenerate boxes or boxes
+            below ground level.
     """
-    # json.loads builds every object and array before a rule can look at them, wherever they stand, so their
-    # count is checked first; each one it finishes takes two characters ("[]"), so shorter text is not counted
-    if len(text) > 2 * _MAX_CONTAINERS and text.count("{") + text.count("[") > _MAX_CONTAINERS:
-        n = _containers(text)
-        if n > _MAX_CONTAINERS:
-            raise BuildingDBError(f"building DB document must hold at most {_MAX_CONTAINERS} JSON objects and arrays, got {n}")
+    # json.loads builds every object, array and scalar before a rule can look at them, wherever they stand, so
+    # they are counted first, in text long enough to hold more than a cap: an object or array takes two characters
+    # ("[]"), a string two quotes and a scalar a character and, past the first, a comma
+    if len(text) > 2 * min(_MAX_CONTAINERS, _MAX_STRINGS, _MAX_SCALARS) and (
+            text.count("{") + text.count("[") > _MAX_CONTAINERS or text.count('"') > 2 * _MAX_STRINGS
+            or text.count(",") >= _MAX_SCALARS):
+        for n, cap, kind in zip(_census(text), (_MAX_CONTAINERS, _MAX_STRINGS, _MAX_SCALARS),
+                                ("JSON objects and arrays", "JSON strings", "JSON scalars")):
+            if n > cap:
+                raise BuildingDBError(f"building DB document must hold at most {cap} {kind}, got {n}")
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deep
@@ -484,14 +509,17 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
 
 def _paint(mask: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> None:
-    """Set ``mask[start:stop]`` for each interval, each cell once however they overlap, so in at most ``mask.size`` writes.
+    """Set ``mask[start:stop]`` for each interval, in one pass over the mask however they overlap.
 
-    In order of ``starts``, an interval skips the cells below the furthest stop of those before it, which are set.
+    In order of ``starts``, the running maximum of the bounds ``0, start, stop, start, stop, ..., mask.size`` cuts
+    the mask into runs of cells to leave and to set, in turn.
     """
-    order = np.argsort(starts, kind="stable")
-    starts, stops = starts[order], stops[order]
-    starts[1:] = np.maximum(starts[1:], np.maximum.accumulate(stops)[:-1])
-    mask[_ranges(starts, stops)] = True
+    order = np.argsort(starts)
+    bounds = np.zeros(2 * starts.size + 2, dtype=starts.dtype)
+    bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = starts[order], stops[order], mask.size
+    setting = np.zeros(bounds.size - 1, dtype=bool)
+    setting[1::2] = True
+    mask |= np.repeat(setting, np.diff(np.maximum.accumulate(bounds)))
 
 
 def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):
@@ -516,36 +544,43 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):
     angles round by a few 1e-16 rad; a slack of 1e-12 rad on each side of a
     sector covers that.
 
-    Each (piece, ray) pair of a run gets the ray parameters at which the ray
-    crosses two footprints of the box, each grown and shrunk by _MARGIN.  On
-    each axis a face's float ray parameter is off by far less than the
-    margin's own, _MARGIN over the ray's direction cosine, and a receiver
-    lies within far less than _MARGIN of the point at its radius along its
-    ray, so a cell the margins decide is one its receiver's exact test
-    decides the same way:
+    A *piece* is a box's sector, or one half of a sector that wraps past 0.
+    Each piece has two footprints: the *outer* one, its box padded by
+    _padded's EPSILON and grown by _MARGIN, and the *inner* one, its box
+    shrunk by EPSILON, as _strictly_inside shrinks it, and then by _MARGIN.
+    One pass over the (piece, ray) pairs of the runs gets the ray parameters
+    at which each ray crosses both, and decides the interior and occlusion
+    together.  On each axis a face's float ray parameter is off by far less
+    than the margin's own, _MARGIN over the ray's direction cosine, and a
+    receiver lies within far less than _MARGIN of the point at its radius
+    along its ray, so a cell the pair decides is one its receiver's exact
+    test decides the same way:
 
     - *Interior.* A box whose z range strictly holds ``height``, by
-      _strictly_inside's own comparison, holds the receivers of a ray just
-      where the ray is inside its footprint shrunk by EPSILON, as
-      _strictly_inside shrinks it: radii in the interval of that footprint
-      shrunk by _MARGIN are inside, and radii out of the grown one are not.
-    - *Occlusion.* A box whose z range padded by the slab test's own _padded
-      holds the transmitter's height and ``height`` *spans* the grid: its z
-      slab passes each segment whole, so it blocks a segment just when the
+      _strictly_inside's own comparison, *holds* the grid: it holds the
+      receivers of a ray just where the ray is inside its footprint shrunk
+      by EPSILON, so radii in the inner interval are inside, and radii out
+      of the outer one are not.  A piece that does not hold gets an empty
+      interval.
+    - *Occlusion.* A box whose z range padded by _padded holds the
+      transmitter's height and ``height`` *spans* the grid: its z slab
+      passes each segment whole, so it blocks a segment just when the
       segment meets its padded footprint.  Radii short of each spanning
-      box's grown entry on a ray are clear of them, and radii at or past
-      some shrunk entry are blocked.
+      piece's outer entry on a ray are clear of them, and radii at or past
+      some inner entry are blocked.  A piece that does not span enters no
+      ray and marks its rays *crossed*.
 
-    np.searchsorted on ``radii`` turns the intervals into runs of cells per
-    ray.  Only the cells they leave undecided get receivers, and those take
-    the exact tests: _strictly_inside where the grown and the shrunk interior
-    intervals differ, and _segments_blocked for the exterior cells between
-    the entries or in the sector of a box that does not span.  A pair with a
-    parameter 0/0 (NaN), which only the ray at angle 0 can give, runs along a
-    face plane through the ground point: on a grown face the ray passes
-    _MARGIN outside the box, and on a shrunk one it passes inside, so
-    counting the pair as missed decides no cell wrongly and leaves the cells
-    of the shrunk case to the exact tests.
+    np.searchsorted on ``radii`` turns the interior intervals into runs of
+    cells per ray.  Only the cells the pair leaves undecided, within about
+    _MARGIN of a face, get receivers, and those take the exact tests:
+    _strictly_inside where the outer and the inner interior intervals
+    differ, and _segments_blocked for the exterior cells between the entries
+    or on a crossed ray.  A pair with a parameter 0/0 (NaN), which only the
+    ray at angle 0 can give, runs along a face plane through the ground
+    point: on an outer face the ray passes _MARGIN outside the padded box,
+    and on an inner one it passes inside the shrunk box, so counting the
+    pair as missed decides no cell wrongly and leaves the cells of the inner
+    case to the exact tests.
     """
     _check_endpoint(db, tx, "tx", _MAX_COORDINATE_M)  # on every box, so an error names the box's index in the document
     ground = np.array([tx.x, tx.y])
@@ -565,36 +600,37 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):
     # each sector shifted by -2 pi, 0 and 2 pi and clipped to the circle: two pieces where it wraps past 0
     pieces = np.clip(sectors + 2.0 * np.pi * np.arange(-1, 2)[:, None, None], 0.0, 2.0 * np.pi).reshape(-1, 2)
     nonempty = pieces[:, 0] < pieces[:, 1]
-    pieces, box_min, box_max = (x[nonempty] for x in (pieces, np.tile(box_min, (3, 1)), np.tile(box_max, (3, 1))))
+    box = np.flatnonzero(nonempty) % len(box_min)
+    pieces, box_min, box_max = pieces[nonempty], box_min[box], box_max[box]
     low, high = _padded(box_min, box_max)
     spanning = (low[:, 2] <= min(tx.z, height)) & (high[:, 2] >= max(tx.z, height))
     holding = (height > box_min[:, 2] + EPSILON) & (height < box_max[:, 2] - EPSILON)
 
-    def footprints(lows, highs):
-        # the low x and y, then the high x and y, from the ground point of each footprint grown by _MARGIN, then of
-        # each shrunk by it: NaN where it shrinks to nothing, which no ray enters
-        lows, highs = lows[:, :2].T - ground[:, None], highs[:, :2].T - ground[:, None]
-        faces = np.stack((np.concatenate((lows - _MARGIN, highs + _MARGIN)),
-                          np.concatenate((lows + _MARGIN, highs - _MARGIN))))
-        faces[1][:, (faces[1, :2] > faces[1, 2:]).any(axis=0)] = np.nan
-        return faces
+    def footprint(lows, highs, margin):
+        # the low x and y, then the high x and y, from the ground point of the footprint grown by `margin`
+        return np.concatenate((lows[:, :2].T - ground[:, None] - margin, highs[:, :2].T - ground[:, None] + margin))
 
-    walls, rooms = footprints(low, high), footprints(box_min + EPSILON, box_max - EPSILON)
+    # each piece's outer footprint, its padded box grown by _MARGIN, then its inner one, its box shrunk by EPSILON and
+    # by _MARGIN: NaN where that shrinks to nothing, which no ray enters
+    faces = np.stack((footprint(low, high, _MARGIN), footprint(box_min + EPSILON, box_max - EPSILON, -_MARGIN)))
+    faces[1][:, (faces[1, :2] > faces[1, 2:]).any(axis=0)] = np.nan
 
-    def crossings(faces, index, runs, directions):
-        # the (piece, ray) pairs of the pieces `index` over their runs of rays, in chunks of at most _RAYS_PER_BLOCK
-        # (no run is longer than a block): per chunk, the ray of each pair and the parameters at which it first
-        # enters and last leaves the grown and the shrunk footprints of `faces`, each (2, n_pairs).  A parameter
-        # 0/0 on a face plane is NaN and one past float range inf: the caller runs it under np.errstate
+    def crossings(runs, directions):
+        # the (piece, ray) pairs of every piece over its run of rays, in chunks of at most _RAYS_PER_BLOCK (no run is
+        # longer than a block): per chunk, the piece and the ray of each pair and the parameters at which the ray
+        # first enters and last leaves the outer and the inner footprints, each (2, n_pairs).  A parameter 0/0 on a
+        # face plane is NaN and one past float range inf: the caller runs it under np.errstate
+        index = np.flatnonzero(runs[:, 0] < runs[:, 1])
         lengths = runs[index, 1] - runs[index, 0]
         step = max(1, _RAYS_PER_BLOCK // int(lengths.max(initial=1)))
         for a in range(0, index.size, step):
             chunk = index[a:a + step]
-            t = np.repeat(faces[:, :, chunk], lengths[a:a + step], axis=2).reshape(2, 2, 2, -1)
+            piece = np.repeat(chunk, lengths[a:a + step])
             ray = _ranges(*runs[chunk].T)
-            t /= directions[:, ray]
+            t = faces.take(piece, axis=2).reshape(2, 2, 2, -1)
+            t /= directions.take(ray, axis=1)
             near, far = np.minimum(t[:, 0], t[:, 1]), np.maximum(t[:, 0], t[:, 1])
-            yield ray, np.maximum(near[:, 0], near[:, 1]), np.minimum(far[:, 0], far[:, 1])
+            yield piece, ray, np.maximum(near[:, 0], near[:, 1]), np.minimum(far[:, 0], far[:, 1])
 
     column = tx.to_array()[:, None]
 
@@ -609,30 +645,27 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):
         directions = np.stack((np.cos(angles), np.sin(angles)))
         n_rays, n_r = angles.size, radii.size
         runs = np.searchsorted(angles, pieces)
-        live = runs[:, 0] < runs[:, 1]
-        # per ray, the least grown and shrunk entries of the spanning pieces, np.fmin dropping a pair's NaN
+        # per ray, the least outer and inner entries of spanning pieces (np.fmin drops a NaN), and if it is crossed
         entry = np.full((2, n_rays), np.inf)
-        # the cells, flat and ray by ray, that some holding piece's shrunk footprint holds, and those its grown one
+        crossed = np.zeros(n_rays, dtype=bool)
+        # the cells, flat and ray by ray, that some holding piece's inner footprint holds, and those its outer one
         # holds; a NaN interval holds none, as searchsorted puts NaN past every radius
         inside, maybe = np.zeros((2, n_rays * n_r), dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for ray, first, last in crossings(walls, np.flatnonzero(live & spanning), runs, directions):
-                at = np.where((first > last) | (last < 0.0), np.inf, np.maximum(first, 0.0))
+            for piece, ray, first, last in crossings(runs, directions):
+                spans = spanning[piece]
+                at = np.where(~spans | (first > last) | (last < 0.0), np.inf, np.maximum(first, 0.0))
                 np.fmin.at(entry[0], ray, at[0])
                 np.fmin.at(entry[1], ray, at[1])
-            for ray, first, last in crossings(rooms, np.flatnonzero(live & holding), runs, directions):
+                crossed[ray[~spans]] = True
                 start = np.searchsorted(radii, first) + ray * n_r
-                stop = np.searchsorted(radii, last, side="right") + ray * n_r
+                stop = np.where(holding[piece], np.searchsorted(radii, last, side="right") + ray * n_r, start)
                 _paint(maybe, start[0], stop[0])
                 _paint(inside, start[1], stop[1])
         inside, maybe = inside.reshape(n_rays, n_r), maybe.reshape(n_rays, n_r)
-        cells = np.arange(n_r)
-        # per ray, the cells short of the grown entry, clear of every spanning piece, and those short of the shrunk one
-        clear, unblocked = cells < np.searchsorted(radii, entry)[:, :, None]
+        # per ray, the cells short of the outer entry, clear of every spanning piece, and those short of the inner one
+        clear, unblocked = radii < entry[:, :, None]
         band = unblocked & ~clear
-        # the rays in the sector of some piece that does not span
-        crossed = np.zeros(n_rays, dtype=bool)
-        _paint(crossed, *runs[live & ~spanning].T)
 
         def receivers(undecided):
             # the rays and radii of the cells `undecided`, ray by ray, and their receivers as the grid's own floats
@@ -642,7 +675,7 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):
                                      np.full(r.size, height)))
 
         exterior = ~inside
-        maybe &= exterior  # the cells between a grown and a shrunk interval, and in no shrunk one
+        maybe &= exterior  # the cells between an outer and an inner interval, and in no inner one
         if maybe.any():
             ray, i, rx = receivers(maybe)
             held = np.zeros(ray.size, dtype=bool)

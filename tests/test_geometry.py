@@ -36,6 +36,7 @@ from oracles import (
     crossing_length,
     parse_building_db_reference,
     points_strictly_inside_reference,
+    sampled_segment_blocked,
     sampled_segment_hits_box,
     segments_blocked_reference,
 )
@@ -110,6 +111,8 @@ NOT_A_NUMBER = st.sampled_from([None, True, False, "1", [1], {}])
 # past float range as an integer or a literal (inf is written 1e999), and its edges
 HUGE = st.sampled_from([10**400, -(10**400), 2**1024 - 2**970, 2**1024 - 2**970 - 1, math.inf, -math.inf])
 FAULTS = ("entry", "key", "corner", "value", "huge", "degenerate", "below-ground", "origin")
+# text rich in what a JSON string must escape or a count of the document's own brackets and commas must skip
+JSON_TEXT = st.text(st.sampled_from('a"\\{[,:]} \n') | st.characters(), max_size=6)
 
 
 @st.composite
@@ -297,10 +300,65 @@ class TestParsing:
         entries = [OK] * 331 + ['{"min": [0, 0, 0], "max": [1, 1, 1], "note": "\\\\", "tags": [%s]}' % name]
         text = '{"name": %s, "origin": {"lat": 1, "lon": 2}, "buildings": [%s]}' % (name, ", ".join(entries))
         assert len(text) > 2000 and text.count("{") + text.count("[") == 9000
-        assert geometry._containers(text) == 1000
+        assert geometry._census(text)[0] == 1000
         assert len(parse_building_db(text)) == 332
         with pytest.raises(BuildingDBError, match="^building DB document must hold at most 1000 JSON objects and arrays, got 1003$"):
             parse_building_db(text.replace('"buildings": [', '"buildings": [%s, ' % OK))
+
+    # lists at the 32 MiB input cap that json.loads would build at 398 MB (6.7 million two-letter strings) and
+    # 272 MB (8.4 million floats), more than a document of MAX_BUILDINGS boxes needs: counted, nothing built
+    @pytest.mark.parametrize("item, kind, cap, n", [('"ab"', "strings", 1_300_000, 6_710_886),
+                                                    ("0.5", "scalars", 4_000_000, 8_388_607)])
+    def test_scalars_at_the_input_cap_counted_before_the_parse(self, item, kind, cap, n):
+        text = "[" + (item + ",") * (n - 1) + item + "]"
+        assert len(text) <= geometry.MAX_INPUT_BYTES < len(text) + len(item) + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(BuildingDBError, match=f"^building DB document must hold at most {cap} JSON {kind}, got {n}$"):
+                parse_building_db(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    # at caps of 1,000 strings and 1,000 scalars, in text long enough to be counted, the last document within a cap
+    # parses and one more item is refused: after the root's three keys and its name, strings with escapes, brackets
+    # and commas, or distinct keys; after its name and the empty buildings list, which the count takes for a
+    # scalar, numbers, literals and strings with commas
+    @pytest.mark.parametrize("kind, k, tags", [
+        ("strings", 996, lambda k: "[%s]" % ", ".join(json.dumps('x, "{[\\' + str(i)) for i in range(k))),
+        ("strings", 996, lambda k: "{%s}" % ", ".join('"k, {%d": true' % i for i in range(k))),
+        ("scalars", 998, lambda k: "[%s]" % ", ".join(["-1.5e3", "null", '"a,b"', "7"][i % 4] for i in range(k))),
+    ])
+    def test_strings_and_scalars_capped(self, kind, k, tags, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_STRINGS", 1000)
+        monkeypatch.setattr(geometry, "_MAX_SCALARS", 1000)
+        text = '{"name": "x", "buildings": [], "tags": %s}' + " " * 2000
+        assert len(parse_building_db(text % tags(k))) == 0
+        with pytest.raises(BuildingDBError, match=f"^building DB document must hold at most 1000 JSON {kind}, got 1001$"):
+            parse_building_db(text % tags(k + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | JSON_TEXT,
+                        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+                        max_leaves=20),
+           st.sampled_from([{}, {"indent": 2}, {"separators": (",", ":")}, {"ensure_ascii": False}]))
+    def test_census_counts_what_json_builds(self, doc, style):
+        # the objects and arrays and the strings, keys included, exactly; the scalars as the commas between values,
+        # plus one
+        text = json.dumps(doc, **style)
+        containers = strings = commas = 0
+        values = [doc]
+        while values:
+            value = values.pop()
+            if isinstance(value, (list, dict)):
+                containers += 1
+                commas += max(len(value) - 1, 0)
+                strings += len(value) if isinstance(value, dict) else 0
+                values.extend(value.values() if isinstance(value, dict) else value)
+            elif isinstance(value, str):
+                strings += 1
+        assert geometry._census(text) == (containers, strings, commas + 1)
 
     def test_deep_nesting_rejected(self):
         for text in ("[" * 100_000, '{"a": ' * 100_000):
@@ -597,10 +655,14 @@ def tracer_scene(tx, boxes, receivers):
                    np.array(receivers).T)
 
 
-# a box face 1.001e-6 m from the ground point pads and grows, and one 9.99e-7 m from it shrinks by EPSILON and
-# grows (or pads and shrinks, on the far side of the ground point), to a face on the ground point's own axis:
-# the ray at angle 0 runs along it and crosses it at 0/0
-GROWN_TO_ZERO, SHRUNK_TO_ZERO = 1.001e-6, 9.989999999999999e-07
+# a box side 1.001e-6 m from the ground point's axis puts a footprint face on that axis: padded by EPSILON and grown
+# by the margin, the outer footprint's face where the box lies beyond the axis, and shrunk by EPSILON and by the
+# margin, the inner footprint's face where the box lies across it.  The ray at angle 0 runs along such a face and
+# crosses it at 0/0
+FACE_TO_ZERO = 1.001e-6
+# a wall this thick, between 2 (_MARGIN - EPSILON) and 2 (_MARGIN + EPSILON), has an empty inner footprint, where the
+# padded box shrunk by the margin is not empty
+THIN_WALL = 2e-6
 
 
 class TestSectorTracer:
@@ -639,12 +701,17 @@ class TestSectorTracer:
     # receivers inside a box whose roof is below the transmitter, which holds them but does not span
     @example(tracer_scene(Point3(0, 0, 20), [((10, -5, 0), (20, 5, 10))], [(5, 0, 1.5), (15, 0, 1.5), (15, 3, 1.5),
                                                                          (30, 0, 1.5), (15, 0, 12)]))
-    # the ray at angle 0 along the plane of a spanning box's grown face, of two holding boxes' grown faces
-    # and of a spanning box's shrunk face, which it runs inside: each crossing is 0/0 there, counted as a miss
-    @example(tracer_scene(Point3(0, 0, 7), [((10, GROWN_TO_ZERO, 0), (20, 5, 40)), ((12, SHRUNK_TO_ZERO, 0), (18, 4, 3)),
-                                            ((10, -5, 0), (20, -SHRUNK_TO_ZERO, 3)), ((30, -SHRUNK_TO_ZERO, 0), (40, 5, 40))],
+    # the ray at angle 0 along the plane of a spanning and of a holding box's outer face, and of a holding and of a
+    # spanning box's inner face, which it runs inside: each crossing is 0/0 there, counted as a miss
+    @example(tracer_scene(Point3(0, 0, 7), [((10, FACE_TO_ZERO, 0), (20, 5, 40)), ((12, FACE_TO_ZERO, 0), (18, 4, 3)),
+                                            ((10, -5, 0), (20, FACE_TO_ZERO, 3)), ((30, -FACE_TO_ZERO, 0), (40, 5, 40))],
                           [(5, 0, 1.5), (15, 0, 1.5), (25, 0, 1.5), (35, 0, 1.5), (45, 0, 1.5), (15, 1, 1.5),
                            (15, -1, 1.5)]))
+    # a spanning wall and a holding one, each THIN_WALL thick, whose inner footprints are empty: receivers short of,
+    # inside and past each, and on the far face of the spanning one
+    @example(tracer_scene(Point3(0, 0, 7), [((20, -5, 0), (20 + THIN_WALL, 5, 40)), ((-20 - THIN_WALL, -5, 0), (-20, 5, 3))],
+                          [(20 - 0.5e-6, 0, 1.5), (20 + 1e-6, 0, 1.5), (20 + THIN_WALL, 0, 1.5), (20 + 3e-6, 0, 1.5),
+                           (25, 0, 1.5), (-20 + 0.5e-6, 0, 1.5), (-20 - 1e-6, 0, 1.5), (-25, 0, 1.5)]))
     def test_trace_equals_per_receiver_tests(self, scene):
         db, tx, angles, radii, heights = scene
         # the cells' receivers, as the tracer builds them
@@ -660,13 +727,23 @@ class TestSectorTracer:
                 assert los[k, i] == (exterior[k, i] and is_los(db, tx, p))
 
     def test_zero_over_zero_example_puts_faces_on_the_ray(self):
-        # the faces of the 0/0 example as the tracer computes them from the ground point, padded or shrunk by
-        # EPSILON, then grown or shrunk by the margin: each lies on y = 0, where the ray at angle 0 has direction (1, 0)
-        assert ((GROWN_TO_ZERO - EPSILON) - 0.0) - geometry._MARGIN == 0.0
-        assert ((SHRUNK_TO_ZERO + EPSILON) - 0.0) - geometry._MARGIN == 0.0
-        # the third box's high face shrunk by EPSILON and grown, and the last box's low face padded and shrunk
-        assert ((-SHRUNK_TO_ZERO - EPSILON) - 0.0) + geometry._MARGIN == 0.0
+        # the faces of the 0/0 example as the tracer computes them from the ground point, a footprint's low side
+        # less and its high side plus its margin: the outer low face of the first two boxes, padded by EPSILON and
+        # grown by the margin, and the inner high face of the third and inner low face of the last, shrunk by EPSILON
+        # and by the margin, each lie on y = 0, where the ray at angle 0 has direction (1, 0)
+        margin = geometry._MARGIN
+        assert ((FACE_TO_ZERO - EPSILON) - 0.0) - margin == 0.0
+        assert ((FACE_TO_ZERO - EPSILON) - 0.0) + -margin == 0.0
+        assert ((-FACE_TO_ZERO + EPSILON) - 0.0) - -margin == 0.0
         assert np.sin(0.0) == 0.0
+
+    def test_thin_wall_example_empties_only_the_inner_footprint(self):
+        # the spanning wall of the thin-wall example, on x from the ground point: shrunk by EPSILON and by the margin
+        # its footprint is empty, padded by EPSILON and shrunk by the margin it is not
+        low, high, margin = 20.0, 20.0 + THIN_WALL, geometry._MARGIN
+        assert 2 * (margin - EPSILON) <= THIN_WALL <= 2 * (margin + EPSILON)
+        assert (low + EPSILON) + margin > (high - EPSILON) - margin
+        assert (low - EPSILON) + margin <= (high + EPSILON) - margin
 
 
 class TestPointInBuilding:
@@ -740,6 +817,35 @@ class TestIsLos:
         else:
             with pytest.raises(ValueError, match="within 2e\\+07 m of the origin on each axis"):
                 is_los(db, Point3(*tx), Point3(*rx))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_scenes())
+    def test_symmetric_on_multi_box_scenes(self, scene):
+        # segments on and EPSILON off the faces, edges and corners of up to six boxes, both ways round
+        mins, maxs, order, starts, ends = scene
+        db = BuildingDB("grid", tuple(Box3(Point3(*mins[i]), Point3(*maxs[i])) for i in order))
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            a, b = Point3(*a), Point3(*b)
+            if a == b or min(a.z, b.z) < 0 or point_in_any_building(db, a) or point_in_any_building(db, b):
+                continue
+            assert is_los(db, a, b) == is_los(db, b, a), f"asymmetric for a={a} b={b}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: arrays(np.int64, (n, 2, 3), elements=st.integers(0, 2**20))),
+           arrays(np.int64, (2, 3), elements=st.integers(-2**17, 2**20)))
+    def test_blocked_agrees_with_sampling_oracle(self, boxes, ends):
+        # up to four boxes in a compact scene on a 2**-20 grid: a segment is under 0.98 m long, so the oracle's
+        # samples lie under 1e-4 m apart and find every crossing that long; a scene where some box is grazed, crossed
+        # for less or touched within EPSILON, is skipped
+        mins = boxes[:, 0] * (0.3 / 2**20)
+        maxs = mins + 0.02 + boxes[:, 1] * (0.18 / 2**20)
+        a, b = ends * (0.5 / 2**20)
+        for lo, hi in zip(mins, maxs):
+            c = crossing_length(a, b, lo, hi)
+            touched = _segments_blocked(a[:, None], b[:, None], lo[None], hi[None])[0]
+            assume(c >= 1e-4 or (c == 0.0 and not touched))
+        got = _segments_blocked(a[:, None], b[:, None], mins, maxs)[0]
+        assert got == sampled_segment_blocked(a, b, mins, maxs)
 
     def test_ground_level_endpoint_allowed(self):
         db = make_db(Box3(Point3(10, -5, 0), Point3(20, 5, 30)))
