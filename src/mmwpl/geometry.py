@@ -63,16 +63,17 @@ EARTH_RADIUS_M = 6371000.0
 MAX_BUILDINGS = 500_000
 MAX_INPUT_BYTES = 32 * 2**20
 
-# Most JSON objects and arrays, strings and scalars (numbers, strings, true,
-# false and null) a building database document may hold.  One of
-# MAX_BUILDINGS buildings holds 1.5 million objects and arrays (one object and
-# two arrays each), 1 million strings (each box's "min" and "max" keys, which
-# json.loads builds once) and 3 million scalars (its corners); each cap is a
-# third over that.  At a cap json.loads builds about 145 MB of empty objects,
-# 130 MB of distinct keys or 150 MB of integers, under the 316 MB peak of
-# such a document.
+# Most JSON objects and arrays, keys and scalars (numbers, strings, true, false
+# and null) a building database document may hold.  One of MAX_BUILDINGS
+# buildings holds 1.5 million objects and arrays (one object and two arrays
+# each), 1 million keys (each box's "min" and "max") and 3 million scalars
+# (its corners); each cap is a third over that, which leaves room for one more
+# field per box (1.5 million keys, 3.5 million scalars).  At a cap json.loads
+# builds about 145 MB of empty objects, 230 MB of distinct keys or 250 MB of
+# short strings, under the 316 MB peak of such a document whose coordinates
+# have one decimal.
 _MAX_CONTAINERS = 2_000_000
-_MAX_STRINGS = 1_300_000
+_MAX_KEYS = 2_000_000
 _MAX_SCALARS = 4_000_000
 
 
@@ -287,33 +288,30 @@ def _corner_array(entries: list) -> np.ndarray | None:
     return array
 
 
-# from an opening quote, a run of up to 4096 strings that hold no escape, bracket or comma, with the separators
-# between them, or else one JSON string, escapes and all, its text captured; compiled on first use, by re's cache
-_STRING = r'"(?:[^"\\{\[,]*"(?:[ \t\n\r:,]*"[^"\\{\[,]*"){0,4095}|([^"\\]*(?:\\.[^"\\]*)*)")'
+# a JSON string, escapes and all, matched from its opening quote, its text captured, and the colon after it if it is
+# a key; compiled on first use, by re's cache
+_STRING = r'"([^"\\]*(?:\\.[^"\\]*)*)"([ \t\n\r]*:)?'
 
 
 def _census(text: str) -> tuple[int, int, int]:
-    """The objects and arrays, strings and scalars ``json.loads`` can build from ``text``.
+    """The objects and arrays, keys and scalars ``json.loads`` can build from ``text``.
 
-    Objects and arrays are its ``{`` and ``[`` outside strings.  Every value
-    but the first of an object or array follows a comma, so the scalars are
-    at most its commas outside strings, plus one: the count runs high by the
-    empty objects and arrays.  Strings are read from their opening quote, as
-    JSON reads them: a run of plain ones has two quotes each, and only a
-    string with an escape, a bracket or a comma is built, to count those.  On
-    text that is not JSON a count may run high, never low: ``json.loads``
-    stops at the first place where it and this reading part.
+    Objects and arrays are its ``{`` and ``[`` outside strings, and keys its
+    strings followed by a colon.  Every value but the first of an object or
+    array follows a comma, so the scalars are at most its commas outside
+    strings, plus one: the count runs high by the empty objects and arrays.
+    Strings are read from their opening quote, one at a time, as JSON reads
+    them, so nothing but the string at hand is built.  On text that is not
+    JSON a count may run high, never low: ``json.loads`` stops at the first
+    place where it and this reading part.
     """
-    strings = quoted_brackets = quoted_commas = 0
+    keys = quoted_brackets = quoted_commas = 0
     for m in re.finditer(_STRING, text, re.DOTALL):
-        string = m[1]
-        if string is None:
-            strings += text.count('"', m.start(), m.end()) // 2
-        else:
-            strings += 1
-            quoted_brackets += string.count("{") + string.count("[")
-            quoted_commas += string.count(",")
-    return text.count("{") + text.count("[") - quoted_brackets, strings, text.count(",") - quoted_commas + 1
+        string, colon = m.groups()
+        keys += colon is not None
+        quoted_brackets += string.count("{") + string.count("[")
+        quoted_commas += string.count(",")
+    return text.count("{") + text.count("[") - quoted_brackets, keys, text.count(",") - quoted_commas + 1
 
 
 def parse_building_db(text: str) -> BuildingDB:
@@ -326,24 +324,25 @@ def parse_building_db(text: str) -> BuildingDB:
     float: a non-finite literal, ``1e999`` or an integer beyond float range
     is rejected.  The corners go straight into the database's corner arrays;
     a rejection names the first bad building in document order.  A document
-    that holds more than 2 million JSON objects and arrays, 1.3 million
-    strings (keys included) or 4 million scalars (numbers, strings, true,
-    false and null), in any field, is rejected before it is parsed.
+    that holds more than 2 million JSON objects and arrays, 2 million keys or
+    4 million scalars (numbers, strings, true, false and null), in any field,
+    is rejected before it is parsed: one of MAX_BUILDINGS boxes has room for
+    one field per box besides "min" and "max".
 
     Raises:
         BuildingDBError: on malformed or too deeply nested JSON, too many
-            objects and arrays, strings or scalars, missing fields, too
+            objects and arrays, keys or scalars, missing fields, too
             many boxes, out-of-range numbers, degenerate boxes or boxes
             below ground level.
     """
     # json.loads builds every object, array and scalar before a rule can look at them, wherever they stand, so
     # they are counted first, in text long enough to hold more than a cap: an object or array takes two characters
-    # ("[]"), a string two quotes and a scalar a character and, past the first, a comma
-    if len(text) > 2 * min(_MAX_CONTAINERS, _MAX_STRINGS, _MAX_SCALARS) and (
-            text.count("{") + text.count("[") > _MAX_CONTAINERS or text.count('"') > 2 * _MAX_STRINGS
+    # ("[]"), a key two quotes and a scalar a character and, past the first, a comma
+    if len(text) > 2 * min(_MAX_CONTAINERS, _MAX_KEYS, _MAX_SCALARS) and (
+            text.count("{") + text.count("[") > _MAX_CONTAINERS or text.count('"') > 2 * _MAX_KEYS
             or text.count(",") >= _MAX_SCALARS):
-        for n, cap, kind in zip(_census(text), (_MAX_CONTAINERS, _MAX_STRINGS, _MAX_SCALARS),
-                                ("JSON objects and arrays", "JSON strings", "JSON scalars")):
+        for n, cap, kind in zip(_census(text), (_MAX_CONTAINERS, _MAX_KEYS, _MAX_SCALARS),
+                                ("JSON objects and arrays", "JSON keys", "JSON scalars")):
             if n > cap:
                 raise BuildingDBError(f"building DB document must hold at most {cap} {kind}, got {n}")
     try:
@@ -509,17 +508,18 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
 
 def _paint(mask: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> None:
-    """Set ``mask[start:stop]`` for each interval, in one pass over the mask however they overlap.
+    """Set ``mask[start:stop]`` for each interval, in one pass over the cells from the least start to the furthest stop.
 
-    In order of ``starts``, the running maximum of the bounds ``0, start, stop, start, stop, ..., mask.size`` cuts
-    the mask into runs of cells to leave and to set, in turn.
+    In order of ``starts``, the running maximum of the bounds ``start, stop, start, stop, ...`` cuts those cells into
+    runs to set and to leave, in turn.
     """
     order = np.argsort(starts)
-    bounds = np.zeros(2 * starts.size + 2, dtype=starts.dtype)
-    bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = starts[order], stops[order], mask.size
+    bounds = np.empty(2 * starts.size, dtype=starts.dtype)
+    bounds[::2], bounds[1::2] = starts[order], stops[order]
+    np.maximum.accumulate(bounds, out=bounds)
     setting = np.zeros(bounds.size - 1, dtype=bool)
-    setting[1::2] = True
-    mask |= np.repeat(setting, np.diff(np.maximum.accumulate(bounds)))
+    setting[::2] = True
+    mask[bounds[0]:bounds[-1]] |= np.repeat(setting, np.diff(bounds))
 
 
 def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):

@@ -306,37 +306,57 @@ class TestParsing:
             parse_building_db(text.replace('"buildings": [', '"buildings": [%s, ' % OK))
 
     # lists at the 32 MiB input cap that json.loads would build at 398 MB (6.7 million two-letter strings) and
-    # 272 MB (8.4 million floats), more than a document of MAX_BUILDINGS boxes needs: counted, nothing built
-    @pytest.mark.parametrize("item, kind, cap, n", [('"ab"', "strings", 1_300_000, 6_710_886),
-                                                    ("0.5", "scalars", 4_000_000, 8_388_607)])
-    def test_scalars_at_the_input_cap_counted_before_the_parse(self, item, kind, cap, n):
+    # 272 MB (8.4 million floats), more than a document of MAX_BUILDINGS boxes needs: counted, nothing built.  The
+    # strings are read one at a time, about 5 s for the full list (20 s under tracemalloc), so that list and the
+    # scalar cap are cut to a sixteenth
+    @pytest.mark.parametrize("item, scale", [('"ab"', 16), ("0.5", 1)])
+    def test_scalars_at_the_input_cap_counted_before_the_parse(self, item, scale, monkeypatch):
+        cap = geometry._MAX_SCALARS // scale
+        monkeypatch.setattr(geometry, "_MAX_SCALARS", cap)
+        n = (geometry.MAX_INPUT_BYTES // scale - 1) // (len(item) + 1)
         text = "[" + (item + ",") * (n - 1) + item + "]"
-        assert len(text) <= geometry.MAX_INPUT_BYTES < len(text) + len(item) + 1
+        assert len(text) <= geometry.MAX_INPUT_BYTES // scale < len(text) + len(item) + 1
         tracemalloc.start()
         try:
-            with pytest.raises(BuildingDBError, match=f"^building DB document must hold at most {cap} JSON {kind}, got {n}$"):
+            with pytest.raises(BuildingDBError, match=f"^building DB document must hold at most {cap} JSON scalars, got {n}$"):
                 parse_building_db(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2_000_000
+        assert peak < 100_000
 
-    # at caps of 1,000 strings and 1,000 scalars, in text long enough to be counted, the last document within a cap
-    # parses and one more item is refused: after the root's three keys and its name, strings with escapes, brackets
-    # and commas, or distinct keys; after its name and the empty buildings list, which the count takes for a
-    # scalar, numbers, literals and strings with commas
+    # at caps of 1,000 keys and 1,000 scalars, in text long enough to be counted, the last document within a cap
+    # parses and one more item is refused: after the root's three keys, distinct keys with brackets, commas and
+    # colons; after its name and the empty buildings list, which the count takes for a scalar, strings with
+    # escapes, brackets, commas and colons, or numbers, literals and strings
     @pytest.mark.parametrize("kind, k, tags", [
-        ("strings", 996, lambda k: "[%s]" % ", ".join(json.dumps('x, "{[\\' + str(i)) for i in range(k))),
-        ("strings", 996, lambda k: "{%s}" % ", ".join('"k, {%d": true' % i for i in range(k))),
+        ("keys", 997, lambda k: "{%s}" % ", ".join('"k, {%d:" : true' % i for i in range(k))),
+        ("scalars", 998, lambda k: "[%s]" % ", ".join(json.dumps('x, "{[\\:' + str(i)) for i in range(k))),
         ("scalars", 998, lambda k: "[%s]" % ", ".join(["-1.5e3", "null", '"a,b"', "7"][i % 4] for i in range(k))),
     ])
-    def test_strings_and_scalars_capped(self, kind, k, tags, monkeypatch):
-        monkeypatch.setattr(geometry, "_MAX_STRINGS", 1000)
+    def test_keys_and_scalars_capped(self, kind, k, tags, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_KEYS", 1000)
         monkeypatch.setattr(geometry, "_MAX_SCALARS", 1000)
         text = '{"name": "x", "buildings": [], "tags": %s}' + " " * 2000
         assert len(parse_building_db(text % tags(k))) == 0
         with pytest.raises(BuildingDBError, match=f"^building DB document must hold at most 1000 JSON {kind}, got 1001$"):
             parse_building_db(text % tags(k + 1))
+
+    def test_box_cap_leaves_room_for_one_more_field_per_box(self, monkeypatch):
+        # the caps cut by a thousand: MAX_BUILDINGS boxes with an "id" each parse; with a second field, one box
+        # fewer does, and at MAX_BUILDINGS the keys pass their cap, the scalars theirs too
+        for name, value in (("MAX_BUILDINGS", 500), ("_MAX_CONTAINERS", 2000), ("_MAX_KEYS", 2000), ("_MAX_SCALARS", 4000)):
+            monkeypatch.setattr(geometry, name, value)
+        box = '{"min": [%d, 0, 0], "max": [%d.5, 1, 8]%s}'
+
+        def doc(n, fields):
+            return '{"name": "x", "buildings": [%s]}' % ", ".join(box % (i, i, fields % i) for i in range(n))
+
+        assert len(parse_building_db(doc(500, ', "id": %d'))) == 500
+        assert len(parse_building_db(doc(499, ', "id": %d, "levels": 3'))) == 499
+        with pytest.raises(BuildingDBError, match="^building DB document must hold at most 2000 JSON keys, got 2002$"):
+            parse_building_db(doc(500, ', "id": %d, "levels": 3'))
+        assert geometry._census(doc(500, ', "id": %d, "levels": 3')) == (1502, 2002, 4001)
 
     @settings(max_examples=200, deadline=None)
     @given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | JSON_TEXT,
@@ -344,21 +364,18 @@ class TestParsing:
                         max_leaves=20),
            st.sampled_from([{}, {"indent": 2}, {"separators": (",", ":")}, {"ensure_ascii": False}]))
     def test_census_counts_what_json_builds(self, doc, style):
-        # the objects and arrays and the strings, keys included, exactly; the scalars as the commas between values,
-        # plus one
+        # the objects and arrays and the keys exactly; the scalars as the commas between values, plus one
         text = json.dumps(doc, **style)
-        containers = strings = commas = 0
+        containers = keys = commas = 0
         values = [doc]
         while values:
             value = values.pop()
             if isinstance(value, (list, dict)):
                 containers += 1
                 commas += max(len(value) - 1, 0)
-                strings += len(value) if isinstance(value, dict) else 0
+                keys += len(value) if isinstance(value, dict) else 0
                 values.extend(value.values() if isinstance(value, dict) else value)
-            elif isinstance(value, str):
-                strings += 1
-        assert geometry._census(text) == (containers, strings, commas + 1)
+        assert geometry._census(text) == (containers, keys, commas + 1)
 
     def test_deep_nesting_rejected(self):
         for text in ("[" * 100_000, '{"a": ' * 100_000):
