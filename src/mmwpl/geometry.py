@@ -648,9 +648,9 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):
         # per ray, the least outer and inner entries of spanning pieces (np.fmin drops a NaN), and if it is crossed
         entry = np.full((2, n_rays), np.inf)
         crossed = np.zeros(n_rays, dtype=bool)
-        # the cells, flat and ray by ray, that some holding piece's inner footprint holds, and those its outer one
-        # holds; a NaN interval holds none, as searchsorted puts NaN past every radius
-        inside, maybe = np.zeros((2, n_rays * n_r), dtype=bool)
+        # the cells, ray by ray and painted flat, that some holding piece's inner footprint holds, and those its outer
+        # one holds; a NaN interval holds none, as searchsorted puts NaN past every radius
+        inside, maybe = np.zeros((2, n_rays, n_r), dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for piece, ray, first, last in crossings(runs, directions):
                 spans = spanning[piece]
@@ -660,9 +660,8 @@ def _sector_tracer(db: BuildingDB, tx: Point3, r_max: float, height: float):
                 crossed[ray[~spans]] = True
                 start = np.searchsorted(radii, first) + ray * n_r
                 stop = np.where(holding[piece], np.searchsorted(radii, last, side="right") + ray * n_r, start)
-                _paint(maybe, start[0], stop[0])
-                _paint(inside, start[1], stop[1])
-        inside, maybe = inside.reshape(n_rays, n_r), maybe.reshape(n_rays, n_r)
+                _paint(maybe.reshape(-1), start[0], stop[0])
+                _paint(inside.reshape(-1), start[1], stop[1])
         # per ray, the cells short of the outer entry, clear of every spanning piece, and those short of the inner one
         clear, unblocked = radii < entry[:, :, None]
         band = unblocked & ~clear
